@@ -8,7 +8,7 @@
 //
 //	tsload -addr HOST:7465 [-clients 4] [-apps all|oltp,apache,...]
 //	       [-machine both] [-intra] [-scale small] [-seed 1] [-target 20000]
-//	       [-window N] [-prefetch] [-repeat 1] [-resilient=true] [-json]
+//	       [-window N] [-prefetch] [-repeat 1] [-json]
 //	       [-progress 10s] [-log-format text|json] [-log-level LEVEL]
 //
 // Each job simulates one app on one machine model and streams its
@@ -19,13 +19,11 @@
 // line reports aggregate records/sec across all sessions, the number
 // tsserved's ingest trajectory tracks.
 //
-// Sessions are resilient by default (server.DialResilient): transport
-// resets, server sheds, and in-flight corruption are absorbed by
-// reconnecting and resuming from the server's parked state, and the
-// final summary includes per-error-class recovery counters (dials,
-// transport faults, busy/draining sheds, resumes, restarts). Pass
-// -resilient=false for the legacy single-shot client, where any
-// mid-stream failure fails the session.
+// Sessions are resilient (server.DialResilient): transport resets,
+// server sheds, and in-flight corruption are absorbed by reconnecting
+// and resuming from the server's parked state, and the final summary
+// includes per-error-class recovery counters (dials, transport faults,
+// busy/draining sheds, resumes, restarts).
 //
 // -json emits the run summary as a single JSON object on stdout — job
 // and failure counts, aggregate records/sec, the recovery counters, and
@@ -74,22 +72,12 @@ type job struct {
 	machine workload.MachineKind
 }
 
-// ingestSession is what a job needs from either client flavor: the Sink
-// to stream into, and the result/records accessors for reporting.
-type ingestSession interface {
-	trace.Sink
-	Records() int64
-	Result() (*server.SessionResult, error)
-	Close() error
-}
-
 // fleet carries the per-run dialing configuration and the aggregated
 // recovery counters shared by every worker.
 type fleet struct {
-	addr      string
-	req       server.Request
-	resilient bool
-	seed      int64
+	addr string
+	req  server.Request
+	seed int64
 
 	sessionSeq atomic.Int64 // distinct jitter seed per session
 
@@ -97,13 +85,10 @@ type fleet struct {
 	retries server.RetryStats
 }
 
-// dial opens one session of the configured flavor.
-func (f *fleet) dial(label string, cpus int) (ingestSession, error) {
+// dial opens one session.
+func (f *fleet) dial(label string, cpus int) (*server.ResilientSession, error) {
 	req := f.req
 	req.Label = label
-	if !f.resilient {
-		return server.DialSession(f.addr, cpus, req)
-	}
 	return server.DialResilient(f.addr, cpus, req, server.RetryPolicy{
 		Seed: f.seed + f.sessionSeq.Add(1),
 	})
@@ -111,12 +96,10 @@ func (f *fleet) dial(label string, cpus int) (ingestSession, error) {
 
 // collect folds a finished (or failed) session's recovery counters into
 // the fleet totals.
-func (f *fleet) collect(s ingestSession) {
-	if rs, ok := s.(*server.ResilientSession); ok {
-		f.mu.Lock()
-		f.retries.Add(rs.Stats())
-		f.mu.Unlock()
-	}
+func (f *fleet) collect(s *server.ResilientSession) {
+	f.mu.Lock()
+	f.retries.Add(s.Stats())
+	f.mu.Unlock()
 }
 
 // snapshot returns the recovery counters folded in so far.
@@ -148,7 +131,6 @@ func main() {
 	window := flag.Int("window", 0, "requested per-session analysis window in misses (0 = server default)")
 	pf := flag.Bool("prefetch", false, "request a temporal-stream prefetcher evaluation per session")
 	repeat := flag.Int("repeat", 1, "repetitions of the app x machine job list")
-	resilient := flag.Bool("resilient", true, "retrying/resumable sessions (false = legacy single-shot client)")
 	jsonOut := flag.Bool("json", false, "machine-readable summary as one JSON object on stdout (human lines move to stderr)")
 	progress := flag.Duration("progress", 10*time.Second, "structured progress log interval on stderr (0 = disabled)")
 	logFlags := obs.AddLogFlags(flag.CommandLine)
@@ -207,7 +189,7 @@ func main() {
 	if *pf {
 		req.Prefetch = &prefetch.Config{Depth: 8, HistoryLen: 20000, BufferBlocks: 2048}
 	}
-	fl := &fleet{addr: *addr, req: req, resilient: *resilient, seed: *seed}
+	fl := &fleet{addr: *addr, req: req, seed: *seed}
 
 	var jobs []job
 	for r := 0; r < *repeat; r++ {
@@ -305,24 +287,22 @@ dispatch:
 	recs := totalRecords.Load()
 	fmt.Fprintf(human, "tsload: %d jobs, %d sessions failed, %d records in %.2fs = %.0f records/sec aggregate\n",
 		len(jobs), failed, recs, elapsed.Seconds(), float64(recs)/elapsed.Seconds())
-	if *resilient {
-		r := fl.retries
-		fmt.Fprintf(human, "tsload: recovery: dials=%d transport=%d busy=%d draining=%d stream=%d resumes=%d restarts=%d resume_lost=%d\n",
-			r.Dials, r.Transport, r.Busy, r.Draining, r.StreamErrors, r.Resumes, r.Restarts, r.ResumeLost)
-		logger.Info("recovery", retryAttrs(r)...)
-	}
+	r := fl.retries
+	fmt.Fprintf(human, "tsload: recovery: dials=%d transport=%d busy=%d draining=%d stream=%d resumes=%d restarts=%d resume_lost=%d\n",
+		r.Dials, r.Transport, r.Busy, r.Draining, r.StreamErrors, r.Resumes, r.Restarts, r.ResumeLost)
+	logger.Info("recovery", retryAttrs(r)...)
 	if *jsonOut {
 		// Deterministic session order regardless of worker scheduling.
 		sort.Slice(sessions, func(i, k int) bool { return sessions[i].Label < sessions[k].Label })
 		summary := struct {
-			Jobs           int                `json:"jobs"`
-			FailedSessions int                `json:"failed_sessions"`
-			Records        int64              `json:"records"`
-			Seconds        float64            `json:"seconds"`
-			RecordsPerSec  float64            `json:"records_per_sec"`
-			Interrupted    bool               `json:"interrupted"`
-			Recovery       *server.RetryStats `json:"recovery,omitempty"`
-			Sessions       []sessionReport    `json:"sessions,omitempty"`
+			Jobs           int               `json:"jobs"`
+			FailedSessions int               `json:"failed_sessions"`
+			Records        int64             `json:"records"`
+			Seconds        float64           `json:"seconds"`
+			RecordsPerSec  float64           `json:"records_per_sec"`
+			Interrupted    bool              `json:"interrupted"`
+			Recovery       server.RetryStats `json:"recovery"`
+			Sessions       []sessionReport   `json:"sessions,omitempty"`
 		}{
 			Jobs:           len(jobs),
 			FailedSessions: failed,
@@ -330,11 +310,8 @@ dispatch:
 			Seconds:        elapsed.Seconds(),
 			RecordsPerSec:  float64(recs) / elapsed.Seconds(),
 			Interrupted:    ctx.Err() != nil,
+			Recovery:       r,
 			Sessions:       sessions,
-		}
-		if *resilient {
-			r := fl.retries
-			summary.Recovery = &r
 		}
 		enc := json.NewEncoder(os.Stdout)
 		if err := enc.Encode(summary); err != nil {
@@ -374,7 +351,7 @@ func runJob(ctx context.Context, fl *fleet, j job, scale workload.Scale, seed in
 	defer fl.collect(off)
 	defer off.Close()
 
-	var intraSess ingestSession
+	var intraSess *server.ResilientSession
 	if intra && j.machine == workload.SingleChip {
 		intraSess, err = fl.dial(label+"/intra", j.machine.CPUCount())
 		if err != nil {
@@ -395,7 +372,7 @@ func runJob(ctx context.Context, fl *fleet, j job, scale workload.Scale, seed in
 	}
 	simSecs := time.Since(simStart).Seconds()
 
-	report := func(label string, cs ingestSession) error {
+	report := func(label string, cs *server.ResilientSession) error {
 		res, err := cs.Result()
 		if err != nil {
 			return err

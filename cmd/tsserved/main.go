@@ -25,7 +25,7 @@
 // Overload is shed explicitly: beyond -max-queue waiting sessions, new
 // arrivals are refused immediately with a machine-readable busy code and
 // a retry hint instead of queueing. Clients speaking the resumable
-// protocol (server.DialResilient, tsload's default) may reconnect after
+// protocol (server.DialResilient, tsload's client) may reconnect after
 // a mid-stream failure and continue the same analysis; the interrupted
 // session's state is parked for -resume-grace.
 //

@@ -16,6 +16,7 @@
 package faultnet
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -341,3 +342,15 @@ func (c *Conn) Write(p []byte) (int, error) {
 
 // Close implements net.Conn.
 func (c *Conn) Close() error { return c.Conn.Close() }
+
+// CloseWrite half-closes the underlying connection's write side, where it
+// has one, so a lingering close through a faulty link stays orderly.
+func (c *Conn) CloseWrite() error { return closeWrite(c.Conn) }
+
+// closeWrite half-closes conn if its type supports it (TCP does).
+func closeWrite(conn net.Conn) error {
+	if hc, ok := conn.(interface{ CloseWrite() error }); ok {
+		return hc.CloseWrite()
+	}
+	return errors.ErrUnsupported
+}

@@ -111,6 +111,9 @@ type gateConn struct {
 	gate *Gate
 }
 
+// CloseWrite passes a half-close through the gate.
+func (c *gateConn) CloseWrite() error { return closeWrite(c.Conn) }
+
 func (c *gateConn) Close() error {
 	c.gate.mu.Lock()
 	delete(c.gate.conns, net.Conn(c))

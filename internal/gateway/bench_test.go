@@ -78,7 +78,7 @@ func benchGatewayIngest(b *testing.B, nBackends int) {
 					Label:    fmt.Sprintf("bench-%d", c),
 					Analysis: core.Options{MaxMisses: window},
 				}
-				cs, err := server.DialSession(addr, 4, req)
+				cs, err := server.DialResilient(addr, 4, req, server.RetryPolicy{MaxAttempts: 1})
 				if err != nil {
 					b.Errorf("dial: %v", err)
 					return

@@ -17,8 +17,6 @@ package gateway
 
 import (
 	"context"
-	crand "crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -28,14 +26,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/proto"
 	"repro/internal/server"
 )
 
 // ErrGatewayClosed is returned by Serve after Shutdown or Close.
 var ErrGatewayClosed = errors.New("gateway: closed")
-
-// requestLimit bounds the client's negotiation line, as in the server.
-const requestLimit = 64 << 10
 
 // Config tunes a Gateway.
 type Config struct {
@@ -183,10 +179,13 @@ type Gateway struct {
 	mu       sync.Mutex
 	backends map[string]*backend
 	ring     *hashRing
-	parked   map[string]*gwSession
 	closed   bool
 	conns    int
 	drainCh  chan struct{}
+
+	// parked holds interrupted (and completed) resumable sessions, backend
+	// leg and replay ring included, for Config.ResumeGrace.
+	parked *proto.Lot[*gwSession]
 
 	nextID         atomic.Uint64
 	totalSessions  atomic.Int64
@@ -200,9 +199,9 @@ type Gateway struct {
 
 	// ringFrames counts data frames currently retained across every
 	// session's replay ring — the gateway's dominant memory consumer.
-	// Incremented at the single retention site (relay's data-frame case),
-	// decremented wherever a ring is released (overflow, session end,
-	// park expiry, teardown).
+	// Incremented at the single retention site (stream's data-frame case),
+	// decremented by dropRing (overflow, session end, park expiry,
+	// teardown).
 	ringFrames atomic.Int64
 
 	metrics *gatewayMetrics
@@ -228,10 +227,15 @@ func New(ln net.Listener, cfg Config) *Gateway {
 		ln:       ln,
 		backends: make(map[string]*backend),
 		ring:     buildRing(nil, cfg.Replicas),
-		parked:   make(map[string]*gwSession),
 		log:      cfg.Logger,
 		start:    time.Now(),
 	}
+	// Expiry releases the backend leg and the ring before the expired
+	// counter moves, so a scrape never sees the count ahead of the gauges.
+	g.parked = proto.NewLot(cfg.ResumeGrace, g.release, func(sess *gwSession) {
+		g.totalExpired.Add(1)
+		g.log.Info("parked session expired", "session", sess.id, "key", sess.key, "frames", sess.framesIn)
+	})
 	// Metrics before SetBackends: the probers it spawns observe probe
 	// latency from their first exchange.
 	g.metrics = newGatewayMetrics(g)
@@ -318,24 +322,13 @@ func (g *Gateway) Close() error {
 
 // teardown discards parked sessions and stops every prober.
 func (g *Gateway) teardown() {
+	g.parked.Close()
 	g.mu.Lock()
-	ps := make([]*gwSession, 0, len(g.parked))
-	for _, p := range g.parked {
-		ps = append(ps, p)
-	}
-	g.parked = make(map[string]*gwSession)
 	bs := make([]*backend, 0, len(g.backends))
 	for _, b := range g.backends {
 		bs = append(bs, b)
 	}
 	g.mu.Unlock()
-	for _, p := range ps {
-		if p.parkTimer != nil {
-			p.parkTimer.Stop()
-		}
-		g.detach(p)
-		g.releaseFrames(p)
-	}
 	for _, b := range bs {
 		b.stopProber()
 	}
@@ -510,7 +503,7 @@ func (g *Gateway) pick(key string, tried map[string]bool) (*backend, error) {
 
 // detach releases a session's backend attachment: the counter drops (a
 // draining backend whose last session left is finalized) and the backend
-// leg closes. Safe on a session with no attachment.
+// leg and its reader close. Safe on a session with no attachment.
 func (g *Gateway) detach(s *gwSession) {
 	g.mu.Lock()
 	if b := s.be; b != nil {
@@ -525,27 +518,25 @@ func (g *Gateway) detach(s *gwSession) {
 	}
 	g.mu.Unlock()
 	if s.bconn != nil {
+		close(s.done)
 		s.bconn.Close()
 		s.bconn = nil
 	}
 }
 
-// releaseFrames drops a session's replay ring and settles the fleet-wide
-// retained-frame gauge. Called once the ring can never be replayed again
-// (session over, park expired, overflow, teardown); idempotent.
-func (g *Gateway) releaseFrames(s *gwSession) {
-	if n := len(s.frames); n > 0 {
-		g.ringFrames.Add(-int64(n))
-	}
-	s.frames = nil
+// dropRing drops a session's replay ring for good and settles the
+// fleet-wide retained-frame gauge. Called once the ring can never be
+// replayed again (overflow, session over, park expired, teardown);
+// idempotent.
+func (g *Gateway) dropRing(s *gwSession) {
+	g.ringFrames.Add(-int64(s.ring.Len()))
+	s.ring.Drop()
 }
 
-// newToken mints a resume token (the gateway issues its own: client-side
-// resumption terminates here, not at a backend).
-func newToken() string {
-	var b [16]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		panic("gateway: reading random token: " + err.Error())
-	}
-	return hex.EncodeToString(b[:])
+// release lets go of everything a session holds: backend leg and replay
+// ring. It is also the park lot's release for expired and flushed
+// sessions.
+func (g *Gateway) release(s *gwSession) {
+	g.detach(s)
+	g.dropRing(s)
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/server"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -51,11 +53,14 @@ func synthMisses(n, cpus int, seed int64) []trace.Miss {
 	return out
 }
 
-// feedSession streams misses through one plain client session and
+// single is the single-shot client policy: one attempt, no retries.
+var single = server.RetryPolicy{MaxAttempts: 1}
+
+// feedSession streams misses through one single-shot client session and
 // returns the result.
 func feedSession(t *testing.T, addr string, req server.Request, misses []trace.Miss, cpus int) *server.SessionResult {
 	t.Helper()
-	cs, err := server.DialSession(addr, cpus, req)
+	cs, err := server.DialResilient(addr, cpus, req, single)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -68,6 +73,47 @@ func feedSession(t *testing.T, addr string, req server.Request, misses []trace.M
 		t.Fatalf("Result: %v", err)
 	}
 	return res
+}
+
+// dialRaw opens a session over a raw socket: the request line, then the
+// wire stream straight onto the connection. Nothing the peer sends back
+// is read until the caller reads it.
+func dialRaw(t *testing.T, addr string, cpus int, req server.Request) (net.Conn, *wire.Encoder) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	line, _ := json.Marshal(req)
+	if _, err := conn.Write(append(line, '\n')); err != nil {
+		t.Fatalf("request: %v", err)
+	}
+	return conn, wire.NewEncoder(conn, cpus)
+}
+
+// feedPlain streams misses through a plain-protocol session over a raw
+// socket — request line, wire stream, response line; no hello, no acks
+// — and returns the result.
+func feedPlain(t *testing.T, addr string, req server.Request, misses []trace.Miss, cpus int) *server.SessionResult {
+	t.Helper()
+	conn, enc := dialRaw(t, addr, cpus, req)
+	defer conn.Close()
+	for _, m := range misses {
+		enc.Append(m)
+	}
+	enc.Finish(trace.Header{Misses: len(misses), Instructions: uint64(len(misses)) * 100, CPUs: cpus})
+	if err := enc.Close(); err != nil {
+		t.Fatalf("plain stream: %v", err)
+	}
+	line, err := bufio.NewReader(conn).ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("plain response: %v", err)
+	}
+	var resp server.Response
+	if err := json.Unmarshal(line, &resp); err != nil || resp.Result == nil {
+		t.Fatalf("plain response %q: %v", line, err)
+	}
+	return resp.Result
 }
 
 // startBackend runs one in-process tsserved behind a faultnet.Gate, so
@@ -151,7 +197,7 @@ func TestGatewayFleetEquivalence(t *testing.T) {
 	waitHealthy(t, gw, 3)
 
 	// A plain (non-resumable) session relays through unchanged.
-	if got := feedSession(t, gw.Addr().String(), req, misses, 4); !reflect.DeepEqual(got, want) {
+	if got := feedPlain(t, gw.Addr().String(), req, misses, 4); !reflect.DeepEqual(got, want) {
 		t.Errorf("plain session through gateway differs from single-node run\n got: %+v\nwant: %+v", got, want)
 	}
 
@@ -282,6 +328,96 @@ func TestGatewayResilientEquivalence(t *testing.T) {
 	}
 }
 
+// TestGatewayPassesThroughBadRequest: a request the backend rejects
+// reaches the client as the backend's own bad_request line, even though
+// the client is still streaming when the rejection arrives — not as a
+// reroute, a shed, or a transport error — and a rejection is not a
+// backend failure, so no circuit opens.
+func TestGatewayPassesThroughBadRequest(t *testing.T) {
+	addrs, _ := startFleet(t, 2)
+	gw := startGateway(t, testConfig(addrs))
+	waitHealthy(t, gw, 2)
+
+	misses := synthMisses(20000, 2, 3)
+	rs, err := server.DialResilient(gw.Addr().String(), 2,
+		server.Request{Label: "negative", Analysis: core.Options{MaxMisses: -1}}, single)
+	if err == nil {
+		for _, m := range misses {
+			rs.Append(m)
+		}
+		rs.Finish(trace.Header{Misses: len(misses), Instructions: 1, CPUs: 2})
+		_, err = rs.Result()
+	}
+	if err == nil || !strings.Contains(err.Error(), "negative") {
+		t.Fatalf("err = %v, want the backend's negative-window rejection", err)
+	}
+	st := gw.Stats()
+	if st.ReroutedSessions != 0 {
+		t.Errorf("ReroutedSessions = %d, want 0 (a rejection is not a backend failure)", st.ReroutedSessions)
+	}
+	for _, b := range st.Backends {
+		if b.Circuit != gateway.CircuitClosed {
+			t.Errorf("backend %s circuit %v after a rejection, want closed", b.Addr, b.Circuit)
+		}
+	}
+}
+
+// TestGatewayRingOverflow: a session that outgrows its replay ring stops
+// retaining frames, and when its backend then dies it fails with a
+// stream error instead of replaying an incomplete stream elsewhere.
+func TestGatewayRingOverflow(t *testing.T) {
+	srvs := make(map[string]*server.Server)
+	gates := make(map[string]*faultnet.Gate)
+	var addrs []string
+	for _, name := range []string{"b1", "b2"} {
+		srv, gate := startBackend(t, name)
+		addr := srv.Addr().String()
+		srvs[addr], gates[addr] = srv, gate
+		addrs = append(addrs, addr)
+	}
+	cfg := testConfig(addrs)
+	cfg.RingFrames = 2
+	gw := startGateway(t, cfg)
+	waitHealthy(t, gw, 2)
+
+	const frames = 5
+	misses := synthMisses(frames*4096, 4, 9)
+	conn, enc := dialRaw(t, gw.Addr().String(), 4, server.Request{Label: "overflow"})
+	defer conn.Close()
+	for _, m := range misses {
+		enc.Append(m)
+	}
+	var holder string
+	waitFor(t, "a backend to decode every frame", func() bool {
+		for addr, srv := range srvs {
+			for _, row := range srv.Stats().Sessions {
+				if row.Label == "overflow" && row.Records == int64(len(misses)) {
+					holder = addr
+					return true
+				}
+			}
+		}
+		return false
+	})
+	if v := scrapeGateway(t, gw)["tsgate_replay_ring_frames"].Samples[0].Value; v != 0 {
+		t.Errorf("tsgate_replay_ring_frames = %v after overflow, want 0", v)
+	}
+	gates[holder].Kill()
+	enc.Finish(trace.Header{Misses: len(misses), Instructions: 1, CPUs: 4})
+	enc.Close()
+	line, err := bufio.NewReader(conn).ReadBytes('\n')
+	var resp server.Response
+	if err != nil || json.Unmarshal(line, &resp) != nil {
+		t.Fatalf("response %q: %v", line, err)
+	}
+	if resp.Code != server.CodeStream || !strings.Contains(resp.Error, "replay ring") {
+		t.Errorf("response %+v, want a stream error naming the replay ring", resp)
+	}
+	if st := gw.Stats(); st.ReroutedSessions != 0 {
+		t.Errorf("ReroutedSessions = %d, want 0 (nothing to replay)", st.ReroutedSessions)
+	}
+}
+
 // TestGatewayShedsWhenFleetDown: with every circuit open, arrivals get
 // the typed busy code and a retry hint, not a hang or a silent close.
 func TestGatewayShedsWhenFleetDown(t *testing.T) {
@@ -385,8 +521,12 @@ func TestGatewayAffinityAndSpread(t *testing.T) {
 		t.Errorf("label hit %d backends, want 1", moved)
 	}
 
+	// Enough labels that all of them hashing onto one of three backends
+	// is out of reach: the ring depends on the backends' ephemeral ports,
+	// and with 8 labels that happened about once in a thousand runs.
+	const labels = 32
 	before = after
-	for i := 0; i < 8; i++ {
+	for i := 0; i < labels; i++ {
 		feedSession(t, gw.Addr().String(), server.Request{Label: fmt.Sprintf("spread-%d", i)}, misses, 2)
 	}
 	after = routed()
@@ -397,7 +537,7 @@ func TestGatewayAffinityAndSpread(t *testing.T) {
 		}
 	}
 	if hit < 2 {
-		t.Errorf("8 distinct labels hit %d backends, want ≥ 2", hit)
+		t.Errorf("%d distinct labels hit %d backends, want ≥ 2", labels, hit)
 	}
 }
 

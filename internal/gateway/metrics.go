@@ -69,11 +69,7 @@ func newGatewayMetrics(g *Gateway) *gatewayMetrics {
 
 	reg.GaugeFunc("tsgate_sessions_parked",
 		"Sessions currently parked awaiting resumption.",
-		func() float64 {
-			g.mu.Lock()
-			defer g.mu.Unlock()
-			return float64(len(g.parked))
-		})
+		func() float64 { return float64(g.parked.Len()) })
 	reg.GaugeFunc("tsgate_backends",
 		"Backends in the membership (including draining ones).",
 		func() float64 {

@@ -140,18 +140,15 @@ func TestGatewayRingGaugeTracksRetention(t *testing.T) {
 	waitHealthy(t, gw, 1)
 
 	// Resumable session that streams some frames then drops the client
-	// link without a trailer: the gateway parks it, ring intact. The
-	// plain ClientSession never reads the gateway's hello/ack lines —
-	// they sit in socket buffers, which is fine for a stream this short.
-	cs, err := server.DialSession(gw.Addr().String(), 4,
+	// link without a trailer: the gateway parks it, ring intact. The raw
+	// client never reads the gateway's hello/ack lines — they sit in
+	// socket buffers, which is fine for a stream this short.
+	conn, enc := dialRaw(t, gw.Addr().String(), 4,
 		server.Request{Label: "ring-gauge", Resume: &server.ResumeRequest{}})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
 	for _, m := range synthMisses(20000, 4, 7) {
-		cs.Append(m)
+		enc.Append(m)
 	}
-	cs.Close()
+	conn.Close()
 
 	waitFor(t, "session to park", func() bool { return gw.Stats().ParkedSessions == 1 })
 	fams := scrapeGateway(t, gw)

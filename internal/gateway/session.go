@@ -3,12 +3,14 @@ package gateway
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"time"
 
+	"repro/internal/proto"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
@@ -16,7 +18,7 @@ import (
 // gwSession is one relayed session: the client's routing key and derived
 // backend request, the replay state (stream prefix, data-frame ring,
 // trailer), and the current backend attachment. The same struct is what
-// the park table holds between a client disconnect and its resume —
+// the park lot holds between a client disconnect and its resume —
 // parking a gateway session keeps the backend leg alive, so a resumed
 // client splices onto the same backend session mid-stream.
 type gwSession struct {
@@ -27,29 +29,23 @@ type gwSession struct {
 	token     string
 	reqLine   []byte // backend-facing request line (Via set, Resume stripped)
 
-	prefix   []byte   // magic + header frame, replayed on every backend attach
-	frames   [][]byte // data frames from zero, for failover replay (nil after overflow)
-	framesIn int64    // data frames received from the client and forwarded
+	prefix []byte // magic + header frame, replayed on every backend attach
+	// ring retains the data frames from frame 0 for failover replay. It is
+	// never trimmed while the session can still fail over; once it
+	// outgrows Config.RingFrames it is dropped for good, and Base > 0 from
+	// then on marks the session as no longer replayable.
+	ring     proto.Ring
+	framesIn int64 // data frames received from the client and forwarded
 	trailer  []byte
-	overflow bool
 	tried    map[string]bool // backends that failed or declined this session
 	reroutes int
 
 	be    *backend
-	bconn net.Conn
-	resp  chan backendResp
+	bconn *proto.DeadlineConn
+	lines <-chan proto.Line // the backend leg's reader
+	done  chan struct{}     // releases that reader
 
-	// Park bookkeeping, guarded by Gateway.mu.
-	doneLine  []byte // final response line, for redelivery after a lost response
-	parkGen   int
-	parkTimer *time.Timer
-}
-
-// backendResp is the per-attachment reader goroutine's single message:
-// the backend's one response line, or the read error that ended the leg.
-type backendResp struct {
-	line []byte
-	err  error
+	doneLine []byte // final response line, for redelivery after a lost response
 }
 
 // relayFailure is how the relay reports a session it could not complete:
@@ -62,88 +58,37 @@ type relayFailure struct {
 	retryAfter time.Duration
 }
 
-// deadlineConn arms a fresh deadline before every client read and write,
-// bounding each operation like the server's idle timeout does.
-type deadlineConn struct {
-	net.Conn
-	read, write time.Duration
+func badRequest(format string, args ...any) *relayFailure {
+	return &relayFailure{code: server.CodeBadRequest, err: fmt.Errorf(format, args...)}
 }
 
-func (c *deadlineConn) Read(p []byte) (int, error) {
-	if err := c.Conn.SetReadDeadline(time.Now().Add(c.read)); err != nil {
-		return 0, err
-	}
-	return c.Conn.Read(p)
-}
-
-func (c *deadlineConn) Write(p []byte) (int, error) {
-	if err := c.Conn.SetWriteDeadline(time.Now().Add(c.write)); err != nil {
-		return 0, err
-	}
-	return c.Conn.Write(p)
-}
-
-// lineWriter serializes the gateway's client-facing control lines.
-type lineWriter struct {
-	bw *bufio.Writer
-}
-
-func (w *lineWriter) writeLine(v any) error {
-	if err := json.NewEncoder(w.bw).Encode(v); err != nil {
-		return err
-	}
-	return w.bw.Flush()
-}
-
-func (w *lineWriter) writeRaw(line []byte) error {
-	if _, err := w.bw.Write(line); err != nil {
-		return err
-	}
-	return w.bw.Flush()
-}
-
-var errRequestTooLarge = fmt.Errorf("request exceeds %d bytes", requestLimit)
-
-// readLine reads one \n-terminated line of at most limit bytes.
-func readLine(br *bufio.Reader, limit int) ([]byte, error) {
-	var line []byte
-	for len(line) <= limit {
-		b, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		if b == '\n' {
-			return line, nil
-		}
-		line = append(line, b)
-	}
-	return nil, errRequestTooLarge
+func streamFailure(format string, args ...any) *relayFailure {
+	return &relayFailure{code: server.CodeStream, err: fmt.Errorf(format, args...)}
 }
 
 // handle runs one client connection end to end.
 func (g *Gateway) handle(conn net.Conn) {
-	defer conn.Close()
-	dc := &deadlineConn{Conn: conn, read: g.cfg.IdleTimeout, write: g.cfg.IdleTimeout}
-	br := bufio.NewReaderSize(dc, 64<<10)
-	cw := &lineWriter{bw: bufio.NewWriter(dc)}
+	defer proto.Close(context.Background(), conn)
+	br := bufio.NewReaderSize(&proto.DeadlineConn{Conn: conn, ReadTimeout: g.cfg.IdleTimeout}, 64<<10)
+	cw := proto.NewLineWriter(conn, g.cfg.IdleTimeout)
 
-	line, err := readLine(br, requestLimit)
+	line, err := proto.ReadLine(br, proto.MaxLine)
 	if err != nil {
 		code := server.CodeBadRequest
-		if errors.Is(err, errRequestTooLarge) {
+		if errors.Is(err, proto.ErrTooLarge) {
 			code = server.CodeTooLarge
 		}
-		cw.writeLine(server.Response{Error: fmt.Sprintf("reading request: %v", err), Code: code})
+		cw.WriteJSON(server.Response{Error: fmt.Sprintf("reading request: %v", err), Code: code})
 		return
 	}
 	var req server.Request
 	if err := json.Unmarshal(line, &req); err != nil {
-		cw.writeLine(server.Response{Error: fmt.Sprintf("parsing request: %v", err), Code: server.CodeBadRequest})
+		cw.WriteJSON(server.Response{Error: fmt.Sprintf("parsing request: %v", err), Code: server.CodeBadRequest})
 		return
 	}
 	if req.Probe {
 		st := g.AggregateStats()
-		cw.writeLine(server.Response{Stats: &st})
+		cw.WriteJSON(server.Response{Stats: &st})
 		return
 	}
 	g.totalSessions.Add(1)
@@ -154,7 +99,7 @@ func (g *Gateway) handle(conn net.Conn) {
 	if closed {
 		g.totalShed.Add(1)
 		g.totalFailed.Add(1)
-		cw.writeLine(server.Response{
+		cw.WriteJSON(server.Response{
 			Error: "gateway draining", Code: server.CodeDraining,
 			RetryAfterMS: int(g.cfg.RetryHint / time.Millisecond),
 		})
@@ -162,20 +107,21 @@ func (g *Gateway) handle(conn net.Conn) {
 	}
 
 	if req.Resume != nil && req.Resume.Token != "" {
-		sess := g.takeParked(req.Resume.Token)
-		if sess == nil {
+		sess, ok := g.parked.Take(req.Resume.Token)
+		if !ok {
 			g.totalFailed.Add(1)
-			cw.writeLine(server.Response{
+			cw.WriteJSON(server.Response{
 				Error: fmt.Sprintf("resume token unknown or expired (grace window %v)", g.cfg.ResumeGrace),
 				Code:  server.CodeResumeUnknown,
 			})
 			return
 		}
-		if sess.doneLine != nil {
+		if done := sess.doneLine; done != nil {
 			// The session completed; only the response line was lost.
-			cw.writeLine(server.Hello{Token: sess.token, NextFrame: sess.framesIn, Done: true})
-			cw.writeRaw(sess.doneLine)
-			g.park(sess)
+			hello := server.Hello{Token: sess.token, NextFrame: sess.framesIn, Done: true}
+			g.parked.Park(sess.token, sess)
+			cw.WriteJSON(hello)
+			cw.WriteRaw(done)
 			return
 		}
 		g.totalResumed.Add(1)
@@ -195,7 +141,7 @@ func (g *Gateway) handle(conn net.Conn) {
 		sess.key = sess.remote
 	}
 	if sess.resumable {
-		sess.token = newToken()
+		sess.token = proto.NewToken()
 	}
 	breq := req
 	breq.Resume = nil
@@ -203,7 +149,7 @@ func (g *Gateway) handle(conn net.Conn) {
 	bline, err := json.Marshal(breq)
 	if err != nil {
 		g.totalFailed.Add(1)
-		cw.writeLine(server.Response{Error: fmt.Sprintf("encoding backend request: %v", err), Code: server.CodeBadRequest})
+		cw.WriteJSON(server.Response{Error: fmt.Sprintf("encoding backend request: %v", err), Code: server.CodeBadRequest})
 		return
 	}
 	sess.reqLine = append(bline, '\n')
@@ -211,29 +157,44 @@ func (g *Gateway) handle(conn net.Conn) {
 }
 
 // relay streams one session (fresh or resumed) between its client and
-// the fleet. On return the session has been completed, failed, or
-// parked; backend attachment is released unless the session parked.
-func (g *Gateway) relay(sess *gwSession, br *bufio.Reader, cw *lineWriter) {
-	parked := false
-	defer func() {
-		if !parked {
-			g.detach(sess)
-			g.releaseFrames(sess)
-		}
-	}()
+// the fleet, then answers the client. Release before publish: the
+// session's backend leg and replay ring are let go — or the session is
+// parked — before the answer goes out, so nothing the client does next
+// (its next session, a scrape) can observe this one's backend load or
+// retained frames.
+func (g *Gateway) relay(sess *gwSession, br *bufio.Reader, cw *proto.LineWriter) {
+	respLine, fail := g.stream(sess, br, cw)
+	if fail != nil {
+		g.respondFail(cw, sess, fail)
+		return
+	}
+	g.totalRelayedOK.Add(1)
+	g.log.Info("session relayed", "session", sess.id, "key", sess.key,
+		"frames", sess.framesIn, "reroutes", sess.reroutes)
+	g.release(sess)
+	if sess.resumable {
+		// Park the completed result for redelivery, as the server does: a
+		// client whose response line was lost resumes and collects it
+		// instead of failing with resume_unknown.
+		sess.doneLine = respLine
+		g.parked.Park(sess.token, sess)
+	}
+	cw.WriteRaw(respLine) // best effort; resumable clients can re-collect
+}
 
+// stream relays the session's stream to the backend and returns the
+// backend's response line once the trailer has been answered.
+func (g *Gateway) stream(sess *gwSession, br *bufio.Reader, cw *proto.LineWriter) ([]byte, *relayFailure) {
 	if sess.bconn == nil {
 		// Fresh session, or one parked while detached (its backend died
 		// and no replacement was available at the time).
 		if fail := g.attach(sess); fail != nil {
-			parked = g.respondFail(cw, sess, fail)
-			return
+			return nil, fail
 		}
 	}
 	if sess.resumable {
-		if err := cw.writeLine(server.Hello{Token: sess.token, NextFrame: sess.framesIn}); err != nil {
-			parked = g.respondFail(cw, sess, &relayFailure{code: server.CodeStream, err: fmt.Errorf("writing hello: %w", err)})
-			return
+		if err := cw.WriteJSON(server.Hello{Token: sess.token, NextFrame: sess.framesIn}); err != nil {
+			return nil, streamFailure("writing hello: %w", err)
 		}
 	}
 
@@ -241,31 +202,24 @@ func (g *Gateway) relay(sess *gwSession, br *bufio.Reader, cw *lineWriter) {
 	// every reconnect; the backend already holds it, so it is verified
 	// against the original and dropped.
 	if err := wire.ReadMagic(br); err != nil {
-		parked = g.respondFail(cw, sess, &relayFailure{code: server.CodeStream, err: fmt.Errorf("reading stream magic: %w", err)})
-		return
+		return nil, streamFailure("reading stream magic: %w", err)
 	}
 	kind, raw, err := wire.ReadRawFrame(br, nil)
 	if err != nil {
-		parked = g.respondFail(cw, sess, &relayFailure{code: server.CodeStream, err: fmt.Errorf("reading header frame: %w", err)})
-		return
+		return nil, streamFailure("reading header frame: %w", err)
 	}
 	if kind != wire.KindHeader {
-		g.totalFailed.Add(1)
-		cw.writeLine(server.Response{Error: fmt.Sprintf("stream starts with frame %c, want header", kind), Code: server.CodeBadRequest})
-		return
+		return nil, badRequest("stream starts with frame %c, want header", kind)
 	}
 	prefix := append(wire.MagicBytes(), raw...)
 	switch {
 	case sess.prefix == nil:
 		sess.prefix = prefix
 		if fail := g.forward(sess, sess.prefix); fail != nil {
-			parked = g.respondFail(cw, sess, fail)
-			return
+			return nil, fail
 		}
 	case !bytes.Equal(prefix, sess.prefix):
-		g.totalFailed.Add(1)
-		cw.writeLine(server.Response{Error: "resumed stream prefix differs from the original", Code: server.CodeBadRequest})
-		return
+		return nil, badRequest("resumed stream prefix differs from the original")
 	}
 
 	scratch := []byte(nil)
@@ -273,9 +227,12 @@ func (g *Gateway) relay(sess *gwSession, br *bufio.Reader, cw *lineWriter) {
 		// A backend that answered before the trailer is declining, dying,
 		// or confused — all handled proactively so a dead backend is
 		// replaced now, not at the next frame's write error.
-		if fail := g.checkBackend(sess); fail != nil {
-			parked = g.respondFail(cw, sess, fail)
-			return
+		select {
+		case msg := <-sess.lines:
+			if fail := g.backendFailed(sess, errors.New("backend answered before the trailer"), &msg); fail != nil {
+				return nil, fail
+			}
+		default:
 		}
 		kind, raw, err := wire.ReadRawFrame(br, scratch)
 		if err != nil {
@@ -283,71 +240,41 @@ func (g *Gateway) relay(sess *gwSession, br *bufio.Reader, cw *lineWriter) {
 			// whole CRC-verified frames were ever forwarded, so the stream
 			// boundary is clean regardless of how the link failed: park for
 			// resumption when the protocol allows it.
-			parked = g.respondFail(cw, sess, &relayFailure{code: server.CodeStream, err: fmt.Errorf("reading stream: %w", err)})
-			return
+			return nil, streamFailure("reading stream: %w", err)
 		}
 		switch kind {
 		case wire.KindHeader:
-			g.totalFailed.Add(1)
-			cw.writeLine(server.Response{Error: "duplicate header frame", Code: server.CodeBadRequest})
-			return
+			return nil, badRequest("duplicate header frame")
 		case wire.KindData:
-			owned := append([]byte(nil), raw...)
 			scratch = raw
-			if !sess.overflow {
-				if len(sess.frames) >= g.cfg.RingFrames {
-					sess.overflow = true
-					g.releaseFrames(sess) // failover impossible; stop retaining
+			if sess.ring.Base() == 0 { // still retaining
+				sess.ring.Push(raw)
+				g.ringFrames.Add(1)
+				if sess.ring.Len() > g.cfg.RingFrames {
+					g.dropRing(sess) // failover impossible; stop retaining
 					g.log.Info("replay ring overflowed; session can no longer fail over",
 						"session", sess.id, "key", sess.key, "ring_frames", g.cfg.RingFrames)
-				} else {
-					sess.frames = append(sess.frames, owned)
-					g.ringFrames.Add(1)
 				}
 			}
-			if fail := g.forward(sess, owned); fail != nil {
-				parked = g.respondFail(cw, sess, fail)
-				return
+			if fail := g.forward(sess, raw); fail != nil {
+				return nil, fail
 			}
 			sess.framesIn++
 			if sess.resumable {
-				if err := cw.writeLine(server.Ack{Ack: sess.framesIn}); err != nil {
-					parked = g.respondFail(cw, sess, &relayFailure{code: server.CodeStream, err: fmt.Errorf("writing ack: %w", err)})
-					return
+				if err := cw.WriteJSON(server.Ack{Ack: sess.framesIn}); err != nil {
+					return nil, streamFailure("writing ack: %w", err)
 				}
 			}
 		case wire.KindTrailer:
 			if sess.trailer == nil {
 				sess.trailer = append([]byte(nil), raw...)
 				if fail := g.forward(sess, sess.trailer); fail != nil {
-					parked = g.respondFail(cw, sess, fail)
-					return
+					return nil, fail
 				}
 			}
 			// else: a resumed client replaying a trailer the attach already
 			// delivered — drop the duplicate.
-			respLine, fail := g.awaitResponse(sess)
-			if fail != nil {
-				parked = g.respondFail(cw, sess, fail)
-				return
-			}
-			g.totalRelayedOK.Add(1)
-			g.log.Info("session relayed", "session", sess.id, "key", sess.key,
-				"frames", sess.framesIn, "reroutes", sess.reroutes)
-			cw.writeRaw(respLine) // best effort; resumable clients can re-collect
-			if sess.resumable {
-				// Park the completed result for redelivery, as the server
-				// does: a client whose response line was lost resumes and
-				// collects it instead of failing with resume_unknown. Only
-				// the response line can ever be redelivered, so the replay
-				// ring's frames are dead weight — release them now.
-				g.detach(sess)
-				g.releaseFrames(sess)
-				sess.doneLine = respLine
-				g.park(sess)
-				parked = true
-			}
-			return
+			return g.awaitResponse(sess)
 		}
 	}
 }
@@ -373,9 +300,9 @@ func (g *Gateway) attach(sess *gwSession) *relayFailure {
 			continue
 		}
 		sess.be = b
-		sess.bconn = conn
-		sess.resp = make(chan backendResp, 1)
-		go readResponse(conn, sess.resp)
+		sess.bconn = &proto.DeadlineConn{Conn: conn, WriteTimeout: g.cfg.WriteTimeout}
+		sess.done = make(chan struct{})
+		sess.lines = proto.ReadLines(conn, sess.done)
 		return g.replay(sess)
 	}
 }
@@ -385,51 +312,27 @@ func (g *Gateway) attach(sess *gwSession) *relayFailure {
 // attach replays everything, so nothing more to send here) or reports
 // the terminal failure.
 func (g *Gateway) replay(sess *gwSession) *relayFailure {
-	parts := make([][]byte, 0, 3+len(sess.frames))
-	parts = append(parts, sess.reqLine)
-	if sess.prefix != nil {
-		parts = append(parts, sess.prefix)
+	parts := [][]byte{sess.reqLine, sess.prefix}
+	for seq := sess.ring.Base(); seq < sess.ring.Next(); seq++ {
+		parts = append(parts, sess.ring.Frame(seq))
 	}
-	parts = append(parts, sess.frames...)
-	if sess.trailer != nil {
-		parts = append(parts, sess.trailer)
-	}
+	parts = append(parts, sess.trailer)
 	for _, p := range parts {
-		if err := g.writeBackend(sess, p); err != nil {
+		if _, err := sess.bconn.Write(p); err != nil {
 			return g.backendFailed(sess, err, nil)
 		}
 	}
 	return nil
 }
 
-// writeBackend performs one deadline-bounded write on the backend leg.
-func (g *Gateway) writeBackend(sess *gwSession, p []byte) error {
-	sess.bconn.SetWriteDeadline(time.Now().Add(g.cfg.WriteTimeout))
-	_, err := sess.bconn.Write(p)
-	sess.bconn.SetWriteDeadline(time.Time{})
-	return err
-}
-
-// forward relays one already-retained payload to the current backend. On
-// failure the session reroutes — and because the payload was retained
+// forward relays one payload to the current backend. On failure the
+// session reroutes — and because every retained payload was retained
 // before forwarding, the reroute's replay has already delivered it.
 func (g *Gateway) forward(sess *gwSession, p []byte) *relayFailure {
-	if err := g.writeBackend(sess, p); err != nil {
+	if _, err := sess.bconn.Write(p); err != nil {
 		return g.backendFailed(sess, err, nil)
 	}
 	return nil
-}
-
-// checkBackend polls the backend leg without blocking: any line or error
-// before the trailer means the backend declined, died, or broke
-// protocol.
-func (g *Gateway) checkBackend(sess *gwSession) *relayFailure {
-	select {
-	case msg := <-sess.resp:
-		return g.backendFailed(sess, errors.New("backend answered before the trailer"), &msg)
-	default:
-		return nil
-	}
 }
 
 // backendFailed handles a suspected backend failure: classify (a
@@ -438,29 +341,33 @@ func (g *Gateway) checkBackend(sess *gwSession) *relayFailure {
 // through to the client verbatim; everything else is a death that opens
 // the circuit), then reroute via a fresh attach. A nil return means the
 // session is attached to a replacement and fully replayed.
-func (g *Gateway) backendFailed(sess *gwSession, cause error, pre *backendResp) *relayFailure {
-	msg := pre
+//
+// After a failed write (msg nil) the backend may have answered and
+// closed before the write failed — a rejection of the request, say — so
+// its reader is heard out first, for at most proto.SettleTime: a pending
+// line wins over the write error.
+func (g *Gateway) backendFailed(sess *gwSession, cause error, msg *proto.Line) *relayFailure {
 	if msg == nil {
 		select {
-		case m := <-sess.resp:
+		case m := <-sess.lines:
 			msg = &m
-		default:
+		case <-time.After(proto.SettleTime):
 		}
 	}
 	decline := false
 	var termRaw []byte
 	if msg != nil {
-		if msg.err != nil {
-			cause = msg.err
+		if msg.Err != nil {
+			cause = msg.Err
 		} else {
 			var resp server.Response
-			if json.Unmarshal(msg.line, &resp) == nil && resp.Error != "" {
+			if json.Unmarshal(msg.Data, &resp) == nil && resp.Error != "" {
 				switch resp.Code {
 				case server.CodeBusy, server.CodeDraining:
 					decline = true
 					cause = fmt.Errorf("backend shed session: %s", resp.Error)
 				default:
-					termRaw = msg.line
+					termRaw = msg.Data
 				}
 			}
 		}
@@ -480,11 +387,8 @@ func (g *Gateway) backendFailed(sess *gwSession, cause error, pre *backendResp) 
 	if termRaw != nil {
 		return &relayFailure{raw: termRaw}
 	}
-	if sess.overflow {
-		return &relayFailure{
-			code: server.CodeStream,
-			err:  fmt.Errorf("backend lost beyond the session's replay ring (%d frames retained): %v", g.cfg.RingFrames, cause),
-		}
+	if sess.ring.Base() > 0 {
+		return streamFailure("backend lost beyond the session's replay ring (%d frames retained): %v", g.cfg.RingFrames, cause)
 	}
 	if fail := g.attach(sess); fail != nil {
 		return fail
@@ -528,12 +432,12 @@ func (g *Gateway) awaitResponse(sess *gwSession) ([]byte, *relayFailure) {
 		}
 		timer := time.NewTimer(remaining)
 		select {
-		case msg := <-sess.resp:
+		case msg := <-sess.lines:
 			timer.Stop()
-			if msg.err == nil {
+			if msg.Err == nil {
 				var resp server.Response
-				if json.Unmarshal(msg.line, &resp) == nil && resp.Error == "" && resp.Result != nil {
-					return msg.line, nil
+				if json.Unmarshal(msg.Data, &resp) == nil && resp.Error == "" && resp.Result != nil {
+					return msg.Data, nil
 				}
 			}
 			if fail := g.backendFailed(sess, errors.New("backend response unusable"), &msg); fail != nil {
@@ -545,37 +449,37 @@ func (g *Gateway) awaitResponse(sess *gwSession) ([]byte, *relayFailure) {
 	}
 }
 
-// respondFail delivers a failure to the client. Retryable failures of
-// resumable sessions park instead of failing outright — the client's
-// typed-code retry resumes with the replay ring intact, so even "every
-// backend is down right now" heals if the fleet recovers within the
-// grace window. It reports whether the session parked (the caller must
-// then not detach it).
-func (g *Gateway) respondFail(cw *lineWriter, sess *gwSession, fail *relayFailure) bool {
+// respondFail delivers a failure to the client, releasing the session
+// first. Retryable failures of resumable sessions park instead of failing
+// outright — the client's typed-code retry resumes with the replay ring
+// intact, so even "every backend is down right now" heals if the fleet
+// recovers within the grace window.
+func (g *Gateway) respondFail(cw *proto.LineWriter, sess *gwSession, fail *relayFailure) {
 	if fail.raw != nil {
 		g.totalFailed.Add(1)
-		cw.writeRaw(fail.raw)
-		return false
+		g.release(sess)
+		cw.WriteRaw(fail.raw)
+		return
 	}
-	hint := int(fail.retryAfter / time.Millisecond)
-	if fail.code.Retryable() && sess.resumable && !sess.overflow {
+	resp := server.Response{Error: fail.err.Error(), Code: fail.code, RetryAfterMS: int(fail.retryAfter / time.Millisecond)}
+	if fail.code.Retryable() && sess.resumable && sess.ring.Base() == 0 {
 		g.mu.Lock()
 		closed := g.closed
 		g.mu.Unlock()
 		if !closed {
 			g.totalParked.Add(1)
 			g.log.Info("session parked", "session", sess.id, "key", sess.key,
-				"code", string(fail.code), "error", fail.err.Error())
-			cw.writeLine(server.Response{Error: fail.err.Error(), Code: fail.code, RetryAfterMS: hint})
-			g.park(sess)
-			return true
+				"code", string(fail.code), "error", resp.Error)
+			g.parked.Park(sess.token, sess)
+			cw.WriteJSON(resp)
+			return
 		}
 	}
 	g.totalFailed.Add(1)
 	g.log.Warn("session failed", "session", sess.id, "key", sess.key,
-		"code", string(fail.code), "error", fail.err.Error())
-	cw.writeLine(server.Response{Error: fail.err.Error(), Code: fail.code, RetryAfterMS: hint})
-	return false
+		"code", string(fail.code), "error", resp.Error)
+	g.release(sess)
+	cw.WriteJSON(resp)
 }
 
 // shedFailure classifies a routing dead end as the typed shed the
@@ -601,62 +505,4 @@ func (g *Gateway) shedFailure(cause error) *relayFailure {
 		err:        fmt.Errorf("gateway: %v (%d backends configured)", cause, n),
 		retryAfter: g.cfg.RetryHint,
 	}
-}
-
-// park stores the session under its token for the grace window. After
-// shutdown has begun the state is discarded instead.
-func (g *Gateway) park(sess *gwSession) {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		g.detach(sess)
-		g.releaseFrames(sess)
-		return
-	}
-	sess.parkGen++
-	gen := sess.parkGen
-	sess.parkTimer = time.AfterFunc(g.cfg.ResumeGrace, func() { g.expirePark(sess, gen) })
-	g.parked[sess.token] = sess
-	g.mu.Unlock()
-}
-
-// takeParked claims a parked session, disarming its grace timer.
-func (g *Gateway) takeParked(token string) *gwSession {
-	g.mu.Lock()
-	p := g.parked[token]
-	if p != nil {
-		delete(g.parked, token)
-		p.parkTimer.Stop()
-	}
-	g.mu.Unlock()
-	return p
-}
-
-// expirePark discards a parked session whose grace window lapsed,
-// releasing its backend leg. The generation check neutralizes a timer
-// that lost the Stop race against a resume.
-func (g *Gateway) expirePark(sess *gwSession, gen int) {
-	g.mu.Lock()
-	if cur := g.parked[sess.token]; cur != sess || sess.parkGen != gen {
-		g.mu.Unlock()
-		return
-	}
-	delete(g.parked, sess.token)
-	g.mu.Unlock()
-	g.totalExpired.Add(1)
-	g.detach(sess)
-	g.releaseFrames(sess)
-	g.log.Info("parked session expired", "session", sess.id, "key", sess.key, "frames", sess.framesIn)
-}
-
-// readResponse is the per-attachment backend reader: one line (the
-// response) or the error that ended the leg. The channel is buffered, so
-// the goroutine never outlives its send.
-func readResponse(conn net.Conn, ch chan<- backendResp) {
-	line, err := bufio.NewReader(conn).ReadBytes('\n')
-	if err != nil {
-		ch <- backendResp{err: err}
-		return
-	}
-	ch <- backendResp{line: line}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/proto"
 	"repro/internal/server"
 )
 
@@ -69,8 +70,8 @@ func (g *Gateway) Stats() FleetStats {
 		ResumedSessions:   g.totalResumed.Load(),
 		ExpiredSessions:   g.totalExpired.Load(),
 	}
+	st.ParkedSessions = g.parked.Len()
 	g.mu.Lock()
-	st.ParkedSessions = len(g.parked)
 	for _, b := range g.backends {
 		state, lastErr, opens := b.br.current()
 		row := BackendStats{
@@ -168,7 +169,7 @@ func (g *Gateway) BackendsHandler() http.Handler {
 				fmt.Fprintln(w, a)
 			}
 		case http.MethodPost:
-			body, err := readBody(r, requestLimit)
+			body, err := readBody(r, proto.MaxLine)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return

@@ -30,10 +30,7 @@ func TestServerArchivesSessions(t *testing.T) {
 
 	const target = 6000
 	req := server.Request{Label: "apache/single-chip"}
-	cs, err := server.DialSession(addr, workload.SingleChip.CPUCount(), req)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
+	cs := dial(t, addr, workload.SingleChip.CPUCount(), req)
 	workload.RunStream(workload.Config{
 		App: tempstream.Apache, Machine: workload.SingleChip, Scale: workload.Small,
 		Seed: 7, TargetMisses: target,
@@ -80,13 +77,11 @@ func TestServerArchivesSessions(t *testing.T) {
 	}
 
 	// An abandoned session archives nothing: close the connection
-	// mid-stream and the server aborts the tee.
-	dead, err := server.DialSession(addr, 4, server.Request{Label: "abandoned"})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
+	// mid-stream and the server aborts the tee. (A plain session: a
+	// resumable one would park its tee for the grace window instead.)
+	dead, enc := dialPlain(t, addr, 4, server.Request{Label: "abandoned"})
 	for i := 0; i < 1000; i++ {
-		dead.Append(trace.Miss{Addr: uint64(i) << 6, CPU: uint8(i % 4)})
+		enc.Append(trace.Miss{Addr: uint64(i) << 6, CPU: uint8(i % 4)})
 	}
 	dead.Close()
 	deadline := time.Now().Add(10 * time.Second)

@@ -47,7 +47,7 @@ func BenchmarkIngestServer(b *testing.B) {
 			wg.Add(1)
 			go func(c int) {
 				defer wg.Done()
-				cs, err := server.DialSession(addr, 4, req)
+				cs, err := server.DialResilient(addr, 4, req, server.RetryPolicy{MaxAttempts: 1})
 				if err != nil {
 					b.Errorf("dial: %v", err)
 					return

@@ -280,7 +280,7 @@ func TestEndToEndBinaries(t *testing.T) {
 // TestEndToEndChaos is the fault-tolerance counterpart: the daemon runs
 // with -chaos, injecting seeded connection resets and fragmented writes
 // into every accepted connection, sized so nearly every session is cut
-// mid-stream at least once. The resilient clients (tsload's default) must
+// mid-stream at least once. tsload's resilient clients must
 // absorb all of it — zero failed sessions, with the recovery summary
 // showing transport faults were actually taken and survived — and the
 // daemon must still drain cleanly afterward.

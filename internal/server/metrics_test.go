@@ -40,10 +40,7 @@ func TestServerMetrics(t *testing.T) {
 	srv := startServer(t, server.Config{})
 	addr := srv.Addr().String()
 
-	cs, err := server.DialSession(addr, 2, server.Request{Label: "metrics"})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
+	cs := dial(t, addr, 2, server.Request{Label: "metrics"})
 	rng := rand.New(rand.NewSource(1))
 	const n = 5000
 	for i := 0; i < n; i++ {
@@ -111,13 +108,10 @@ func TestServerMetrics(t *testing.T) {
 // the failed-by-code counter with the protocol's error code label.
 func TestServerMetricsFailedSession(t *testing.T) {
 	srv := startServer(t, server.Config{})
-	cs, err := server.DialSession(srv.Addr().String(), 2, server.Request{Label: "bad"})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
+	conn, _ := dialPlain(t, srv.Addr().String(), 2, server.Request{Label: "bad"})
 	// Finish the stream without any data — then poison the wire by
 	// closing early; the server's read fails mid-stream.
-	cs.Close()
+	conn.Close()
 
 	var fams map[string]*obs.Family
 	waitFor(t, "failed session to be recorded", func() bool {

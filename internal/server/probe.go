@@ -1,11 +1,12 @@
 package server
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net"
 	"time"
+
+	"repro/internal/proto"
 )
 
 // Probe health-checks a tsserved backend over its ingest port: one
@@ -29,15 +30,17 @@ func Probe(addr string, timeout time.Duration) (*Stats, error) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(timeout))
-	if _, err := conn.Write([]byte(`{"probe":true}` + "\n")); err != nil {
+	if err := proto.NewLineWriter(conn, timeout).WriteRaw([]byte(`{"probe":true}` + "\n")); err != nil {
 		return nil, fmt.Errorf("probe %s: sending request: %w", addr, err)
 	}
-	line, err := bufio.NewReader(conn).ReadBytes('\n')
-	if err != nil {
-		return nil, fmt.Errorf("probe %s: reading response: %w", addr, err)
+	done := make(chan struct{})
+	defer close(done)
+	line := <-proto.ReadLines(conn, done)
+	if line.Err != nil {
+		return nil, fmt.Errorf("probe %s: reading response: %w", addr, line.Err)
 	}
 	var resp Response
-	if err := json.Unmarshal(line, &resp); err != nil {
+	if err := json.Unmarshal(line.Data, &resp); err != nil {
 		return nil, fmt.Errorf("probe %s: parsing response: %w", addr, err)
 	}
 	if resp.Error != "" {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +8,7 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/proto"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -158,45 +158,36 @@ type retryErr struct {
 func (e *retryErr) Error() string { return e.err.Error() }
 func (e *retryErr) Unwrap() error { return e.err }
 
-// frame is one encoder-emitted wire frame held for retransmission. seq
-// numbers data frames 0,1,2,… in stream order (the trailer gets the next
-// seq after the last data frame), matching the server's cumulative
-// data-frame acks.
-type frame struct {
-	seq  int64
-	data []byte
-}
-
-// ctlMsg is one parsed server control line (or the read error that ended
-// the connection's control channel).
-type ctlMsg struct {
-	line controlLine
-	err  error
-}
-
 // connEpoch is one connection's lifetime within a resilient session: the
-// conn, its deadline-armed write side, and the reader goroutine's line
-// channel. Recovery replaces the whole epoch; closing done releases the
-// reader even if nobody drains its channel.
+// write-deadline-armed conn and its reader goroutine's line channel.
+// Recovery replaces the whole epoch; closing done releases the reader even
+// if nobody drains its channel.
 type connEpoch struct {
-	conn  net.Conn
-	dc    *deadlineConn
-	lines chan ctlMsg
+	conn  proto.DeadlineConn
+	lines <-chan proto.Line
 	done  chan struct{}
 }
 
-// ResilientSession is the fault-tolerant client half of one ingest
-// session: the same trace.Sink shape as ClientSession, but every
-// transport failure, server shed, or in-flight corruption is absorbed by
-// reconnecting and resuming. It opts into the server's resumable
-// protocol (session token, per-frame acks) and keeps a bounded replay
-// ring of unacknowledged frames; on reconnect it replays from the
-// server's hello position, so an interrupted session continues the same
-// incremental analysis server-side. If the server's parked state is gone
-// (grace window expired) and the ring still holds the whole stream, the
-// session degrades to a clean restart from frame zero; only when neither
-// is possible — or the retry policy is exhausted — does it fail, and
-// then with a typed terminal error.
+func (ep *connEpoch) close() {
+	close(ep.done)
+	ep.conn.Close()
+}
+
+// ResilientSession is the client half of one ingest session: a
+// trace.Sink that streams every record over the wire protocol, so a
+// producer (workload.RunStream, a decoder replaying an archive, any Sink
+// driver) plugs into a remote tsserved or tsgate exactly as it would into
+// a local analyzer. Every transport failure, server shed, or in-flight
+// corruption is absorbed by reconnecting and resuming: the session opts
+// into the server's resumable protocol (session token, per-frame acks)
+// and keeps a bounded replay ring of unacknowledged frames; on reconnect
+// it replays from the server's hello position, so an interrupted session
+// continues the same incremental analysis server-side. If the server's
+// parked state is gone (grace window expired) and the ring still holds
+// the whole stream, the session degrades to a clean restart from frame
+// zero; only when neither is possible — or the retry policy is exhausted
+// — does it fail, and then with a typed terminal error. A single-shot
+// caller passes RetryPolicy{MaxAttempts: 1}.
 //
 // Like every Sink, a session is driven from one goroutine: Append zero
 // or more times, Finish once, then Result for the server's analysis.
@@ -210,40 +201,39 @@ type ResilientSession struct {
 	enc        *wire.Encoder
 	prefix     []byte // magic + header frame, replayed on every reconnect
 	prefixDone bool
-
-	ring    []frame // unacked frames, ring[0].seq == ackedTo when non-empty
-	ackedTo int64   // cumulative data frames the server has consumed
-	nextSeq int64
+	// ring holds the unacknowledged frames: data frames 0,1,2,… in stream
+	// order (the trailer takes the next number), so Base is the server's
+	// cumulative data-frame ack.
+	ring proto.Ring
 
 	token         string
 	epoch         *connEpoch
 	resumeUnknown int           // consecutive resume_unknown replies for a live token
 	hint          time.Duration // pending server retry_after hint
-	stats    RetryStats
-	encDone  bool
-	respDone bool // server reported the session already complete at hello
-	closed   bool
-	resp     *SessionResult
-	err      error
+	stats         RetryStats
+	encDone       bool
+	closed        bool
+	resp          *SessionResult
+	err           error
 }
 
 // Write implements the encoder's io.Writer: the magic and header frames
 // (written during NewEncoder) become the replay prefix; every later
 // frame — the encoder emits exactly one Write per frame — enters the
-// replay ring and is transmitted. The bytes are copied, because the
-// encoder reuses its scratch buffer across frames.
+// replay ring and is transmitted.
 func (s *ResilientSession) Write(p []byte) (int, error) {
 	if !s.prefixDone {
 		s.prefix = append(s.prefix, p...)
 		return len(p), nil
 	}
-	s.enqueue(append([]byte(nil), p...))
+	s.enqueue(p)
 	return len(p), nil
 }
 
-// DialResilient opens a fault-tolerant ingest session. The initial
-// connect runs under the same retry policy as later recoveries, so a
-// briefly busy server delays the dial rather than failing it.
+// DialResilient opens an ingest session. The initial connect runs under
+// the same retry policy as later recoveries, so a briefly busy server
+// delays the dial rather than failing it; a request the server rejects
+// at admission fails here.
 func DialResilient(addr string, cpus int, req Request, pol RetryPolicy) (*ResilientSession, error) {
 	s := &ResilientSession{
 		addr: addr,
@@ -267,6 +257,14 @@ func DialResilient(addr string, cpus int, req Request, pol RetryPolicy) (*Resili
 func (s *ResilientSession) Append(m trace.Miss) {
 	if s.err == nil {
 		s.enc.Append(m)
+	}
+}
+
+// AppendBatch implements trace.BatchSink, forwarding straight to the
+// encoder's batch path.
+func (s *ResilientSession) AppendBatch(ms []trace.Miss) {
+	if s.err == nil {
+		s.enc.AppendBatch(ms)
 	}
 }
 
@@ -302,15 +300,7 @@ func (s *ResilientSession) Result() (*SessionResult, error) {
 			s.recover(errNoConn)
 			continue
 		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			s.err = fmt.Errorf("resilient: no response within %v", s.pol.ResponseTimeout)
-			break
-		}
-		select {
-		case msg := <-s.epoch.lines:
-			s.handleLine(msg)
-		case <-time.After(remaining):
+		if remaining := time.Until(deadline); remaining <= 0 || !s.await(remaining) {
 			s.err = fmt.Errorf("resilient: no response within %v", s.pol.ResponseTimeout)
 		}
 	}
@@ -335,41 +325,28 @@ func (s *ResilientSession) Close() error {
 // backpressure), records it for replay, and transmits it. If an ack
 // drain triggered a recovery, the reconnect already replayed the frame
 // from the ring and no direct send happens.
-func (s *ResilientSession) enqueue(data []byte) {
+func (s *ResilientSession) enqueue(p []byte) {
 	if s.err != nil || s.closed || s.resp != nil {
 		return
 	}
-	for len(s.ring) >= s.pol.RingFrames && s.err == nil && s.resp == nil {
+	for s.ring.Len() >= s.pol.RingFrames && s.err == nil && s.resp == nil {
 		s.awaitAck()
 	}
 	if s.err != nil || s.resp != nil {
 		return
 	}
-	fr := frame{seq: s.nextSeq, data: data}
-	s.nextSeq++
-	s.ring = append(s.ring, fr)
+	s.ring.Push(p)
 	ep := s.epoch
-	s.drain()
-	if s.err != nil || s.resp != nil || s.epoch == nil || s.epoch != ep {
+	if ep != nil {
+		if err := s.poll(ep); err != nil {
+			s.end(err)
+		}
+	}
+	if s.err != nil || s.resp != nil || ep == nil || s.epoch != ep {
 		return
 	}
-	if _, err := ep.dc.Write(fr.data); err != nil {
-		s.recover(err)
-	}
-}
-
-// drain consumes whatever control lines have already arrived (acks,
-// usually) without blocking.
-func (s *ResilientSession) drain() {
-	for s.err == nil && s.epoch != nil {
-		select {
-		case msg := <-s.epoch.lines:
-			if !s.handleLine(msg) {
-				return
-			}
-		default:
-			return
-		}
+	if err := s.send(ep, p); err != nil {
+		s.end(err)
 	}
 }
 
@@ -378,58 +355,110 @@ func (s *ResilientSession) drain() {
 func (s *ResilientSession) awaitAck() {
 	if s.epoch == nil {
 		s.recover(errNoConn)
-		return
+	} else if !s.await(s.pol.HelloTimeout) {
+		s.end(s.transport(fmt.Errorf("resilient: no ack within %v with replay ring full", s.pol.HelloTimeout)))
 	}
+}
+
+// await handles the live connection's next control line, reporting false
+// if none arrives within d.
+func (s *ResilientSession) await(d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
 	select {
 	case msg := <-s.epoch.lines:
-		s.handleLine(msg)
-	case <-time.After(s.pol.HelloTimeout):
-		s.recover(fmt.Errorf("resilient: no ack within %v with replay ring full", s.pol.HelloTimeout))
+		if err := s.take(msg); err != nil {
+			s.end(err)
+		}
+		return true
+	case <-t.C:
+		return false
 	}
 }
 
-// handleLine processes one control line. It returns false when the
-// current epoch is no longer valid (recovery ran, the session completed,
-// or it failed terminally).
-func (s *ResilientSession) handleLine(msg ctlMsg) bool {
-	if msg.err != nil {
-		s.recover(msg.err)
-		return false
+// take applies one control line: acks trim the ring and a result line
+// completes the session. An error line — or the reader's own error —
+// ends the connection and is returned: retryable (*retryErr) or terminal.
+func (s *ResilientSession) take(msg proto.Line) error {
+	var l controlLine
+	if msg.Err != nil {
+		return s.transport(msg.Err)
 	}
-	l := msg.line
+	if err := json.Unmarshal(msg.Data, &l); err != nil {
+		return s.transport(fmt.Errorf("resilient: parsing server line: %w", err))
+	}
 	switch {
 	case l.Ack != nil:
-		s.dropAcked(*l.Ack)
-		return true
+		s.ring.Trim(*l.Ack)
 	case l.Result != nil:
 		s.resp = l.Result
-		return false
 	case l.Error != "":
-		err := s.classifyServerError(l)
-		var re *retryErr
-		if errors.As(err, &re) {
-			s.hint = re.hint
-			s.recover(re.err)
-		} else {
-			s.err = err
-			s.dropEpoch()
-		}
-		return false
+		return s.classifyServerError(l)
 	}
-	return true
+	return nil
 }
 
-// dropAcked discards ring frames the server has fully consumed.
-func (s *ResilientSession) dropAcked(n int64) {
-	if n <= s.ackedTo {
+// poll takes whatever control lines have already arrived on ep without
+// blocking, returning the first error one of them ends the connection
+// with.
+func (s *ResilientSession) poll(ep *connEpoch) error {
+	for s.resp == nil {
+		select {
+		case msg := <-ep.lines:
+			if err := s.take(msg); err != nil {
+				return err
+			}
+		default:
+			return nil
+		}
+	}
+	return nil
+}
+
+// send writes p on ep. When the write fails, the peer may already have
+// answered — a rejection, even the result — and closed, so what it sent
+// is read before the failure is classified: lines are taken until the
+// reader reports its own error, at most proto.SettleTime. A pending error
+// or result line wins over the write error; nil comes back after a clean
+// write or once the result arrived.
+func (s *ResilientSession) send(ep *connEpoch, p []byte) error {
+	_, werr := ep.conn.Write(p)
+	if werr == nil {
+		return nil
+	}
+	t := time.NewTimer(proto.SettleTime)
+	defer t.Stop()
+	for s.resp == nil {
+		select {
+		case msg := <-ep.lines:
+			if err := s.take(msg); err != nil {
+				return err
+			}
+		case <-t.C:
+			return s.transport(werr)
+		}
+	}
+	return nil
+}
+
+// transport wraps a dial, read, or write failure (or a timeout) as
+// retryable, counting it.
+func (s *ResilientSession) transport(err error) error {
+	s.stats.Transport++
+	return &retryErr{err: err}
+}
+
+// end handles the error that ended the live connection: recover from a
+// retryable one, fail on a terminal one.
+func (s *ResilientSession) end(err error) {
+	var re *retryErr
+	if errors.As(err, &re) {
+		s.hint = re.hint
+		s.recover(re.err)
 		return
 	}
-	i := 0
-	for i < len(s.ring) && s.ring[i].seq < n {
-		i++
-	}
-	s.ring = append(s.ring[:0], s.ring[i:]...)
-	s.ackedTo = n
+	s.err = err
+	s.dropEpoch()
 }
 
 // classifyServerError maps a server error line to a retryable or
@@ -452,7 +481,7 @@ func (s *ResilientSession) classifyServerError(l controlLine) error {
 		s.stats.StreamErrors++
 		return &retryErr{err: err, hint: hint}
 	case CodeResumeUnknown:
-		if s.ackedTo == 0 {
+		if s.ring.Base() == 0 {
 			s.stats.Restarts++
 			s.token = ""
 			return &retryErr{err: err}
@@ -507,15 +536,12 @@ func (s *ResilientSession) recover(cause error) error {
 		return s.err
 	}
 	s.dropEpoch()
-	if cause != nil && cause != errNoConn {
-		s.stats.Transport++
-	}
 	lastErr := cause
 	for attempt := 0; attempt < s.pol.MaxAttempts; attempt++ {
 		if attempt > 0 || cause != nil || s.hint > 0 {
 			time.Sleep(s.backoff(attempt))
 		}
-		acked := s.ackedTo
+		acked := s.ring.Base()
 		err := s.attempt()
 		if err == nil {
 			return nil
@@ -531,7 +557,7 @@ func (s *ResilientSession) recover(cause error) error {
 			// attempts WITHOUT progress, so a long stream crossing a lossy
 			// link converges one surviving chunk at a time instead of
 			// charging every partial replay against a fixed total.
-			if s.ackedTo > acked {
+			if s.ring.Base() > acked {
 				attempt = -1
 			}
 			continue
@@ -550,150 +576,102 @@ func (s *ResilientSession) recover(cause error) error {
 // is terminal.
 func (s *ResilientSession) attempt() error {
 	s.stats.Dials++
-	conn, err := s.pol.Dial(s.addr)
-	if err != nil {
-		s.stats.Transport++
-		return &retryErr{err: err}
-	}
-	dc := &deadlineConn{Conn: conn, write: s.pol.IOTimeout}
 	req := s.req
 	req.Resume = &ResumeRequest{Token: s.token}
 	line, err := json.Marshal(req)
 	if err != nil {
-		conn.Close()
 		return fmt.Errorf("resilient: encoding request: %w", err)
 	}
-	if _, err := dc.Write(append(line, '\n')); err != nil {
-		conn.Close()
-		s.stats.Transport++
-		return &retryErr{err: err}
+	conn, err := s.pol.Dial(s.addr)
+	if err != nil {
+		return s.transport(err)
 	}
+	done := make(chan struct{})
 	ep := &connEpoch{
-		conn:  conn,
-		dc:    dc,
-		lines: make(chan ctlMsg, 64),
-		done:  make(chan struct{}),
+		conn:  proto.DeadlineConn{Conn: conn, WriteTimeout: s.pol.IOTimeout},
+		lines: proto.ReadLines(conn, done),
+		done:  done,
 	}
-	go readControl(conn, ep.lines, ep.done)
-	abort := func() {
-		close(ep.done)
-		conn.Close()
+	if err := s.handshake(ep, append(line, '\n')); err != nil {
+		ep.close()
+		return err
 	}
+	s.epoch = ep
+	return nil
+}
 
+// handshake sends the request line on a fresh connection, awaits the
+// hello, and replays from the hello's position.
+func (s *ResilientSession) handshake(ep *connEpoch, reqLine []byte) error {
+	if err := s.send(ep, reqLine); err != nil {
+		return err
+	}
 	// The hello arrives once the server admits the session (it may queue
 	// first); an error line here instead is a shed or a resume failure.
-	var msg ctlMsg
+	var hello controlLine
+	t := time.NewTimer(s.pol.HelloTimeout)
+	defer t.Stop()
 	select {
-	case msg = <-ep.lines:
-	case <-time.After(s.pol.HelloTimeout):
-		abort()
-		return &retryErr{err: fmt.Errorf("resilient: no hello within %v", s.pol.HelloTimeout)}
+	case msg := <-ep.lines:
+		if msg.Err != nil {
+			return s.transport(msg.Err)
+		}
+		if err := json.Unmarshal(msg.Data, &hello); err != nil {
+			return s.transport(fmt.Errorf("resilient: parsing server line: %w", err))
+		}
+	case <-t.C:
+		return s.transport(fmt.Errorf("resilient: no hello within %v", s.pol.HelloTimeout))
 	}
-	if msg.err != nil {
-		abort()
-		s.stats.Transport++
-		return &retryErr{err: msg.err}
+	if hello.Error != "" {
+		return s.classifyServerError(hello)
 	}
-	l := msg.line
-	if l.Error != "" {
-		abort()
-		return s.classifyServerError(l)
-	}
-	if l.Token == "" {
-		abort()
+	if hello.Token == "" {
 		return errors.New("resilient: server hello carried no session token")
 	}
 	resuming := s.token != ""
-	s.token = l.Token
+	s.token = hello.Token
 	s.resumeUnknown = 0 // the server recognized us; any park race resolved
-	if l.Done {
+	if hello.Done {
 		// The previous connection's stream completed; only the response
 		// line was lost. It follows on this connection — nothing to send.
-		s.epoch = ep
-		s.respDone = true
 		return nil
 	}
-	next := l.NextFrame
-	if next < s.ackedTo || next > s.nextSeq {
-		abort()
-		return fmt.Errorf("resilient: server resume position %d outside acked window [%d, %d]", next, s.ackedTo, s.nextSeq)
+	if err := s.replay(ep, hello.NextFrame); err != nil {
+		return err
 	}
-	s.dropAcked(next)
-	if _, err := dc.Write(s.prefix); err != nil {
-		abort()
-		s.stats.Transport++
-		return &retryErr{err: err}
-	}
-	// Replay unacknowledged frames from the server's position, polling
-	// control lines between writes: acks for frames the server consumes
-	// mid-replay shrink the remaining work — and register as forward
-	// progress for the retry budget even if this connection dies before
-	// the replay completes — while a result line ends the session and an
-	// error line aborts the attempt. Without the polling, a long replay
-	// over a lossy link re-sends frames the server already has and a
-	// doomed connection's partial progress is lost with it.
-	for send := s.ackedTo; send < s.nextSeq; {
-		if err := s.pollReplay(ep); err != nil {
-			abort()
-			return err
-		}
-		if s.resp != nil {
-			break
-		}
-		if send < s.ackedTo {
-			send = s.ackedTo
-		}
-		if len(s.ring) == 0 || send >= s.nextSeq {
-			break
-		}
-		fr := s.ring[int(send-s.ring[0].seq)]
-		if _, err := dc.Write(fr.data); err != nil {
-			// Sweep acks that raced the failure: the progress this
-			// replay made still counts toward the next attempt.
-			s.pollReplay(ep)
-			abort()
-			if s.resp != nil {
-				return nil
-			}
-			s.stats.Transport++
-			return &retryErr{err: err}
-		}
-		send++
-	}
-	s.epoch = ep
 	if resuming {
 		s.stats.Resumes++
 	}
 	return nil
 }
 
-// pollReplay consumes whatever control lines have already arrived while
-// attempt() is still replaying — the epoch is not installed yet, so the
-// usual drain() path cannot run. Acks advance the resume window
-// mid-replay, a result line completes the session (s.resp), and a server
-// error line classifies as usual. The returned error, if any, ends the
-// attempt: a *retryErr for transport failures and retryable server
-// errors, a terminal error otherwise.
-func (s *ResilientSession) pollReplay(ep *connEpoch) error {
-	for {
-		select {
-		case msg := <-ep.lines:
-			if msg.err != nil {
-				s.stats.Transport++
-				return &retryErr{err: msg.err}
-			}
-			l := msg.line
-			switch {
-			case l.Ack != nil:
-				s.dropAcked(*l.Ack)
-			case l.Result != nil:
-				s.resp = l.Result
-				return nil
-			case l.Error != "":
-				return s.classifyServerError(l)
-			}
-		default:
+// replay resends the stream from the server's position next: the prefix,
+// then every retained frame from next on, polling control lines between
+// writes. Acks for frames the server consumes mid-replay shrink the
+// remaining work — and register as forward progress for the retry budget
+// even if this connection dies before the replay completes — while a
+// result line ends the session and an error line aborts the attempt.
+// Without the polling, a long replay over a lossy link re-sends frames
+// the server already has and a doomed connection's partial progress is
+// lost with it.
+func (s *ResilientSession) replay(ep *connEpoch, next int64) error {
+	if next < s.ring.Base() || next > s.ring.Next() {
+		return fmt.Errorf("resilient: server resume position %d outside acked window [%d, %d]", next, s.ring.Base(), s.ring.Next())
+	}
+	s.ring.Trim(next)
+	if err := s.send(ep, s.prefix); err != nil {
+		return err
+	}
+	for seq := next; ; seq++ {
+		if err := s.poll(ep); err != nil {
+			return err
+		}
+		seq = max(seq, s.ring.Base())
+		if s.resp != nil || seq >= s.ring.Next() {
 			return nil
+		}
+		if err := s.send(ep, s.ring.Frame(seq)); err != nil {
+			return err
 		}
 	}
 }
@@ -702,33 +680,8 @@ func (s *ResilientSession) pollReplay(ep *connEpoch) error {
 // the reader) and the done channel releases the reader even if its
 // channel send is pending.
 func (s *ResilientSession) dropEpoch() {
-	if s.epoch == nil {
-		return
-	}
-	close(s.epoch.done)
-	s.epoch.conn.Close()
-	s.epoch = nil
-}
-
-// readControl is the per-epoch reader goroutine: it parses server lines
-// into ch until the connection dies or the epoch is dropped.
-func readControl(conn net.Conn, ch chan<- ctlMsg, done <-chan struct{}) {
-	br := bufio.NewReader(conn)
-	for {
-		raw, err := br.ReadBytes('\n')
-		var msg ctlMsg
-		if err != nil {
-			msg.err = err
-		} else if jerr := json.Unmarshal(raw, &msg.line); jerr != nil {
-			msg.err = fmt.Errorf("resilient: parsing server line: %w", jerr)
-		}
-		select {
-		case ch <- msg:
-		case <-done:
-			return
-		}
-		if msg.err != nil {
-			return
-		}
+	if s.epoch != nil {
+		s.epoch.close()
+		s.epoch = nil
 	}
 }

@@ -342,20 +342,21 @@ func TestServerExplicitShed(t *testing.T) {
 	})
 	addr := srv.Addr().String()
 
-	hold, err := server.DialSession(addr, 2, server.Request{Label: "hold"})
-	if err != nil {
-		t.Fatalf("dial hold: %v", err)
-	}
+	hold := dial(t, addr, 2, server.Request{Label: "hold"})
 	defer hold.Close()
 	hold.Append(trace.Miss{})
 	waitFor(t, "holder to take the slot", func() bool { return srv.Stats().ActiveSessions == 1 })
 
-	queued, err := server.DialSession(addr, 2, server.Request{Label: "queued"})
-	if err != nil {
-		t.Fatalf("dial queued: %v", err)
-	}
-	defer queued.Close()
-	queued.Append(trace.Miss{})
+	// The second session's dial returns only once it is admitted, so it
+	// queues on its own goroutine.
+	queuedCh := make(chan *server.ResilientSession, 1)
+	go func() {
+		rs, err := server.DialResilient(addr, 2, server.Request{Label: "queued"}, single)
+		if err != nil {
+			t.Errorf("dial queued: %v", err)
+		}
+		queuedCh <- rs
+	}()
 	waitFor(t, "second session to queue", func() bool { return srv.Stats().QueuedSessions >= 1 })
 
 	// Third arrival: must be shed with code busy and a hint. (If it races
@@ -398,9 +399,12 @@ func TestServerExplicitShed(t *testing.T) {
 	if _, err := hold.Result(); err != nil {
 		t.Errorf("holder: %v", err)
 	}
-	queued.Finish(trace.Header{Misses: 1, CPUs: 2})
-	if _, err := queued.Result(); err != nil {
-		t.Errorf("queued session after release: %v", err)
+	if queued := <-queuedCh; queued != nil {
+		queued.Append(trace.Miss{})
+		queued.Finish(trace.Header{Misses: 1, CPUs: 2})
+		if _, err := queued.Result(); err != nil {
+			t.Errorf("queued session after release: %v", err)
+		}
 	}
 }
 
@@ -416,10 +420,7 @@ func TestResilientBusyRetry(t *testing.T) {
 	})
 	addr := srv.Addr().String()
 
-	hold, err := server.DialSession(addr, 2, server.Request{Label: "hold"})
-	if err != nil {
-		t.Fatalf("dial hold: %v", err)
-	}
+	hold := dial(t, addr, 2, server.Request{Label: "hold"})
 	defer hold.Close()
 	hold.Append(trace.Miss{})
 	waitFor(t, "holder to take the slot", func() bool { return srv.Stats().ActiveSessions == 1 })

@@ -3,8 +3,6 @@ package server
 import (
 	"bufio"
 	"context"
-	crand "crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,6 +17,7 @@ import (
 	tempstream "repro"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/proto"
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -51,12 +50,6 @@ const (
 	// client's resumption within the grace window.
 	StateParked = "parked"
 )
-
-// requestLimit bounds the negotiation line; a request is a small JSON
-// object, so anything larger is a confused or hostile client.
-const requestLimit = 64 << 10
-
-var errRequestTooLarge = fmt.Errorf("request exceeds %d bytes", requestLimit)
 
 // finishedTTL is how long a completed session stays visible in Stats
 // before being pruned from the table.
@@ -177,9 +170,8 @@ func (c Config) withDefaults() Config {
 // string. handle uses that to decide whether a session error may be
 // rewritten to the cancellation cause.
 type idleConn struct {
-	net.Conn
-	timeout time.Duration
-	cancel  context.CancelCauseFunc
+	proto.DeadlineConn
+	cancel context.CancelCauseFunc
 	// bytes counts every byte read off the transport (the
 	// tsserved_ingest_bytes_total series); nil in tests that build bare
 	// idleConns.
@@ -190,10 +182,7 @@ type idleConn struct {
 }
 
 func (c *idleConn) Read(p []byte) (int, error) {
-	if err := c.Conn.SetReadDeadline(time.Now().Add(c.timeout)); err != nil {
-		return 0, err
-	}
-	n, err := c.Conn.Read(p)
+	n, err := c.DeadlineConn.Read(p)
 	if n > 0 && c.bytes != nil {
 		c.bytes.Add(float64(n))
 	}
@@ -208,24 +197,6 @@ func (c *idleConn) Read(p []byte) (int, error) {
 		}
 	}
 	return n, err
-}
-
-// ctlWriter serializes the server's control-channel lines (hello, acks,
-// the final response) with a write deadline per line, so a dead or
-// wedged peer can never pin a session goroutine in a write.
-type ctlWriter struct {
-	conn    net.Conn
-	bw      *bufio.Writer
-	timeout time.Duration
-}
-
-func (w *ctlWriter) writeLine(v any) error {
-	w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
-	defer w.conn.SetWriteDeadline(time.Time{})
-	if err := json.NewEncoder(w.bw).Encode(v); err != nil {
-		return err
-	}
-	return w.bw.Flush()
 }
 
 // Server is the ingest daemon: it accepts connections, multiplexes
@@ -247,8 +218,11 @@ type Server struct {
 
 	mu       sync.Mutex
 	sessions map[uint64]*session
-	parked   map[string]*parkedSession
 	closed   bool
+
+	// parked holds interrupted (and completed) resumable sessions under
+	// their tokens for Config.ResumeGrace.
+	parked *proto.Lot[*parkedSession]
 
 	nextID        atomic.Uint64
 	totalSessions atomic.Int64
@@ -309,12 +283,6 @@ type parkedSession struct {
 	frames  int64
 	records int64
 	done    *SessionResult
-
-	// gen guards the grace timer: park re-arms bump it (under Server.mu),
-	// so a stale timer that lost the Stop race cannot expire a re-parked
-	// entry.
-	gen   int
-	timer *time.Timer
 }
 
 // sessionFailure is runSession's error form: the machine-readable code
@@ -330,16 +298,6 @@ type sessionFailure struct {
 
 func failf(code ErrCode, format string, args ...any) *sessionFailure {
 	return &sessionFailure{code: code, err: fmt.Errorf(format, args...)}
-}
-
-// newToken mints a resume token: 128 random bits, unguessable so one
-// client cannot resume (and so steal or corrupt) another's session.
-func newToken() string {
-	var b [16]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		panic("server: reading random token: " + err.Error())
-	}
-	return hex.EncodeToString(b[:])
 }
 
 // Listen binds the ingest listener on addr (e.g. ":7465" or
@@ -364,10 +322,15 @@ func NewServer(ln net.Listener, cfg Config) *Server {
 		baseCtx:   baseCtx,
 		cancelAll: cancelAll,
 		sessions:  make(map[uint64]*session),
-		parked:    make(map[string]*parkedSession),
 		start:     time.Now(),
 		log:       cfg.Logger,
 	}
+	// Expiry discards the analyzer before the expired counter moves, so a
+	// scrape never sees the count ahead of the pool it describes.
+	s.parked = proto.NewLot(cfg.ResumeGrace, (*parkedSession).discard, func(p *parkedSession) {
+		s.totalExpired.Add(1)
+		s.log.Info("parked session expired", "label", p.label, "frames", p.frames, "records", p.records)
+	})
 	s.metrics = newServerMetrics(s)
 	return s
 }
@@ -440,23 +403,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if !already {
 		s.log.Info("shutdown: draining")
 	}
-	if done == nil {
-		s.closeParked()
-		return nil
+	var err error
+	if done != nil {
+		select {
+		case <-done:
+		case <-ctx.Done():
+			// One cancellation fans out through the session context tree:
+			// queued waits abort with the draining cause, each live
+			// connection's AfterFunc closes its conn, unblocking any read,
+			// and lingering closes stop waiting on their peers.
+			s.cancelAll(errDraining)
+			<-done
+			err = ctx.Err()
+		}
 	}
-	select {
-	case <-done:
-		s.closeParked()
-		return nil
-	case <-ctx.Done():
-		// One cancellation fans out through the session context tree:
-		// queued waits abort with the draining cause, and each live
-		// connection's AfterFunc closes its conn, unblocking any read.
-		s.cancelAll(errDraining)
-		<-done
-		s.closeParked()
-		return ctx.Err()
-	}
+	s.parked.Close()
+	return err
 }
 
 // Close stops the server immediately (no drain).
@@ -467,70 +429,6 @@ func (s *Server) Close() error {
 		return err
 	}
 	return nil
-}
-
-// park stores an interrupted (or completed) resumable session's state
-// under its token for the grace window. After Shutdown has begun the
-// state is discarded instead: the listener is closed, no resume can
-// arrive, and parked analyzers must not outlive the server.
-func (s *Server) park(p *parkedSession) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		p.discard()
-		return
-	}
-	p.gen++
-	gen := p.gen
-	p.timer = time.AfterFunc(s.cfg.ResumeGrace, func() { s.expirePark(p, gen) })
-	s.parked[p.token] = p
-	s.mu.Unlock()
-}
-
-// takeParked claims a parked session, removing it from the table and
-// disarming its grace timer. The caller owns the returned state: it must
-// consume it, re-park it, or close its tempstream.Session.
-func (s *Server) takeParked(token string) *parkedSession {
-	s.mu.Lock()
-	p := s.parked[token]
-	if p != nil {
-		delete(s.parked, token)
-		p.timer.Stop()
-	}
-	s.mu.Unlock()
-	return p
-}
-
-// expirePark discards a parked session whose grace window lapsed. The
-// generation check makes a stale timer (one whose Stop raced its firing)
-// a no-op even when the same state has been re-parked since.
-func (s *Server) expirePark(p *parkedSession, gen int) {
-	s.mu.Lock()
-	if cur := s.parked[p.token]; cur != p || p.gen != gen {
-		s.mu.Unlock()
-		return
-	}
-	delete(s.parked, p.token)
-	s.mu.Unlock()
-	s.totalExpired.Add(1)
-	s.log.Info("parked session expired", "label", p.label, "frames", p.frames, "records", p.records)
-	p.discard()
-}
-
-// closeParked discards every parked session (at end of Shutdown, after
-// s.closed prevents new parks).
-func (s *Server) closeParked() {
-	s.mu.Lock()
-	ps := make([]*parkedSession, 0, len(s.parked))
-	for _, p := range s.parked {
-		ps = append(ps, p)
-	}
-	s.parked = make(map[string]*parkedSession)
-	s.mu.Unlock()
-	for _, p := range ps {
-		p.timer.Stop()
-		p.discard()
-	}
 }
 
 // discard drops a parked session's live state: the analyzer goes back
@@ -592,7 +490,10 @@ func (s *Server) register(sess *session) {
 // it — idle trip, drain force, or normal completion — closes the conn
 // via AfterFunc, so no teardown path needs its own timer or channel.
 func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
+	// Lingering close: the client may still be streaming when its answer
+	// goes out (an early rejection); only the server's force-drain cuts
+	// the linger short.
+	defer proto.Close(s.baseCtx, conn)
 	ctx, cancel := context.WithCancelCause(s.baseCtx)
 	stop := context.AfterFunc(ctx, func() {
 		// The idle cause is raised by a read that has already failed;
@@ -620,13 +521,17 @@ func (s *Server) handle(conn net.Conn) {
 	s.register(sess)
 	s.totalSessions.Add(1)
 
-	ic := &idleConn{Conn: conn, timeout: s.cfg.IdleTimeout, cancel: cancel, bytes: s.metrics.bytesRead}
-	cw := &ctlWriter{conn: conn, bw: bufio.NewWriter(conn), timeout: s.cfg.IdleTimeout}
+	ic := &idleConn{
+		DeadlineConn: proto.DeadlineConn{Conn: conn, ReadTimeout: s.cfg.IdleTimeout},
+		cancel:       cancel,
+		bytes:        s.metrics.bytesRead,
+	}
+	cw := proto.NewLineWriter(conn, s.cfg.IdleTimeout)
 	res, probe, fail := s.runSession(ctx, sess, ic, cw)
 	if probe != nil {
 		// A health probe, not a session: its row and count were already
 		// retired in runSession; just deliver the snapshot.
-		cw.writeLine(Response{Stats: probe})
+		cw.WriteJSON(Response{Stats: probe})
 		return
 	}
 	if fail != nil && ic.teardown {
@@ -690,7 +595,7 @@ func (s *Server) handle(conn net.Conn) {
 			"code", string(fail.code), "error", fail.err.Error())...)
 	}
 
-	cw.writeLine(resp) // best effort: the peer may be gone
+	cw.WriteJSON(resp) // best effort: the peer may be gone
 }
 
 // runSession negotiates, acquires a slot, and streams the connection's
@@ -706,13 +611,13 @@ func (s *Server) handle(conn net.Conn) {
 // and — if the stream dies at a clean frame boundary — parks the
 // analyzer state under the token for Config.ResumeGrace so the client
 // can reconnect and continue the same incremental analysis.
-func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw *ctlWriter) (*SessionResult, *Stats, *sessionFailure) {
+func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw *proto.LineWriter) (*SessionResult, *Stats, *sessionFailure) {
 	br := bufio.NewReaderSize(ic, 64<<10)
 
 	// Negotiation: one JSON line.
-	line, err := readLine(br, requestLimit)
+	line, err := proto.ReadLine(br, proto.MaxLine)
 	if err != nil {
-		if errors.Is(err, errRequestTooLarge) {
+		if errors.Is(err, proto.ErrTooLarge) {
 			return nil, nil, &sessionFailure{code: CodeTooLarge, err: err}
 		}
 		return nil, nil, failf(CodeBadRequest, "reading request: %v", err)
@@ -743,7 +648,7 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 	resumable := req.Resume != nil
 	var parked *parkedSession
 	if resumable && req.Resume.Token != "" {
-		if parked = s.takeParked(req.Resume.Token); parked == nil {
+		if parked, _ = s.parked.Take(req.Resume.Token); parked == nil {
 			return nil, nil, failf(CodeResumeUnknown, "resume token unknown or expired (grace window %v)", s.cfg.ResumeGrace)
 		}
 		s.mu.Lock()
@@ -753,9 +658,9 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 		// without touching the slot pool, and re-park it in case this
 		// response line is lost too.
 		if parked.done != nil {
-			cw.writeLine(Hello{Token: parked.token, NextFrame: parked.frames, Done: true})
+			cw.WriteJSON(Hello{Token: parked.token, NextFrame: parked.frames, Done: true})
 			done := parked.done
-			s.park(parked)
+			s.parked.Park(parked.token, parked)
 			return done, nil, nil
 		}
 		s.totalResumed.Add(1)
@@ -785,7 +690,7 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 	if s.cfg.MaxQueue > 0 && int(s.queued.Load()) >= s.cfg.MaxQueue {
 		s.totalShed.Add(1)
 		if parked != nil {
-			s.park(parked)
+			s.parked.Park(parked.token, parked)
 		}
 		return nil, nil, &sessionFailure{
 			code:       CodeBusy,
@@ -811,7 +716,7 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 		cause := context.Cause(slotCtx)
 		cancelSlot()
 		if parked != nil {
-			s.park(parked)
+			s.parked.Park(parked.token, parked)
 		}
 		switch {
 		case errors.Is(cause, errSlotWait):
@@ -837,7 +742,7 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 	if parked != nil {
 		token = parked.token
 	} else if resumable {
-		token = newToken()
+		token = proto.NewToken()
 	}
 	dec := wire.NewDecoder(br)
 	if resumable {
@@ -845,21 +750,21 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 		if parked != nil {
 			nextFrame = parked.frames
 		}
-		if err := cw.writeLine(Hello{Token: token, NextFrame: nextFrame}); err != nil {
+		if err := cw.WriteJSON(Hello{Token: token, NextFrame: nextFrame}); err != nil {
 			if parked != nil {
-				s.park(parked)
+				s.parked.Park(token, parked)
 			}
 			return nil, nil, &sessionFailure{code: CodeStream, err: fmt.Errorf("writing hello: %w", err), parked: parked != nil}
 		}
 		dec.SetFrameHook(func(frames, records int64) error {
-			return cw.writeLine(Ack{Ack: frames})
+			return cw.WriteJSON(Ack{Ack: frames})
 		})
 	}
 
 	meta, err := dec.Meta()
 	if err != nil {
 		if parked != nil {
-			s.park(parked)
+			s.parked.Park(token, parked)
 			return nil, nil, &sessionFailure{code: CodeStream, err: err, parked: true}
 		}
 		return nil, nil, &sessionFailure{code: CodeStream, err: err}
@@ -928,7 +833,7 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 		if resumable && dec.Resumable() {
 			chain, frames, records := dec.Progress()
 			s.totalParked.Add(1)
-			s.park(&parkedSession{
+			s.parked.Park(token, &parkedSession{
 				token:   token,
 				label:   sess.label,
 				cpus:    meta.CPUs,
@@ -953,26 +858,9 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 		// a reset, the client resumes and collects it from the park table
 		// instead of failing with resume_unknown.
 		_, frames, _ := dec.Progress()
-		s.park(&parkedSession{token: token, label: sess.label, frames: frames, done: res})
+		s.parked.Park(token, &parkedSession{token: token, label: sess.label, frames: frames, done: res})
 	}
 	return res, nil, nil
-}
-
-// readLine reads one \n-terminated line of at most limit bytes without
-// buffering an unbounded amount.
-func readLine(br *bufio.Reader, limit int) ([]byte, error) {
-	var line []byte
-	for len(line) <= limit {
-		b, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		if b == '\n' {
-			return line, nil
-		}
-		line = append(line, b)
-	}
-	return nil, errRequestTooLarge
 }
 
 // SessionStats is one session's row in the stats snapshot.
@@ -1031,8 +919,11 @@ func (s *Server) Stats() Stats {
 	// StateQueued, which also covers the instant between accept and the
 	// request line being read.
 	st.QueuedSessions = int(s.queued.Load())
+	// Active is the slot count itself — the bound the pool enforces — not a
+	// scan of session states, which trail the slot release.
+	st.ActiveSessions = len(s.slots)
+	st.ParkedSessions = s.parked.Len()
 	s.mu.Lock()
-	st.ParkedSessions = len(s.parked)
 	for _, sess := range s.sessions {
 		state := *sess.state.Load()
 		end := now
@@ -1052,10 +943,7 @@ func (s *Server) Stats() Stats {
 		if secs > 0 {
 			row.RecordsPerSec = float64(row.Records) / secs
 		}
-		switch state {
-		case StateReceiving:
-			st.ActiveSessions++
-		case StateDone:
+		if state == StateDone {
 			row.StreamFrac = sess.streamFrac
 			row.MPKI = sess.mpki
 		}

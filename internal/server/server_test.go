@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
 	"net"
 	"reflect"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/prefetch"
 	"repro/internal/server"
 	"repro/internal/trace"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -30,6 +32,49 @@ func startServer(t *testing.T, cfg server.Config) *server.Server {
 	go srv.Serve()
 	t.Cleanup(func() { srv.Close() })
 	return srv
+}
+
+// single is the single-shot client policy: one attempt, no retries.
+var single = server.RetryPolicy{MaxAttempts: 1}
+
+// dial opens a single-shot session, failing the test if the server
+// refuses it.
+func dial(t testing.TB, addr string, cpus int, req server.Request) *server.ResilientSession {
+	t.Helper()
+	rs, err := server.DialResilient(addr, cpus, req, single)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	return rs
+}
+
+// rejection runs an empty single-shot session and returns the error it
+// ends with, whether the server refuses the request at admission or
+// once the stream has begun.
+func rejection(addr string, cpus int, req server.Request) error {
+	rs, err := server.DialResilient(addr, cpus, req, single)
+	if err != nil {
+		return err
+	}
+	rs.Finish(trace.Header{CPUs: cpus})
+	_, err = rs.Result()
+	return err
+}
+
+// dialPlain opens a plain-protocol session over a raw socket — request
+// line, then the wire stream straight onto the connection, no hello and
+// no acks — the exchange tsgate's backend leg speaks.
+func dialPlain(t *testing.T, addr string, cpus int, req server.Request) (net.Conn, *wire.Encoder) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	line, _ := json.Marshal(req)
+	if _, err := conn.Write(append(line, '\n')); err != nil {
+		t.Fatalf("request: %v", err)
+	}
+	return conn, wire.NewEncoder(conn, cpus)
 }
 
 // pfCfg exercises every bounded structure of the prefetch engine, as the
@@ -60,27 +105,19 @@ func TestServerEquivalence(t *testing.T) {
 		got := make(map[tempstream.Context]*server.SessionResult)
 
 		// Multi-chip off-chip context: one session.
-		mcSess, err := server.DialSession(addr, workload.MultiChip.CPUCount(), req)
-		if err != nil {
-			t.Fatalf("%v: dial: %v", app, err)
-		}
+		mcSess := dial(t, addr, workload.MultiChip.CPUCount(), req)
 		workload.RunStream(workload.Config{
 			App: app, Machine: workload.MultiChip, Scale: workload.Small,
 			Seed: 1, TargetMisses: target,
 		}, mcSess, nil)
+		var err error
 		if got[tempstream.MultiChipCtx], err = mcSess.Result(); err != nil {
 			t.Fatalf("%v multi-chip: %v", app, err)
 		}
 
 		// Single-chip run: two concurrent sessions fed by one simulation.
-		offSess, err := server.DialSession(addr, workload.SingleChip.CPUCount(), req)
-		if err != nil {
-			t.Fatalf("%v: dial: %v", app, err)
-		}
-		intraSess, err := server.DialSession(addr, workload.SingleChip.CPUCount(), req)
-		if err != nil {
-			t.Fatalf("%v: dial: %v", app, err)
-		}
+		offSess := dial(t, addr, workload.SingleChip.CPUCount(), req)
+		intraSess := dial(t, addr, workload.SingleChip.CPUCount(), req)
 		workload.RunStream(workload.Config{
 			App: app, Machine: workload.SingleChip, Scale: workload.Small,
 			Seed: 1, TargetMisses: target,
@@ -132,10 +169,7 @@ func synthMisses(n, cpus int, seed int64) []trace.Miss {
 // server's result.
 func feedSession(t *testing.T, addr string, req server.Request, misses []trace.Miss, cpus int) *server.SessionResult {
 	t.Helper()
-	cs, err := server.DialSession(addr, cpus, req)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
+	cs := dial(t, addr, cpus, req)
 	for _, m := range misses {
 		cs.Append(m)
 	}
@@ -163,7 +197,7 @@ func TestServerSessionMultiplexing(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer func() { done <- i }()
-			cs, err := server.DialSession(addr, 4, server.Request{Label: "mux"})
+			cs, err := server.DialResilient(addr, 4, server.Request{Label: "mux"}, single)
 			if err != nil {
 				errs[i] = err
 				return
@@ -281,12 +315,7 @@ func TestServerRejectsUnboundedPrefetch(t *testing.T) {
 		{BufferBlocks: 1000}, // unbounded history
 		{HistoryLen: 1 << 30, BufferBlocks: 1000}, // over the ceiling
 	} {
-		cs, err := server.DialSession(srv.Addr().String(), 2, server.Request{Prefetch: &cfg})
-		if err != nil {
-			t.Fatalf("dial: %v", err)
-		}
-		cs.Finish(trace.Header{CPUs: 2})
-		if _, err := cs.Result(); err == nil || !strings.Contains(err.Error(), "bounded") {
+		if err := rejection(srv.Addr().String(), 2, server.Request{Prefetch: &cfg}); err == nil || !strings.Contains(err.Error(), "bounded") {
 			t.Errorf("prefetch %+v: err = %v, want bounded-config rejection", cfg, err)
 		}
 	}
@@ -302,12 +331,7 @@ func TestServerRejectsUnboundedPrefetch(t *testing.T) {
 // is an error, not a silently empty analysis reported as success.
 func TestServerRejectsNegativeWindow(t *testing.T) {
 	srv := startServer(t, server.Config{})
-	cs, err := server.DialSession(srv.Addr().String(), 2, server.Request{Analysis: core.Options{MaxMisses: -1}})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	cs.Finish(trace.Header{CPUs: 2})
-	if _, err := cs.Result(); err == nil || !strings.Contains(err.Error(), "negative") {
+	if err := rejection(srv.Addr().String(), 2, server.Request{Analysis: core.Options{MaxMisses: -1}}); err == nil || !strings.Contains(err.Error(), "negative") {
 		t.Errorf("negative window err = %v, want rejection", err)
 	}
 }
@@ -320,12 +344,7 @@ func TestServerRejectsOversizedPerCPUPrefetch(t *testing.T) {
 	// Within per-engine bounds, but 16 engines blow the product cap.
 	cfg := prefetch.Config{Depth: 8, PerCPU: true,
 		HistoryLen: server.MaxPrefetchHistory / 2, BufferBlocks: 64}
-	cs, err := server.DialSession(srv.Addr().String(), 16, server.Request{Prefetch: &cfg})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	cs.Finish(trace.Header{CPUs: 16})
-	if _, err := cs.Result(); err == nil || !strings.Contains(err.Error(), "per-cpu") {
+	if err := rejection(srv.Addr().String(), 16, server.Request{Prefetch: &cfg}); err == nil || !strings.Contains(err.Error(), "per-cpu") {
 		t.Errorf("oversized per-cpu prefetch err = %v, want rejection", err)
 	}
 	// The same shape with modest bounds works per CPU.
@@ -378,10 +397,7 @@ func TestServerQueueTimeout(t *testing.T) {
 	addr := srv.Addr().String()
 
 	// Session A takes the only slot and stays open.
-	hold, err := server.DialSession(addr, 2, server.Request{Label: "hold"})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
+	hold := dial(t, addr, 2, server.Request{Label: "hold"})
 	defer hold.Close()
 	hold.Append(trace.Miss{})
 	// Wait until A is admitted so B's timeout race is deterministic.
@@ -393,12 +409,7 @@ func TestServerQueueTimeout(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	busy, err := server.DialSession(addr, 2, server.Request{Label: "busy"})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	busy.Finish(trace.Header{CPUs: 2})
-	if _, err := busy.Result(); err == nil || !strings.Contains(err.Error(), "busy") {
+	if err := rejection(addr, 2, server.Request{Label: "busy"}); err == nil || !strings.Contains(err.Error(), "busy") {
 		t.Errorf("queued session err = %v, want busy timeout", err)
 	}
 
@@ -418,10 +429,7 @@ func TestServerGracefulDrain(t *testing.T) {
 	misses := synthMisses(20000, 4, 9)
 	want := feedSession(t, addr, server.Request{}, misses, 4)
 
-	cs, err := server.DialSession(addr, 4, server.Request{Label: "drain"})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
+	cs := dial(t, addr, 4, server.Request{Label: "drain"})
 	// Stream half, then shut down while the session is live. Wait for
 	// the server to have admitted it first: a dialed connection can
 	// still be sitting in the kernel's accept backlog, and closing the

@@ -54,7 +54,7 @@ type recorder struct {
 	hs []trace.Header
 }
 
-func (r *recorder) Append(m trace.Miss)          { r.ms = append(r.ms, m) }
+func (r *recorder) Append(m trace.Miss)         { r.ms = append(r.ms, m) }
 func (r *recorder) AppendBatch(ms []trace.Miss) { r.ms = append(r.ms, ms...) }
 func (r *recorder) Finish(h trace.Header)       { r.hs = append(r.hs, h) }
 

@@ -77,7 +77,7 @@ func TestSessionBatchMatchesAppend(t *testing.T) {
 		// Batch sizes sweep both regimes: tiny (buffered), then one
 		// straddling batchDirect, then the large remainder (direct).
 		s.AppendBatch(misses[:100])
-		s.AppendBatch(misses[100:batchDirect+50])
+		s.AppendBatch(misses[100 : batchDirect+50])
 		s.AppendBatch(misses[batchDirect+50:])
 		s.Finish(h)
 		got := s.Result(nil)
