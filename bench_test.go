@@ -333,18 +333,21 @@ func BenchmarkAnalysisThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamingCollect measures the streaming pipeline end to end:
-// one CollectStreaming per iteration (both machines, three incremental
-// context analyses fed straight from the simulators). Reports misses
-// streamed per second of wall clock and, via -benchmem/ReportAllocs, the
-// allocated bytes per run — which stay flat as the target grows (the
-// O(window) claim; see TestStreamingBoundedMemory). Runs in short mode so
-// the CI bench-smoke artifact tracks the streaming trajectory.
-func BenchmarkStreamingCollect(b *testing.B) {
+// runCollect drives one OLTP Runner.Run per iteration — both machines,
+// three incremental context analyses fed from the simulators through
+// their pipelines — hands each experiment to each, and reports the
+// misses streamed per second of wall clock.
+func runCollect(b *testing.B, keepTraces bool, each func(*Experiment)) {
+	r := NewRunner()
 	b.ReportAllocs()
 	var misses uint64
 	for i := 0; i < b.N; i++ {
-		exp := CollectStreaming(OLTP, Small, int64(i+2), 20000, StreamOptions{})
+		exp, err := r.Run(context.Background(), Request{
+			App: OLTP, Scale: Small, Seed: int64(i + 2), TargetMisses: 20000, KeepTraces: keepTraces,
+		})
+		if err != nil {
+			b.Fatalf("Run: %v", err)
+		}
 		for _, ctx := range Contexts() {
 			h := exp.Context(ctx).Header
 			if h.Misses == 0 {
@@ -352,6 +355,7 @@ func BenchmarkStreamingCollect(b *testing.B) {
 			}
 			misses += uint64(h.Misses)
 		}
+		each(exp)
 	}
 	// b.Elapsed, not wall clock since entry: the denominator then matches
 	// the ns/op the harness prints, keeping the two metrics comparable
@@ -359,91 +363,58 @@ func BenchmarkStreamingCollect(b *testing.B) {
 	b.ReportMetric(float64(misses)/b.Elapsed().Seconds(), "misses/sec")
 }
 
-// BenchmarkPipelinedCollect is the intra-run parallelism scaling curve:
-// the same collection as BenchmarkStreamingCollect driven through the
-// Runner serially and at increasing pipeline depths (SPSC ring between
-// simulator and analyses, sharded session consumers). On a multi-core
-// runner the pipelined variants scale past 1x; on a single-core CI
-// runner they document parity within noise — either way the knob is
-// exercised and the results stay byte-identical (see
-// TestPipelinedMatchesSerialAllApps). Runs in short mode so the
-// BENCH_<n>.json trajectory records the curve.
-func BenchmarkPipelinedCollect(b *testing.B) {
-	r := NewRunner()
-	for _, bc := range []struct {
-		name  string
-		depth int
-	}{
-		{"serial", -1},
-		{"depth2", 2},
-		{"depth8", 8},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var misses uint64
-			var pipe trace.PipeStats
-			var analyze float64
-			for i := 0; i < b.N; i++ {
-				exp, err := r.Run(context.Background(), Request{
-					App: OLTP, Scale: Small, Seed: int64(i + 2), TargetMisses: 20000,
-					PipelineDepth: bc.depth,
-				})
-				if err != nil {
-					b.Fatalf("Run: %v", err)
-				}
-				for _, ctx := range Contexts() {
-					h := exp.Context(ctx).Header
-					if h.Misses == 0 {
-						b.Fatal("empty context window")
-					}
-					misses += uint64(h.Misses)
-				}
-				pipe.Add(exp.Stages.PipelineTotal())
-				for _, s := range exp.Stages.AnalyzeSeconds {
-					analyze += s
-				}
-			}
-			b.ReportMetric(float64(misses)/b.Elapsed().Seconds(), "misses/sec")
-			// The run-stage trace, per iteration, so BENCH_<n>.json records
-			// which side of the ring stalled at each depth.
-			n := float64(b.N)
-			b.ReportMetric(float64(pipe.ProducerStalls)/n, "prod-stalls/op")
-			b.ReportMetric(float64(pipe.ConsumerStalls)/n, "cons-stalls/op")
-			b.ReportMetric(float64(pipe.Chunks)/n, "chunks/op")
-			b.ReportMetric(analyze/n, "analyze-sec/op")
-		})
-	}
+// BenchmarkStreamingCollect measures the streaming pipeline end to end
+// (runCollect without kept traces). Besides misses/sec it reports the
+// allocated bytes per run — which stay flat as the target grows (the
+// O(window) claim; see TestStreamingBoundedMemory) — and the run-stage
+// trace per iteration: ring stalls on either side, chunks handed over,
+// and analyze seconds, so BENCH_<n>.json records which side of the
+// pipeline waited. Runs in short mode so the CI bench-smoke artifact
+// tracks the streaming trajectory.
+func BenchmarkStreamingCollect(b *testing.B) {
+	var pipe trace.PipeStats
+	var analyze float64
+	runCollect(b, false, func(exp *Experiment) {
+		pipe.Add(exp.Stages.PipelineTotal())
+		for _, s := range exp.Stages.AnalyzeSeconds {
+			analyze += s
+		}
+	})
+	n := float64(b.N)
+	b.ReportMetric(float64(pipe.ProducerStalls)/n, "prod-stalls/op")
+	b.ReportMetric(float64(pipe.ConsumerStalls)/n, "cons-stalls/op")
+	b.ReportMetric(float64(pipe.Chunks)/n, "chunks/op")
+	b.ReportMetric(analyze/n, "analyze-sec/op")
 }
 
-// BenchmarkBatchCollect is BenchmarkStreamingCollect's A/B twin on the
-// materialize-then-analyze path, with identical configuration, so the
-// trajectory artifacts record the streaming-vs-batch wall-clock and
-// allocation contrast directly.
+// BenchmarkBatchCollect is BenchmarkStreamingCollect's A/B twin with the
+// traces kept (Request.KeepTraces), otherwise identically configured, so
+// the trajectory artifacts record the wall-clock and allocation cost of
+// materializing the traces directly.
 func BenchmarkBatchCollect(b *testing.B) {
-	b.ReportAllocs()
-	var misses uint64
-	for i := 0; i < b.N; i++ {
-		exp := Collect(OLTP, Small, int64(i+2), 20000)
-		for _, ctx := range Contexts() {
-			h := exp.Context(ctx).Header
-			if h.Misses == 0 {
-				b.Fatal("empty context window")
-			}
-			misses += uint64(h.Misses)
-		}
-	}
-	b.ReportMetric(float64(misses)/b.Elapsed().Seconds(), "misses/sec")
+	runCollect(b, true, func(*Experiment) {})
 }
 
 // BenchmarkCollectAll measures the wall clock of the full concurrent
-// experiment pipeline (6 apps x 2 simulations x 3 analyses) at a reduced
-// miss target.
+// experiment pipeline (RunAll over 6 apps x 2 simulations x 3 analyses,
+// traces kept as tsreport keeps them) at a reduced miss target.
 func BenchmarkCollectAll(b *testing.B) {
 	skipInShort(b)
+	r := NewRunner()
+	var reqs []Request
+	for _, app := range Apps() {
+		reqs = append(reqs, Request{App: app, Scale: Small, Seed: 7, TargetMisses: 10000, KeepTraces: true})
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		exps := CollectAll(Small, 7, 10000)
-		if len(exps) != len(Apps()) {
+		n := 0
+		for _, err := range r.RunAll(context.Background(), reqs...) {
+			if err != nil {
+				b.Fatalf("RunAll: %v", err)
+			}
+			n++
+		}
+		if n != len(Apps()) {
 			b.Fatal("missing experiments")
 		}
 	}

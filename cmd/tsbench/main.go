@@ -55,7 +55,7 @@ type BenchResult struct {
 
 // Artifact is the whole trajectory record. GoMaxProcs and NumCPU pin
 // the parallelism the run had available, so intra-run scaling curves
-// (BenchmarkPipelinedCollect, the ingest benchmarks) are interpretable
+// (BenchmarkStreamingCollect, the ingest benchmarks) are interpretable
 // across runners: parity on a 1-core runner and >1x on a 16-core one
 // are both expected shapes, distinguishable only by this metadata.
 type Artifact struct {

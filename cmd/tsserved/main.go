@@ -77,7 +77,6 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 0, "max silence between a connection's reads before it is dropped (0 = 2m)")
 	resumeGrace := flag.Duration("resume-grace", 0, "how long an interrupted resumable session's state is parked for resumption (0 = 30s)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight sessions")
-	shardSessions := flag.Bool("shard-sessions", false, "fan each session's analysis consumers across goroutines per decoded chunk (identical results; useful with spare cores)")
 	archiveDir := flag.String("archive", "", "tee every accepted session into the managed archive store at this directory (query it with tsquery)")
 	chaos := flag.String("chaos", "", "deterministic fault-injection spec for accepted connections, e.g. seed=7,reset=262144,partial=1 (testing only)")
 	configFile := flag.String("config", "", "config file with flag defaults (key=value lines or a JSON object); explicit flags win")
@@ -129,16 +128,15 @@ func main() {
 		fatal(err)
 	}
 	srv := server.NewServer(faultnet.Wrap(ln, spec), server.Config{
-		Name:          *name,
-		MaxSessions:   *maxSessions,
-		MaxWindow:     *maxWindow,
-		MaxQueue:      *maxQueue,
-		QueueTimeout:  *queueTimeout,
-		IdleTimeout:   *idleTimeout,
-		ResumeGrace:   *resumeGrace,
-		Archive:       archive,
-		ShardSessions: *shardSessions,
-		Logger:        logger,
+		Name:         *name,
+		MaxSessions:  *maxSessions,
+		MaxWindow:    *maxWindow,
+		MaxQueue:     *maxQueue,
+		QueueTimeout: *queueTimeout,
+		IdleTimeout:  *idleTimeout,
+		ResumeGrace:  *resumeGrace,
+		Archive:      archive,
+		Logger:       logger,
 	})
 	if archive != nil {
 		// The store's families join the server registry, so the one

@@ -17,10 +17,11 @@
 // concurrently and dumps both traces, multi-chip first.
 //
 // -stream switches to the streaming data path: instead of materializing
-// the trace, the simulator pushes each measurement-window miss into an
-// incremental analyzer sink, and one line of temporal-stream statistics is
-// printed per -window misses as the simulation runs. Peak memory is
-// bounded by the window regardless of -target.
+// the trace, the simulator pushes each measurement-window miss through an
+// SPSC ring (trace.Pipelined) into an incremental analyzer sink on its
+// own goroutine, and one line of temporal-stream statistics is printed
+// per -window misses as the simulation runs. Peak memory is bounded by
+// the window regardless of -target.
 //
 // -record FILE streams the selected trace into a wire-format archive
 // (internal/wire: framed, delta-encoded, CRC-protected, with the symbol
@@ -83,7 +84,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	stream := flag.Bool("stream", false, "streaming mode: print per-window stream fractions as the simulation runs")
 	window := flag.Int("window", 5000, "misses per analysis window in -stream mode")
-	pipeline := flag.Int("pipeline", 0, "in -stream mode, decouple simulation from analysis over an SPSC ring this many chunks deep (0 = serial; results are identical either way)")
 	record := flag.String("record", "", "write the selected miss stream to this wire-format archive instead of dumping text")
 	storeDir := flag.String("store", "", "record the selected miss stream into the managed archive store at this directory (manifest-indexed; query with tsquery)")
 	replay := flag.String("replay", "", "read the miss stream from this wire-format archive instead of simulating")
@@ -178,7 +178,7 @@ func main() {
 		if len(machines) != 1 {
 			fatal(fmt.Errorf("-stream requires a single machine (-machine multi or single)"))
 		}
-		if err := streamRun(ctx, app, machines[0], scale, *seed, *target, *window, *pipeline, *intra); err != nil {
+		if err := streamRun(ctx, app, machines[0], scale, *seed, *target, *window, *intra); err != nil {
 			interrupted()
 		}
 		return
@@ -187,7 +187,7 @@ func main() {
 	// Simulate all requested machines concurrently, then dump in order.
 	results := make([]*workload.Result, len(machines))
 	errs := make([]error, len(machines))
-	var g par.Group
+	g := par.Group{Pool: par.NewPool(0)}
 	for i, machine := range machines {
 		g.GoCtx(ctx, func() {
 			results[i], errs[i] = workload.RunContext(ctx, workload.Config{
@@ -404,29 +404,24 @@ func (s *windowSink) Finish(h trace.Header) {
 		s.idx, s.total, 100*float64(s.inStream)/float64(max(s.total, 1)), h.Instructions, h.MPKI())
 }
 
-// streamRun drives one configuration through the streaming data path.
-// With pipeline > 0 the window analysis runs on its own goroutine
-// behind an SPSC ring, overlapping the simulator; the printed windows
-// are identical either way. On cancellation the already-printed windows
+// streamRun drives one configuration through the streaming data path:
+// the window analysis runs on its own goroutine behind an SPSC ring,
+// overlapping the simulator. On cancellation the already-printed windows
 // stand (they were live output) and the error is returned.
 func streamRun(ctx context.Context, app workload.App, machine workload.MachineKind, scale workload.Scale,
-	seed int64, target, window, pipeline int, intra bool) error {
+	seed int64, target, window int, intra bool) error {
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
-	fmt.Fprintf(w, "# app=%v machine=%v scale=%v target=%d window=%d stream=%s pipeline=%d\n",
-		app, machine, scale, target, window, map[bool]string{false: "off-chip", true: "intra-chip"}[intra], pipeline)
-	var sink trace.Sink = &windowSink{w: w, an: core.NewAnalyzer(), cpus: machine.CPUCount(), window: window}
-	if pipeline > 0 {
-		p := trace.NewPipelined(sink, pipeline)
-		defer p.Close()
-		sink = p
-	}
+	fmt.Fprintf(w, "# app=%v machine=%v scale=%v target=%d window=%d stream=%s\n",
+		app, machine, scale, target, window, map[bool]string{false: "off-chip", true: "intra-chip"}[intra])
+	p := trace.NewPipelined(&windowSink{w: w, an: core.NewAnalyzer(), cpus: machine.CPUCount(), window: window})
+	defer p.Close()
 	cfg := workload.Config{App: app, Machine: machine, Scale: scale, Seed: seed, TargetMisses: target}
 	var err error
 	if intra {
-		_, err = workload.RunStreamContext(ctx, cfg, nil, sink)
+		_, err = workload.RunStreamContext(ctx, cfg, nil, p)
 	} else {
-		_, err = workload.RunStreamContext(ctx, cfg, sink, nil)
+		_, err = workload.RunStreamContext(ctx, cfg, p, nil)
 	}
 	return err
 }

@@ -276,10 +276,6 @@ func (c *Cache) Probe(block uint64) (line int, hit bool) {
 	return i, i >= 0
 }
 
-// Lookup finds block and returns its line index; it is Probe under the
-// seed's original name.
-func (c *Cache) Lookup(block uint64) (int, bool) { return c.Probe(block) }
-
 // readHit2 is the 2-way ReadHit fast path: two tag compares and a
 // one-byte MRU store, small enough to inline into the simulator's access
 // functions.
@@ -561,18 +557,6 @@ func (c *Cache) fill2(block uint64, s State) (victim Victim, evicted bool, line 
 	c.lines[line] = block | uint64(s)<<stateShift
 	c.mru[set] = uint8(way)
 	return victim, evicted, line
-}
-
-// Insert allocates block with the given state, evicting the LRU line of the
-// set if necessary. It returns the victim (evicted == true only when a
-// valid line was displaced) and the line index used. Inserting a block that
-// is already present is a programming error and panics; hot paths that
-// just probed use Fill and skip the residency scan.
-func (c *Cache) Insert(block uint64, s State) (victim Victim, evicted bool, line int) {
-	if c.Contains(block) {
-		panic(fmt.Sprintf("cache: Insert of resident block %#x", block))
-	}
-	return c.Fill(block, s)
 }
 
 // Invalidate removes block if present, returning its prior state.

@@ -29,38 +29,38 @@ func TestBadGeometryPanics(t *testing.T) {
 
 func TestInsertLookupInvalidate(t *testing.T) {
 	c := small()
-	if _, ok := c.Lookup(5); ok {
+	if _, ok := c.Probe(5); ok {
 		t.Fatal("empty cache claims a hit")
 	}
-	_, ev, _ := c.Insert(5, Shared)
+	_, ev, _ := c.Fill(5, Shared)
 	if ev {
-		t.Fatal("insert into empty cache evicted")
+		t.Fatal("fill into empty cache evicted")
 	}
-	i, ok := c.Lookup(5)
+	i, ok := c.Probe(5)
 	if !ok || c.State(i) != Shared || c.Block(i) != 5 {
-		t.Fatalf("lookup after insert: i=%d ok=%v", i, ok)
+		t.Fatalf("probe after fill: i=%d ok=%v", i, ok)
 	}
 	st, ok := c.Invalidate(5)
 	if !ok || st != Shared {
 		t.Fatalf("invalidate: %v %v", st, ok)
 	}
-	if _, ok := c.Lookup(5); ok {
+	if _, ok := c.Probe(5); ok {
 		t.Fatal("hit after invalidate")
 	}
 }
 
 func TestLRUWithinSet(t *testing.T) {
 	c := small()
-	// Blocks 0, 4, 8 map to set 0 (4 sets). Fill both ways, touch 0, insert
+	// Blocks 0, 4, 8 map to set 0 (4 sets). Fill both ways, touch 0, fill
 	// 8: 4 must be the victim.
-	c.Insert(0, Shared)
-	c.Insert(4, Shared)
-	if i, ok := c.Lookup(0); ok {
+	c.Fill(0, Shared)
+	c.Fill(4, Shared)
+	if i, ok := c.Probe(0); ok {
 		c.Touch(i)
 	} else {
 		t.Fatal("block 0 missing")
 	}
-	v, ev, _ := c.Insert(8, Shared)
+	v, ev, _ := c.Fill(8, Shared)
 	if !ev || v.Block != 4 {
 		t.Fatalf("victim = %+v (evicted=%v), want block 4", v, ev)
 	}
@@ -71,25 +71,14 @@ func TestLRUWithinSet(t *testing.T) {
 
 func TestDirtyVictimStateReported(t *testing.T) {
 	c := small()
-	c.Insert(0, Modified)
-	c.Insert(4, Shared)
-	c.Touch(mustLookup(t, c, 4))
-	// Next insert in set 0 evicts LRU = block 0 (Modified).
-	v, ev, _ := c.Insert(8, Shared)
+	c.Fill(0, Modified)
+	c.Fill(4, Shared)
+	c.Touch(mustProbe(t, c, 4))
+	// Next fill in set 0 evicts LRU = block 0 (Modified).
+	v, ev, _ := c.Fill(8, Shared)
 	if !ev || v.Block != 0 || v.State != Modified {
 		t.Fatalf("victim = %+v", v)
 	}
-}
-
-func TestInsertResidentPanics(t *testing.T) {
-	c := small()
-	c.Insert(7, Shared)
-	defer func() {
-		if recover() == nil {
-			t.Error("double insert did not panic")
-		}
-	}()
-	c.Insert(7, Shared)
 }
 
 func TestStateDirty(t *testing.T) {
@@ -101,9 +90,9 @@ func TestStateDirty(t *testing.T) {
 	}
 }
 
-func mustLookup(t *testing.T, c *Cache, b uint64) int {
+func mustProbe(t *testing.T, c *Cache, b uint64) int {
 	t.Helper()
-	i, ok := c.Lookup(b)
+	i, ok := c.Probe(b)
 	if !ok {
 		t.Fatalf("block %d not resident", b)
 	}
@@ -111,8 +100,8 @@ func mustLookup(t *testing.T, c *Cache, b uint64) int {
 }
 
 // TestQuickOccupancyBounded: under any access pattern, occupancy never
-// exceeds capacity and Lookup never returns a block that was not the most
-// recent insert/invalidate outcome.
+// exceeds capacity and Probe never returns a block that was not the most
+// recent fill/invalidate outcome.
 func TestQuickOccupancyBounded(t *testing.T) {
 	f := func(ops []uint16) bool {
 		c := New(Config{Bytes: 1024, Ways: 4, BlockBits: 6})
@@ -122,22 +111,22 @@ func TestQuickOccupancyBounded(t *testing.T) {
 			switch op % 3 {
 			case 0:
 				if !c.Contains(b) {
-					_, _, _ = c.Insert(b, Shared)
+					_, _, _ = c.Fill(b, Shared)
 					// Recompute residency from scratch below.
 				}
 			case 1:
 				c.Invalidate(b)
 			case 2:
-				c.Lookup(b)
+				c.Probe(b)
 			}
 			if c.Occupancy() > 16 {
 				return false
 			}
 		}
 		_ = resident
-		// Cross-check Contains against Lookup for every possible block.
+		// Cross-check Contains against Probe for every possible block.
 		for b := uint64(0); b < 97; b++ {
-			_, ok := c.Lookup(b)
+			_, ok := c.Probe(b)
 			if ok != c.Contains(b) {
 				return false
 			}
@@ -157,11 +146,11 @@ func TestMissRateWorkingSets(t *testing.T) {
 	touch := func(blocks int, rounds int) (misses int) {
 		for r := 0; r < rounds; r++ {
 			for b := 0; b < blocks; b++ {
-				if i, ok := c.Lookup(uint64(b)); ok {
+				if i, ok := c.Probe(uint64(b)); ok {
 					c.Touch(i)
 				} else {
 					misses++
-					c.Insert(uint64(b), Shared)
+					c.Fill(uint64(b), Shared)
 				}
 			}
 		}
@@ -229,7 +218,7 @@ func (r *refSet) invalidate(b uint64) (State, bool) {
 // through the packed-line cache and a naive map/slice reference model,
 // cross-checking hits, victims, states, and (by draining each set at the
 // end) the complete LRU order. This is the safety net under the packed
-// storage layout and the fused Probe/InsertAt path.
+// storage layout and the fused Probe/Fill path.
 func TestPackedCacheVsReferenceModel(t *testing.T) {
 	const (
 		sets  = 8
@@ -279,12 +268,15 @@ func TestPackedCacheVsReferenceModel(t *testing.T) {
 				want, wantEv := r.insert(b, st)
 				checkVictim(step, v, ev, want, wantEv)
 			}
-		case op < 6: // plain Insert (only legal when absent)
+		case op < 6: // residency-checked Fill (only legal when absent)
 			if r.find(b) >= 0 {
 				continue
 			}
+			if c.Contains(b) {
+				t.Fatalf("step %d: Contains=true for a block the reference lacks", step)
+			}
 			st := states[rng.Intn(len(states))]
-			v, ev, _ := c.Insert(b, st)
+			v, ev, _ := c.Fill(b, st)
 			want, wantEv := r.insert(b, st)
 			checkVictim(step, v, ev, want, wantEv)
 		case op < 7: // invalidate
@@ -303,12 +295,12 @@ func TestPackedCacheVsReferenceModel(t *testing.T) {
 			if found {
 				r.lines[ri].state = st
 			}
-		default: // pure reads: Contains/Lookup agree with the model
+		default: // pure reads: Contains/Probe agree with the model
 			if got, want := c.Contains(b), r.find(b) >= 0; got != want {
 				t.Fatalf("step %d: Contains=%v, reference %v", step, got, want)
 			}
-			if _, ok := c.Lookup(b); ok != (r.find(b) >= 0) {
-				t.Fatalf("step %d: Lookup disagrees with reference", step)
+			if _, ok := c.Probe(b); ok != (r.find(b) >= 0) {
+				t.Fatalf("step %d: Probe disagrees with reference", step)
 			}
 		}
 	}
@@ -321,7 +313,7 @@ func TestPackedCacheVsReferenceModel(t *testing.T) {
 		r := ref[s]
 		for k := 0; k < 2*ways; k++ {
 			fresh := uint64(512 + k*sets + s) // set s; beyond the random block space
-			v, ev, _ := c.Insert(fresh, Shared)
+			v, ev, _ := c.Fill(fresh, Shared)
 			want, wantEv := r.insert(fresh, Shared)
 			checkVictim(-s*100-k, v, ev, want, wantEv)
 		}
@@ -333,7 +325,7 @@ func TestProbeFillSequence(t *testing.T) {
 	if _, hit := c.Probe(4); hit {
 		t.Fatal("probe of empty set should miss")
 	}
-	c.Insert(0, Shared)
+	c.Fill(0, Shared)
 	if _, hit := c.Probe(4); hit {
 		t.Fatal("probe of absent block should miss")
 	}
@@ -343,7 +335,7 @@ func TestProbeFillSequence(t *testing.T) {
 	if li, hit := c.Probe(4); !hit || c.State(li) != Modified {
 		t.Fatal("filled block should hit with its state")
 	}
-	// Set now full; LRU is block 0 (inserted first, never touched since).
+	// Set now full; LRU is block 0 (filled first, never touched since).
 	v, ev, _ := c.Fill(8, Shared)
 	if !ev || v.Block != 0 || v.State != Shared {
 		t.Fatalf("victim %+v evicted=%v, want block 0 Shared", v, ev)
@@ -356,11 +348,11 @@ func TestProbeFillSequence(t *testing.T) {
 func TestLRUSixteenWays(t *testing.T) {
 	c := New(Config{Bytes: 16 * 64, Ways: 16, BlockBits: 6}) // one set
 	for b := uint64(0); b < 16; b++ {
-		c.Insert(b, Shared)
+		c.Fill(b, Shared)
 	}
 	order := []uint64{5, 3, 11, 0, 15, 8, 1, 14, 2, 9, 7, 12, 4, 13, 6, 10}
 	for _, b := range order {
-		i, ok := c.Lookup(b)
+		i, ok := c.Probe(b)
 		if !ok {
 			t.Fatalf("block %d missing", b)
 		}
@@ -395,7 +387,7 @@ func TestRandomizedLRUProperty(t *testing.T) {
 	for step := 0; step < 5000; step++ {
 		b := uint64(rng.Intn(300))
 		s := int(b % 8)
-		if i, ok := c.Lookup(b); ok {
+		if i, ok := c.Probe(b); ok {
 			c.Touch(i)
 			// move to front in ref
 			r := &sets[s]
@@ -408,7 +400,7 @@ func TestRandomizedLRUProperty(t *testing.T) {
 			}
 			continue
 		}
-		v, ev, _ := c.Insert(b, Shared)
+		v, ev, _ := c.Fill(b, Shared)
 		r := &sets[s]
 		if ev {
 			want := r.blocks[len(r.blocks)-1]
@@ -429,7 +421,7 @@ func TestWideSetSignatureCeiling(t *testing.T) {
 	// (Fill refuses them), so probes of such blocks must miss instead of
 	// aliasing a resident line with the same truncated signature.
 	c := New(Config{Bytes: 16 * 64, Ways: 16, BlockBits: 6}) // one set
-	c.Insert(5, Shared)
+	c.Fill(5, Shared)
 	alias := uint64(5 + 1<<16)
 	if c.Contains(alias) {
 		t.Error("out-of-range block aliased a resident line")

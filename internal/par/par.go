@@ -7,12 +7,8 @@
 // CPUs: orchestrating goroutines are cheap and unbounded, while at most
 // Workers() leaf tasks execute simultaneously. Tasks must be independent
 // — a task must never block waiting for another task's result while
-// holding its worker slot.
-//
-// The package also retains one process-wide default pool behind the
-// deprecated SetWorkers/Workers pair; Groups with a nil Pool schedule on
-// it. New code should create per-instance pools with NewPool (the public
-// tempstream.Runner does) instead of mutating process-global state.
+// holding its worker slot. There is no process-wide pool: every caller
+// creates its own with NewPool (the public tempstream.Runner does).
 package par
 
 import (
@@ -41,63 +37,21 @@ func NewPool(n int) *Pool {
 // Workers returns the pool's concurrency bound.
 func (p *Pool) Workers() int { return cap(p.sem) }
 
-var (
-	mu  sync.Mutex
-	def = NewPool(0)
-)
-
-// SetWorkers bounds the process-wide default pool. n < 1 restores the
-// default of GOMAXPROCS. The bound is snapshotted per Go call: tasks
-// scheduled before SetWorkers finish under the previous pool, so during
-// the changeover the old and new bounds can briefly overlap.
-//
-// Deprecated: process-global worker state cannot serve two callers with
-// different needs. Create a per-instance pool with NewPool and bind
-// Groups to it (tempstream.NewRunner with WithWorkers does).
-func SetWorkers(n int) {
-	p := NewPool(n)
-	mu.Lock()
-	def = p
-	mu.Unlock()
-}
-
-// Workers returns the default pool's current bound.
-//
-// Deprecated: use Pool.Workers on a per-instance pool.
-func Workers() int {
-	return current().Workers()
-}
-
-func current() *Pool {
-	mu.Lock()
-	defer mu.Unlock()
-	return def
-}
-
-// Group runs tasks on a pool and waits for them. The zero value is ready
-// to use and schedules on the process-wide default pool; set Pool before
-// the first Go call to bind the group to a per-instance pool. Group does
-// not propagate panics across goroutines; tasks are expected not to fail
-// (they report through their own results).
+// Group runs tasks on a pool and waits for them. Set Pool before the
+// first Go call; a Group without one panics. Group does not propagate
+// panics across goroutines; tasks are expected not to fail (they report
+// through their own results).
 type Group struct {
-	// Pool is the pool the group's tasks hold slots of. nil selects the
-	// process-wide default pool (SetWorkers).
+	// Pool is the pool the group's tasks hold slots of.
 	Pool *Pool
 	wg   sync.WaitGroup
-}
-
-func (g *Group) sem() chan struct{} {
-	if g.Pool != nil {
-		return g.Pool.sem
-	}
-	return current().sem
 }
 
 // Go schedules fn. The goroutine starts immediately but fn only runs once
 // a worker slot is free.
 func (g *Group) Go(fn func()) {
 	g.wg.Add(1)
-	s := g.sem()
+	s := g.Pool.sem
 	go func() {
 		defer g.wg.Done()
 		s <- struct{}{}
@@ -113,7 +67,7 @@ func (g *Group) Go(fn func()) {
 // a skip can only happen on a cancelled context.
 func (g *Group) GoCtx(ctx context.Context, fn func()) {
 	g.wg.Add(1)
-	s := g.sem()
+	s := g.Pool.sem
 	done := ctx.Done()
 	go func() {
 		defer g.wg.Done()

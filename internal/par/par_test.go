@@ -2,13 +2,14 @@ package par
 
 import (
 	"context"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
 func TestGroupRunsAll(t *testing.T) {
-	var g Group
+	g := Group{Pool: NewPool(0)}
 	var n atomic.Int64
 	for i := 0; i < 100; i++ {
 		g.Go(func() { n.Add(1) })
@@ -19,44 +20,17 @@ func TestGroupRunsAll(t *testing.T) {
 	}
 }
 
-func TestWorkerBoundRespected(t *testing.T) {
-	SetWorkers(2)
-	defer SetWorkers(0)
-	if Workers() != 2 {
-		t.Fatalf("Workers() = %d, want 2", Workers())
-	}
-	var g Group
-	var inFlight, peak atomic.Int64
-	for i := 0; i < 50; i++ {
-		g.Go(func() {
-			c := inFlight.Add(1)
-			for {
-				p := peak.Load()
-				if c <= p || peak.CompareAndSwap(p, c) {
-					break
-				}
-			}
-			inFlight.Add(-1)
-		})
-	}
-	g.Wait()
-	if peak.Load() > 2 {
-		t.Fatalf("observed %d concurrent tasks, bound is 2", peak.Load())
+// TestNewPoolDefault: a pool asked for fewer than one worker is
+// GOMAXPROCS wide.
+func TestNewPoolDefault(t *testing.T) {
+	if got, want := NewPool(0).Workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("NewPool(0).Workers() = %d, want GOMAXPROCS = %d", got, want)
 	}
 }
 
-func TestSetWorkersDefault(t *testing.T) {
-	SetWorkers(0)
-	if Workers() < 1 {
-		t.Fatalf("default Workers() = %d, want >= 1", Workers())
-	}
-}
-
-// TestPoolGroupBound checks a Group bound to its own Pool: the instance
-// bound holds and is independent of the process-wide default.
+// TestPoolGroupBound checks a Group bound to its own Pool: at most the
+// pool's width of tasks run at once.
 func TestPoolGroupBound(t *testing.T) {
-	SetWorkers(8)
-	defer SetWorkers(0)
 	p := NewPool(2)
 	if p.Workers() != 2 {
 		t.Fatalf("Pool.Workers() = %d, want 2", p.Workers())
@@ -114,7 +88,7 @@ func TestGoCtxSkipsOnCancel(t *testing.T) {
 
 // TestGoCtxRunsWithLiveContext: with a live context GoCtx behaves as Go.
 func TestGoCtxRunsWithLiveContext(t *testing.T) {
-	var g Group
+	g := Group{Pool: NewPool(0)}
 	var n atomic.Int64
 	for i := 0; i < 20; i++ {
 		g.GoCtx(context.Background(), func() { n.Add(1) })
@@ -126,12 +100,11 @@ func TestGoCtxRunsWithLiveContext(t *testing.T) {
 }
 
 func TestNestedGroupsDoNotDeadlock(t *testing.T) {
-	SetWorkers(1)
-	defer SetWorkers(0)
 	// An orchestrating goroutine (plain go + Wait) fans leaf tasks into the
 	// shared pool; only leaves hold slots, so a width-1 pool must not
 	// deadlock.
-	var outer Group
+	p := NewPool(1)
+	outer := Group{Pool: p}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -140,7 +113,7 @@ func TestNestedGroupsDoNotDeadlock(t *testing.T) {
 		}
 		outer.Wait()
 	}()
-	var inner Group
+	inner := Group{Pool: p}
 	for i := 0; i < 3; i++ {
 		inner.Go(func() {})
 	}

@@ -209,6 +209,7 @@ type ResilientSession struct {
 	token         string
 	epoch         *connEpoch
 	resumeUnknown int           // consecutive resume_unknown replies for a live token
+	unknownSince  time.Time     // when the first of them arrived
 	hint          time.Duration // pending server retry_after hint
 	stats         RetryStats
 	encDone       bool
@@ -490,12 +491,21 @@ func (s *ResilientSession) classifyServerError(l controlLine) error {
 		// connection's state: the client learns of a reset the instant its
 		// write fails, while the server only parks once its decoder
 		// observes the broken read — so a fast backoff can present a
-		// perfectly good token before it is back in the table. Give the
-		// park a couple of backoffs to land; only a persistent
-		// resume_unknown means the state is truly gone.
+		// perfectly good token before it is back in the table. Most parks
+		// land within milliseconds, so the first retry keeps the policy's
+		// backoff; the second is not sent before proto.SettleTime has
+		// passed since the first reply, whatever BaseDelay is. Only a
+		// resume_unknown after that means the state is truly gone.
 		s.resumeUnknown++
-		if s.resumeUnknown < 3 {
+		switch s.resumeUnknown {
+		case 1:
+			s.unknownSince = time.Now()
 			return &retryErr{err: err, hint: hint}
+		case 2:
+			// backoff jitters a hint down to half, so ask for twice the
+			// rest of the floor.
+			rest := proto.SettleTime - time.Since(s.unknownSince)
+			return &retryErr{err: err, hint: max(hint, 2*rest)}
 		}
 		s.stats.ResumeLost++
 		return fmt.Errorf("%w: %v", ErrResumeLost, err)

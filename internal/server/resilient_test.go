@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	tempstream "repro"
 	"repro/internal/core"
 	"repro/internal/faultnet"
+	"repro/internal/proto"
 	"repro/internal/server"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -324,6 +327,137 @@ func TestResumeLostTerminal(t *testing.T) {
 		st := srv.Stats()
 		return st.ExpiredSessions == 1 && tempstream.AnalyzersInFlight() == baseAnalyzers
 	})
+}
+
+// parkRaceFront is a scripted hop in front of a real server that stages
+// the race between a client's resume and the server's park. It relays
+// every connection, but cuts the first one right after relaying the
+// server's first ack of a data frame, and answers resume_unknown itself
+// to any resume that arrives within proto.SettleTime of that cut — as a
+// server would whose session goroutine has not yet noticed the broken
+// read and parked. Later resumes are relayed, and the server accepts
+// the token.
+type parkRaceFront struct {
+	ln      net.Listener
+	backend string
+	mu      sync.Mutex
+	cutAt   time.Time // zero until the first connection is cut
+	early   atomic.Int64
+}
+
+func startParkRaceFront(t *testing.T, backend string) *parkRaceFront {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	f := &parkRaceFront{ln: ln, backend: backend}
+	go func() {
+		for first := true; ; first = false {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go f.serve(c, first)
+		}
+	}()
+	t.Cleanup(func() { ln.Close() })
+	return f
+}
+
+func (f *parkRaceFront) serve(c net.Conn, first bool) {
+	defer c.Close()
+	br := bufio.NewReader(c)
+	line, err := br.ReadBytes('\n')
+	if err != nil {
+		return
+	}
+	var req server.Request
+	if json.Unmarshal(line, &req) == nil && req.Resume != nil && req.Resume.Token != "" {
+		f.mu.Lock()
+		cut := f.cutAt
+		f.mu.Unlock()
+		if !cut.IsZero() && time.Since(cut) < proto.SettleTime {
+			f.early.Add(1)
+			c.Write([]byte(`{"error":"unknown session token","code":"resume_unknown"}` + "\n"))
+			return
+		}
+	}
+	b, err := net.Dial("tcp", f.backend)
+	if err != nil {
+		return
+	}
+	defer b.Close()
+	if _, err := b.Write(line); err != nil {
+		return
+	}
+	go io.Copy(b, br)
+	if !first {
+		io.Copy(c, b)
+		return
+	}
+	bb := bufio.NewReader(b)
+	for {
+		l, err := bb.ReadBytes('\n')
+		if err != nil {
+			return
+		}
+		if _, err := c.Write(l); err != nil {
+			return
+		}
+		var ack struct {
+			Ack *int64 `json:"ack"`
+		}
+		if json.Unmarshal(l, &ack) == nil && ack.Ack != nil && *ack.Ack > 0 {
+			f.mu.Lock()
+			f.cutAt = time.Now()
+			f.mu.Unlock()
+			return // the deferred closes cut both legs
+		}
+	}
+}
+
+// TestResumeOutwaitsPark pins the fix for a resume outrunning its park:
+// a session with acknowledged frames that reconnects within a
+// millisecond of a cut is told resume_unknown until the server's park
+// lands, and with a BaseDelay-scaled backoff all its tolerated retries
+// would be spent inside that window. The last of them must instead wait
+// until proto.SettleTime has passed, whatever BaseDelay is, and then
+// resume the same analysis.
+func TestResumeOutwaitsPark(t *testing.T) {
+	srv := startServer(t, server.Config{})
+	misses := synthMisses(3*4096, 4, 17)
+	want := feedSession(t, srv.Addr().String(), server.Request{}, misses, 4)
+
+	front := startParkRaceFront(t, srv.Addr().String())
+	rs, err := server.DialResilient(front.ln.Addr().String(), 4, server.Request{}, server.RetryPolicy{
+		BaseDelay: time.Millisecond,
+		MaxDelay:  10 * time.Millisecond,
+		// One frame in flight: frame 0 is acked (and dropped from the
+		// ring) before frame 1 may be sent, so the cut strands acked
+		// frames and a restart from scratch is impossible.
+		RingFrames: 1,
+	})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	for _, m := range misses {
+		rs.Append(m)
+	}
+	rs.Finish(trace.Header{Misses: len(misses), Instructions: uint64(len(misses)) * 100, CPUs: 4})
+	got, err := rs.Result()
+	if err != nil {
+		t.Fatalf("Result: %v (stats %+v, %d early resumes refused)", err, rs.Stats(), front.early.Load())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed session result differs from fault-free run")
+	}
+	if st := rs.Stats(); st.Resumes != 1 || st.ResumeLost != 0 {
+		t.Errorf("stats %+v, want exactly one resume and no resume_lost", st)
+	}
+	if front.early.Load() == 0 {
+		t.Error("no resume arrived before the park: the race was not staged")
+	}
 }
 
 // TestServerExplicitShed checks the overload path: with the slot held and

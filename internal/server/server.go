@@ -118,12 +118,6 @@ type Config struct {
 	// answering the client is the daemon's job, the warehouse only
 	// rides along.
 	Archive *store.Store
-	// ShardSessions fans each analysis session's independent consumers
-	// (analyzer feed and prefetcher evaluation) across goroutines per
-	// decoded chunk (tempstream.StreamOptions.ShardConsumers). Results
-	// are byte-identical; worth enabling when the daemon has cores to
-	// spare beyond its session concurrency. Off by default.
-	ShardSessions bool
 	// Logger receives the server's structured log events (session
 	// lifecycle, parks, sheds, shutdown). nil discards them.
 	Logger *slog.Logger
@@ -795,9 +789,8 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 			}
 		}
 		ts = tempstream.NewSession(meta.CPUs, 0, tempstream.StreamOptions{
-			Analysis:       req.Analysis,
-			Prefetch:       req.Prefetch,
-			ShardConsumers: s.cfg.ShardSessions,
+			Analysis: req.Analysis,
+			Prefetch: req.Prefetch,
 		})
 		if s.cfg.Archive != nil {
 			var awErr error

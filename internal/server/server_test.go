@@ -84,10 +84,10 @@ var pfCfg = prefetch.Config{Depth: 8, HistoryLen: 20000, BufferBlocks: 2048}
 // TestServerEquivalence is the tentpole's acceptance criterion: a session
 // fed over loopback by the simulator must return results identical —
 // every ContextResult field (scalars verbatim, per-miss arrays by digest)
-// and every prefetch counter — to CollectStreaming on the same
+// and every prefetch counter — to Runner.Run on the same
 // app/seed/target. The single-chip run drives two concurrent sessions
-// (off-chip and intra-chip) from one simulation, exactly as
-// CollectStreaming fans out.
+// (off-chip and intra-chip) from one simulation, exactly as Runner.Run
+// fans out.
 func TestServerEquivalence(t *testing.T) {
 	apps := []tempstream.App{tempstream.OLTP, tempstream.Apache}
 	if testing.Short() {
@@ -98,8 +98,12 @@ func TestServerEquivalence(t *testing.T) {
 	const target = 20000
 
 	for _, app := range apps {
-		opts := tempstream.StreamOptions{Prefetch: &pfCfg}
-		want := tempstream.CollectStreaming(app, tempstream.Small, 1, target, opts)
+		want, err := tempstream.NewRunner().Run(context.Background(), tempstream.Request{
+			App: app, Scale: tempstream.Small, Seed: 1, TargetMisses: target, Prefetch: &pfCfg,
+		})
+		if err != nil {
+			t.Fatalf("%v: Run: %v", app, err)
+		}
 		req := server.Request{Prefetch: &pfCfg}
 
 		got := make(map[tempstream.Context]*server.SessionResult)
@@ -110,7 +114,6 @@ func TestServerEquivalence(t *testing.T) {
 			App: app, Machine: workload.MultiChip, Scale: workload.Small,
 			Seed: 1, TargetMisses: target,
 		}, mcSess, nil)
-		var err error
 		if got[tempstream.MultiChipCtx], err = mcSess.Result(); err != nil {
 			t.Fatalf("%v multi-chip: %v", app, err)
 		}

@@ -146,7 +146,7 @@ func TestCMPSingleDirtyOwner(t *testing.T) {
 			for blk := uint64(0); blk < 256; blk++ {
 				dirty := 0
 				for c := 0; c < ncpu; c++ {
-					if i, ok := m.l1d[c].Lookup(blk); ok && m.l1d[c].State(i).Dirty() {
+					if i, ok := m.l1d[c].Probe(blk); ok && m.l1d[c].State(i).Dirty() {
 						dirty++
 					}
 				}

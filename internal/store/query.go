@@ -104,7 +104,7 @@ func (s *Store) Select(q Query) []Entry {
 // they reach the inner sink; the header passes through untouched (rate
 // figures keep referring to the whole recording).
 type filterSink struct {
-	inner   trace.BatchSink
+	inner   trace.Sink
 	q       Query
 	st      *trace.SymbolTable
 	scratch []trace.Miss
@@ -123,7 +123,7 @@ func (f *filterSink) AppendBatch(ms []trace.Miss) {
 			f.scratch = append(f.scratch, m)
 		}
 	}
-	f.inner.AppendBatch(f.scratch)
+	trace.AppendAll(f.inner, f.scratch)
 }
 
 func (f *filterSink) Finish(h trace.Header) { f.inner.Finish(h) }
@@ -158,9 +158,8 @@ func (s *Store) Stream(e Entry, sink trace.Sink, q Query) (wire.Trailer, error) 
 	}
 	defer f.Close()
 
-	out := asBatchSink(sink)
 	if q.filtered() {
-		out = &filterSink{inner: out, q: q, st: st}
+		sink = &filterSink{inner: sink, q: q, st: st}
 	}
 	var tr wire.Trailer
 	var runErr error
@@ -169,9 +168,9 @@ func (s *Store) Stream(e Entry, sink trace.Sink, q Query) (wire.Trailer, error) 
 		if to <= 0 {
 			to = -1
 		}
-		tr, runErr = dec.RunRange(out, q.From, to)
+		tr, runErr = dec.RunRange(sink, q.From, to)
 	} else {
-		tr, runErr = dec.Run(out)
+		tr, runErr = dec.Run(sink)
 	}
 	if runErr != nil {
 		return wire.Trailer{}, &CorruptError{ID: e.ID, Reason: "decode failed", Err: runErr}
@@ -202,22 +201,6 @@ func (s *Store) openDecoder(e Entry) (*wire.Decoder, *os.File, error) {
 			Reason: fmt.Sprintf("stream declares %d cpus, manifest says %d", meta.CPUs, e.CPUs)}
 	}
 	return dec, f, nil
-}
-
-// asBatchSink adapts any sink to the batch interface Stream drives.
-func asBatchSink(s trace.Sink) trace.BatchSink {
-	if b, ok := s.(trace.BatchSink); ok {
-		return b
-	}
-	return batchAdapter{s}
-}
-
-type batchAdapter struct{ trace.Sink }
-
-func (a batchAdapter) AppendBatch(ms []trace.Miss) {
-	for _, m := range ms {
-		a.Sink.Append(m)
-	}
 }
 
 // Result is one archive's analysis under a query: the entry, the

@@ -15,9 +15,9 @@ import (
 // fine-grained.
 const PipeChunk = 4096
 
-// DefaultPipeDepth is the ring bound used when a Pipelined is created
-// with depth < 1: enough in-flight chunks to ride out consumer
-// scheduling hiccups, at O(100 KB) of buffered records.
+// DefaultPipeDepth is every Pipelined's ring bound in chunks: enough
+// in-flight chunks to ride out consumer scheduling hiccups, at O(100 KB)
+// of buffered records.
 const DefaultPipeDepth = 8
 
 // pipeItem is one ring entry: a chunk of records, or the end-of-stream
@@ -38,10 +38,10 @@ type pipeItem struct {
 // byte-identical to driving it inline, because the pipeline reorders
 // nothing and the downstream sink still runs single-goroutine.
 //
-// Memory is bounded by depth chunks in the ring plus one being filled
-// and one being consumed; a slow consumer backpressures the producer
-// through a blocking ring push. Consumed chunks recycle through a free
-// list, so a steady-state pipeline allocates nothing per chunk.
+// Memory is bounded by DefaultPipeDepth chunks in the ring plus one
+// being filled and one being consumed; a slow consumer backpressures the
+// producer through a blocking ring push. Consumed chunks recycle through
+// a free list, so a steady-state pipeline allocates nothing per chunk.
 //
 // Lifecycle: drive Append/AppendBatch/Finish as usual from one
 // producer goroutine, then call Close exactly once — after Finish for
@@ -81,7 +81,6 @@ type PipeStats struct {
 	ConsumerStalls      uint64  `json:"consumer_stalls"`
 	Chunks              uint64  `json:"chunks"`
 	FreelistMisses      uint64  `json:"freelist_misses"`
-	RingDepth           int     `json:"ring_depth"`
 	ConsumerBusySeconds float64 `json:"consumer_busy_seconds"`
 }
 
@@ -94,41 +93,32 @@ func (p *Pipelined) Stats() PipeStats {
 		ConsumerStalls:      cons,
 		Chunks:              p.chunks.Load(),
 		FreelistMisses:      p.freelistMiss.Load(),
-		RingDepth:           p.ring.Cap(),
 		ConsumerBusySeconds: float64(p.consumerBusyNs.Load()) / 1e9,
 	}
 }
 
 // Add accumulates other into s (for totals across a run's pipelines).
-// RingDepth takes the max, being a configuration, not a flow count.
 func (s *PipeStats) Add(other PipeStats) {
 	s.ProducerStalls += other.ProducerStalls
 	s.ConsumerStalls += other.ConsumerStalls
 	s.Chunks += other.Chunks
 	s.FreelistMisses += other.FreelistMisses
 	s.ConsumerBusySeconds += other.ConsumerBusySeconds
-	if other.RingDepth > s.RingDepth {
-		s.RingDepth = other.RingDepth
-	}
 }
 
 var _ BatchSink = (*Pipelined)(nil)
 
 // NewPipelined starts a pipeline in front of dst with a ring bound of
-// depth chunks (depth < 1 selects DefaultPipeDepth) and spawns its
-// consumer goroutine. dst must not be driven by anyone else until
-// Close returns.
-func NewPipelined(dst Sink, depth int) *Pipelined {
-	if depth < 1 {
-		depth = DefaultPipeDepth
-	}
+// DefaultPipeDepth chunks and spawns its consumer goroutine. dst must
+// not be driven by anyone else until Close returns.
+func NewPipelined(dst Sink) *Pipelined {
 	p := &Pipelined{
 		dst:  dst,
-		ring: par.NewSPSC[pipeItem](depth),
+		ring: par.NewSPSC[pipeItem](DefaultPipeDepth),
 		// Ring slots + the chunk being filled + the one being consumed
 		// can all hold distinct buffers; capacity for all of them keeps
 		// the steady state allocation-free.
-		free: make(chan []Miss, depth+2),
+		free: make(chan []Miss, DefaultPipeDepth+2),
 		done: make(chan struct{}),
 	}
 	p.chunk = p.newChunk()

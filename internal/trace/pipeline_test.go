@@ -21,7 +21,7 @@ func TestPipelinedEquivalence(t *testing.T) {
 	want.Finish(h)
 
 	got := &trace.Trace{}
-	p := trace.NewPipelined(got, 2)
+	p := trace.NewPipelined(got)
 	// Odd split sizes so batch boundaries and PipeChunk boundaries
 	// interleave: records, a large batch, an empty batch, the rest.
 	for _, m := range ms[:100] {
@@ -46,7 +46,7 @@ func TestPipelinedEquivalence(t *testing.T) {
 // return with the consumer goroutine gone.
 func TestPipelinedCloseWithoutFinish(t *testing.T) {
 	got := &trace.Trace{}
-	p := trace.NewPipelined(got, 2)
+	p := trace.NewPipelined(got)
 	ms := sinktest.Misses(trace.PipeChunk+10, 2)
 	p.AppendBatch(ms)
 	if err := p.Close(); err != nil {
@@ -80,7 +80,7 @@ func TestPipelinedConformance(t *testing.T) {
 	for _, n := range []int{1, trace.PipeChunk - 1, trace.PipeChunk, trace.PipeChunk + 1, 3 * trace.PipeChunk} {
 		factory := func() (trace.Sink, func() (sinktest.Observed, bool)) {
 			r := &recorder{}
-			p := trace.NewPipelined(r, 4)
+			p := trace.NewPipelined(r)
 			return p, func() (sinktest.Observed, bool) {
 				p.Close()
 				return r.observed()

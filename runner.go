@@ -36,22 +36,9 @@ type Request struct {
 	Prefetch *prefetch.Config
 	// KeepTraces materializes the per-context traces (ContextResult.Trace
 	// and the raw workload results' OffChip/IntraChip), costing O(trace)
-	// memory: the batch semantics of the deprecated entrypoints. Off by
-	// default — results then carry only headers and analyses, and peak
-	// memory is bounded by the analysis window.
+	// memory. Off by default — results then carry only headers and
+	// analyses, and peak memory is bounded by the analysis window.
 	KeepTraces bool
-	// PipelineDepth selects intra-run parallelism for this request:
-	// simulation and analysis are decoupled through a bounded SPSC chunk
-	// ring (trace.Pipelined) of this depth, so the simulator's emission
-	// overlaps the analyses on another core, and the session's independent
-	// consumers are sharded (StreamOptions.ShardConsumers). Results are
-	// byte-identical to the serial drive — the pipeline reorders nothing —
-	// so this is purely a throughput knob for multi-core hosts.
-	//
-	// 0 defers to the Runner's default (WithIntraParallelism; serial if
-	// unset); > 0 pipelines with that ring depth in chunks; < 0 forces the
-	// serial drive even on a pipelining Runner.
-	PipelineDepth int
 }
 
 // config returns the workload configuration for one machine.
@@ -77,63 +64,36 @@ func WithWorkers(n int) Option {
 	return func(r *Runner) { r.pool = par.NewPool(n) }
 }
 
-// WithIntraParallelism makes the Runner pipeline every request by
-// default: simulate→analyze decoupled over a depth-chunk SPSC ring with
-// sharded session consumers (see Request.PipelineDepth, which overrides
-// this per request). depth < 1 selects trace.DefaultPipeDepth. Results
-// are byte-identical to the serial drive; on a single-core host the
-// knob costs only the chunk handoffs.
-func WithIntraParallelism(depth int) Option {
-	if depth < 1 {
-		depth = trace.DefaultPipeDepth
-	}
-	return func(r *Runner) { r.pipeDepth = depth }
-}
-
 // Runner executes experiment Requests over its own bounded worker pool.
-// Create one with NewRunner and share it: a Runner is safe for
-// concurrent use, and all of its Run/RunAll calls schedule on the same
-// pool, so a service can cap its total simulation concurrency in one
-// place without process-global state.
-//
-// The zero Runner is also valid: it schedules on the process-wide
-// default pool (the one the deprecated SetWorkers tunes), which is what
-// the deprecated entrypoints use.
+// Create one with NewRunner (the zero Runner has no pool) and share it:
+// a Runner is safe for concurrent use, and all of its Run/RunAll calls
+// schedule on the same pool, so a service can cap its total simulation
+// concurrency in one place.
 type Runner struct {
-	pool      *par.Pool // nil = process-wide default pool
-	pipeDepth int       // default intra-run pipeline depth; 0 = serial
+	pool *par.Pool
 }
 
 // NewRunner returns a Runner with its own worker pool (default
 // GOMAXPROCS wide; see WithWorkers).
 func NewRunner(opts ...Option) *Runner {
-	r := &Runner{}
+	r := &Runner{pool: par.NewPool(0)}
 	for _, o := range opts {
 		o(r)
-	}
-	if r.pool == nil {
-		r.pool = par.NewPool(0)
 	}
 	return r
 }
 
 // Workers returns the Runner's concurrency bound.
-func (r *Runner) Workers() int {
-	if r.pool == nil {
-		return par.Workers()
-	}
-	return r.pool.Workers()
-}
+func (r *Runner) Workers() int { return r.pool.Workers() }
 
 // Run executes one Request: both machine simulations run concurrently on
-// the Runner's pool, each streaming its classified misses straight into
+// the Runner's pool, each streaming its classified misses into
 // per-context Session sinks (incremental analyzer + optional prefetcher
-// + optional kept trace), so analysis overlaps simulation and peak
-// memory is bounded by the analysis window unless traces are kept. With
-// intra-run parallelism (Request.PipelineDepth / WithIntraParallelism)
-// each stream additionally crosses an SPSC chunk ring, overlapping the
-// simulator with its analyses on further cores — byte-identical
-// results either way.
+// + optional kept trace), so peak memory is bounded by the analysis
+// window unless traces are kept. Each context's Session sits behind a
+// trace.Pipelined ring, so the simulator's emission overlaps the
+// analyses on another core; the pipeline reorders nothing, so results
+// are those of feeding each Session inline.
 //
 // Cancelling ctx stops each in-flight simulation within one engine step;
 // Run then returns ctx's error with every pooled analyzer returned and
@@ -147,40 +107,19 @@ func (r *Runner) Run(ctx context.Context, req Request) (*Experiment, error) {
 	if expect == 0 {
 		expect = workload.DefaultTargetMisses
 	}
-	depth := req.PipelineDepth
-	if depth == 0 {
-		depth = r.pipeDepth
-	}
 	opts := req.stream()
-	if depth > 0 {
-		// Pipelined requests also shard each session's independent
-		// consumers: the second cut of intra-run parallelism, with the
-		// same byte-identical-results contract.
-		opts.ShardConsumers = true
-	}
-	// pipe wraps a session in the SPSC pipeline when the request asks for
-	// it; serial requests drive the session directly.
-	pipe := func(s *Session) (trace.Sink, *trace.Pipelined) {
-		if depth <= 0 {
-			return s, nil
-		}
-		p := trace.NewPipelined(s, depth)
-		return p, p
-	}
 	exp := &Experiment{App: req.App, Scale: req.Scale, Stages: &StageStats{}}
 	var mcErr, scErr error
 	g := par.Group{Pool: r.pool}
 	g.GoCtx(ctx, func() {
 		start := time.Now()
 		s := NewSession(workload.MultiChip.CPUCount(), expect, opts)
-		sink, p := pipe(s)
-		res, err := workload.RunStreamContext(ctx, req.config(workload.MultiChip), sink, nil)
-		if p != nil {
-			// Drain the ring before touching the session: after this the
-			// session has seen every record (and, on success, the Finish).
-			p.Close()
-			exp.Stages.Pipeline[MultiChipCtx] = p.Stats()
-		}
+		p := trace.NewPipelined(s)
+		res, err := workload.RunStreamContext(ctx, req.config(workload.MultiChip), p, nil)
+		// Drain the ring before touching the session: after this the
+		// session has seen every record (and, on success, the Finish).
+		p.Close()
+		exp.Stages.Pipeline[MultiChipCtx] = p.Stats()
 		exp.Stages.MultiChipSimSeconds = time.Since(start).Seconds()
 		exp.Stages.AnalyzeSeconds[MultiChipCtx] = s.BusySeconds()
 		if err != nil {
@@ -201,15 +140,12 @@ func (r *Runner) Run(ctx context.Context, req Request) (*Experiment, error) {
 		// The intra-chip stream runs up to 40x the off-chip target (the
 		// workload runner's measurement cap).
 		intra := NewSession(workload.SingleChip.CPUCount(), 40*expect, opts)
-		offSink, offP := pipe(off)
-		intraSink, intraP := pipe(intra)
-		res, err := workload.RunStreamContext(ctx, req.config(workload.SingleChip), offSink, intraSink)
-		if offP != nil {
-			offP.Close()
-			intraP.Close()
-			exp.Stages.Pipeline[SingleChipCtx] = offP.Stats()
-			exp.Stages.Pipeline[IntraChipCtx] = intraP.Stats()
-		}
+		offP, intraP := trace.NewPipelined(off), trace.NewPipelined(intra)
+		res, err := workload.RunStreamContext(ctx, req.config(workload.SingleChip), offP, intraP)
+		offP.Close()
+		intraP.Close()
+		exp.Stages.Pipeline[SingleChipCtx] = offP.Stats()
+		exp.Stages.Pipeline[IntraChipCtx] = intraP.Stats()
 		exp.Stages.SingleChipSimSeconds = time.Since(start).Seconds()
 		exp.Stages.AnalyzeSeconds[SingleChipCtx] = off.BusySeconds()
 		exp.Stages.AnalyzeSeconds[IntraChipCtx] = intra.BusySeconds()

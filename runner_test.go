@@ -6,26 +6,17 @@ import (
 	"testing"
 )
 
-// TestRunnerRunMatchesDeprecatedCollect pins the migration contract: a
-// Runner with its own pool, given a KeepTraces request, must produce the
-// experiment the deprecated batch entrypoint produces — field for field,
-// traces included. (The deprecated entrypoint is itself pinned against
-// the strictly serial reference by TestConcurrentCollectMatchesSerial,
-// so this transitively pins Runner.Run to the seed semantics.)
-func TestRunnerRunMatchesDeprecatedCollect(t *testing.T) {
-	want := collect(t, Apache)
-	r := NewRunner(WithWorkers(2))
-	got, err := r.Run(context.Background(), Request{
-		App: Apache, Scale: Small, Seed: 1, TargetMisses: 35000, KeepTraces: true,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	compareExperiments(t, got, want)
+// TestRunnerRunMatchesSerial pins Run to the seed semantics at the
+// default warm-up: the shared experiment cache, which every figure test
+// reads, must be the serial reference's experiment — field for field,
+// traces included.
+func TestRunnerRunMatchesSerial(t *testing.T) {
+	compareExperiments(t, collect(t, Apache), expectFor(fullReference(Apache), collectRequest(Apache)))
 }
 
 // TestRunnerStreamingResultShape checks Run's native (no KeepTraces)
-// mode: no traces anywhere, headers folded, all contexts analyzed.
+// mode: no traces anywhere, headers folded, all contexts analyzed, and
+// every context's stream carried through its pipeline.
 func TestRunnerStreamingResultShape(t *testing.T) {
 	exp, err := NewRunner().Run(context.Background(), Request{
 		App: Apache, Scale: Small, Seed: 1, TargetMisses: 4000,
@@ -46,6 +37,9 @@ func TestRunnerStreamingResultShape(t *testing.T) {
 		}
 		if cr.Header.Misses == 0 || cr.Header.CPUs == 0 {
 			t.Errorf("context %v header not folded: %+v", c, cr.Header)
+		}
+		if p := exp.Stages.Pipeline[c]; p.Chunks == 0 {
+			t.Errorf("context %v crossed no pipeline chunks: %+v", c, p)
 		}
 	}
 }

@@ -22,15 +22,6 @@ type StreamOptions struct {
 	// memory again. Off by default: streaming results carry only headers
 	// and analyses.
 	KeepTraces bool
-	// ShardConsumers fans the session's independent consumers out across
-	// goroutines per chunk: the prefetcher evaluation runs concurrently
-	// with the analyzer feed, joining before the chunk returns. The
-	// consumers are independent state machines that each see the chunk in
-	// record order, so results are byte-identical to the serial drive; the
-	// fork/join is internal, preserving the Sink contract's
-	// single-goroutine drive for the caller. Only profitable with a
-	// prefetcher attached and idle cores; off by default.
-	ShardConsumers bool
 }
 
 // streamChunk bounds the Session's batching buffer (misses). Feeding the
@@ -63,12 +54,16 @@ const (
 // Session is the streaming consumer of one classified miss stream: a
 // trace.Sink that tees each record into a pooled incremental analyzer, an
 // optional prefetcher evaluation, and an optional materializing trace,
-// amortizing the per-record work over bounded chunks. It is the shared
-// entry point of every streaming consumer in the system: Runner.Run
-// drives one Session per analysis context, and the tsserved ingest daemon
-// binds one to each network session (internal/server), so a stream fed
-// over the wire lands in exactly the machinery an in-process collection
-// uses.
+// amortizing the per-record work over bounded chunks. With a prefetcher
+// attached, each chunk's evaluation runs on its own goroutine alongside
+// the analyzer feed and joins before the chunk returns: the two are
+// independent state machines that each see the chunk in record order,
+// so the fork reorders nothing, and the caller still drives a strictly
+// serial Sink. It is the shared entry point of every streaming consumer
+// in the system: Runner.Run drives one Session per analysis context, and
+// the tsserved ingest daemon binds one to each network session
+// (internal/server), so a stream fed over the wire lands in exactly the
+// machinery an in-process collection uses.
 //
 // Peak memory is O(window): once the analyzer's window is full and no
 // other consumer is attached, further records are dropped in O(1) with no
@@ -91,10 +86,9 @@ type Session struct {
 	ev     *prefetch.Evaluator
 	tr     *trace.Trace
 	header trace.Header
-	// evDone, when non-nil, selects the sharded drive: consume forks the
-	// evaluator onto its own goroutine per chunk and joins on this
-	// capacity-1 channel (reused across chunks, so sharding allocates
-	// nothing per chunk).
+	// evDone joins the evaluator's per-chunk goroutine: capacity 1 and
+	// reused across chunks, so the fork allocates nothing per chunk. Set
+	// exactly when ev is.
 	evDone chan struct{}
 	// busyNs accrues wall-clock spent inside consume — the session's
 	// analyze time, as distinct from the simulate time of whoever drives
@@ -117,9 +111,7 @@ func NewSession(cpus, expect int, opts StreamOptions) *Session {
 	s.an.Grow(expect)
 	if opts.Prefetch != nil {
 		s.ev = prefetch.NewEvaluator(*opts.Prefetch)
-		if opts.ShardConsumers {
-			s.evDone = make(chan struct{}, 1)
-		}
+		s.evDone = make(chan struct{}, 1)
 	}
 	if opts.KeepTraces {
 		s.tr = &trace.Trace{}
@@ -153,15 +145,14 @@ func (s *Session) flush() {
 
 // consume runs every consumer over ms in record order — the shared path
 // behind Append's chunk buffer and AppendBatch's direct delivery. ms is
-// only borrowed (each consumer copies what it keeps). With
-// ShardConsumers the prefetcher evaluation runs on its own goroutine
-// concurrently with the analyzer feed — both read ms, neither writes it
-// — and consume joins before returning, so the caller still sees a
-// strictly serial Sink.
+// only borrowed (each consumer copies what it keeps). The prefetcher
+// evaluation, when attached, runs on its own goroutine concurrently with
+// the analyzer feed — both read ms, neither writes it — and consume
+// joins before returning.
 func (s *Session) consume(ms []trace.Miss) {
 	start := time.Now()
 	defer func() { s.busyNs += int64(time.Since(start)) }()
-	if s.evDone != nil && len(ms) > 0 {
+	if s.ev != nil && len(ms) > 0 {
 		go func() {
 			for i := range ms {
 				s.ev.Step(ms[i])
@@ -172,11 +163,6 @@ func (s *Session) consume(ms []trace.Miss) {
 		<-s.evDone
 	} else {
 		s.an.FeedAll(ms)
-		if s.ev != nil {
-			for i := range ms {
-				s.ev.Step(ms[i])
-			}
-		}
 	}
 	if s.tr != nil {
 		s.tr.Misses = append(s.tr.Misses, ms...)
@@ -288,9 +274,3 @@ func (s *Session) Close() error {
 // driving goroutine, or after the drive has quiesced (after Finish, or
 // after a wrapping Pipelined's Close).
 func (s *Session) BusySeconds() float64 { return float64(s.busyNs) / 1e9 }
-
-// Abandon discards a session without computing results.
-//
-// Deprecated: use Close, which additionally reports whether a live
-// stream was discarded.
-func (s *Session) Abandon() { s.Close() }

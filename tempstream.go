@@ -19,8 +19,7 @@
 // stream as the simulators produce it, so nothing is materialized and
 // peak memory is bounded by the analysis window instead of the trace.
 // Request.KeepTraces additionally materializes the per-context traces,
-// recovering the batch results of the deprecated Collect entrypoints
-// field for field.
+// field for field the traces a batch simulation would have collected.
 //
 // Sweeps fan out with RunAll, which yields experiments as they complete:
 //
@@ -151,30 +150,28 @@ type Experiment struct {
 	SingleChip *workload.Result
 	// Stages traces where the run's wall-clock went (simulate vs analyze
 	// per machine and context, pipeline stall counters). Always populated
-	// by Runner.Run; nil on experiments built by other paths (deprecated
-	// batch entrypoints, hand-assembled tests).
+	// by Runner.Run; nil on experiments built by other paths
+	// (hand-assembled tests).
 	Stages *StageStats
 }
 
 // StageStats is one run's stage-level trace: the simulate/analyze
-// wall-clock split and, for pipelined runs, the SPSC ring counters that
-// say which side stalled. It answers "where did this run's time go"
+// wall-clock split and the SPSC ring counters that say which side
+// stalled. It answers "where did this run's time go"
 // without a profiler — tsbench folds the counters into BENCH artifacts,
 // and the /metrics totals on long-running processes aggregate the same
 // numbers fleet-wide.
 type StageStats struct {
 	// MultiChipSimSeconds and SingleChipSimSeconds are each machine
-	// task's wall-clock: simulation plus — for a serial drive — the
-	// analysis work interleaved on the same goroutine. The two tasks run
-	// concurrently, so they overlap rather than sum.
+	// task's wall-clock, from session setup to the drained pipeline. The
+	// two tasks run concurrently, so they overlap rather than sum.
 	MultiChipSimSeconds  float64 `json:"multi_chip_sim_seconds"`
 	SingleChipSimSeconds float64 `json:"single_chip_sim_seconds"`
 	// AnalyzeSeconds is wall-clock inside each context's Session
-	// consumers (indexed by Context) — on a pipelined run this time is
-	// on the consumer goroutine, overlapped with simulation.
+	// consumers (indexed by Context), spent on the pipeline's consumer
+	// goroutine, overlapped with simulation.
 	AnalyzeSeconds [NumContexts]float64 `json:"analyze_seconds"`
-	// Pipeline holds each context's ring counters (indexed by Context);
-	// zero-valued for serial runs, which cross no ring.
+	// Pipeline holds each context's ring counters (indexed by Context).
 	Pipeline [NumContexts]trace.PipeStats `json:"pipeline"`
 }
 

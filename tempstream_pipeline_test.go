@@ -33,113 +33,46 @@ func pipelineDigest(c *ContextResult) uint64 {
 	return h.Sum64()
 }
 
-// TestPipelinedMatchesSerialAllApps is the intra-run parallelism
-// equivalence guard: a Runner with the pipeline and consumer sharding
-// on (simulation decoupled from analysis over the SPSC ring, prefetch
-// evaluation forked per chunk) must reproduce the serial batch
-// collection field for field, for every application. Run under -race
-// in CI, this is also the data-race proof for the ring handoff and the
-// sharded consumers.
+// TestPipelinedMatchesSerialAllApps is the kept-trace equivalence
+// guard: Runner.Run with KeepTraces, without and with a prefetcher
+// (simulation decoupled from analysis over the SPSC ring, prefetch
+// evaluation forked per chunk), must reproduce the serial reference
+// field for field — traces, raw results, analyses and prefetch
+// counters — for every application. Run under -race in CI, this is
+// also the data-race proof for the ring handoff and the forked
+// evaluator.
 func TestPipelinedMatchesSerialAllApps(t *testing.T) {
 	apps := Apps()
 	if testing.Short() {
 		apps = apps[:1] // one app keeps -short sweeps fast; CI race runs all
 	}
-	r := NewRunner(WithIntraParallelism(4))
+	r := NewRunner()
 	for _, app := range apps {
-		batch := collect(t, app)
-		exp, err := r.Run(context.Background(), Request{
-			App: app, Scale: Small, Seed: 1, TargetMisses: 35000,
-			Prefetch: &streamPfCfg,
-		})
-		if err != nil {
-			t.Fatalf("%v: pipelined Run: %v", app, err)
-		}
-		for _, ctx := range Contexts() {
-			b, s := batch.Context(ctx), exp.Context(ctx)
-			if want := headerOf(b.Trace); s.Header != want {
-				t.Errorf("%v %v: header %+v, want %+v", app, ctx, s.Header, want)
+		for _, pf := range []*prefetch.Config{nil, &streamPfCfg} {
+			req := equivRequest(app)
+			req.KeepTraces, req.Prefetch = true, pf
+			exp, err := r.Run(context.Background(), req)
+			if err != nil {
+				t.Fatalf("%v: Run: %v", app, err)
 			}
-			ba, sa := b.Analysis, s.Analysis
-			if !reflect.DeepEqual(sa.Misses, ba.Misses) {
-				t.Errorf("%v %v: analysis windows differ (digest %#x vs %#x)",
-					app, ctx, pipelineDigest(s), pipelineDigest(b))
-			}
-			if !reflect.DeepEqual(sa.State, ba.State) {
-				t.Errorf("%v %v: per-miss stream states differ", app, ctx)
-			}
-			if !reflect.DeepEqual(sa.Strided, ba.Strided) {
-				t.Errorf("%v %v: stride flags differ", app, ctx)
-			}
-			if !reflect.DeepEqual(sa.Instances, ba.Instances) {
-				t.Errorf("%v %v: stream instances differ", app, ctx)
-			}
-			if !reflect.DeepEqual(sa.ReuseDist.Buckets(), ba.ReuseDist.Buckets()) {
-				t.Errorf("%v %v: reuse-distance histograms differ", app, ctx)
-			}
-			if sa.GrammarRules() != ba.GrammarRules() {
-				t.Errorf("%v %v: grammar rules %d vs %d", app, ctx, sa.GrammarRules(), ba.GrammarRules())
-			}
-			if s.Prefetch == nil {
-				t.Fatalf("%v %v: no prefetch counters", app, ctx)
-			}
-			if want := prefetch.Evaluate(b.Trace, streamPfCfg); *s.Prefetch != want {
-				t.Errorf("%v %v: prefetch counters %+v, want %+v (sharded evaluator diverged)",
-					app, ctx, *s.Prefetch, want)
-			}
+			compareExperiments(t, exp, expectFor(reference(app), req))
 		}
 	}
 }
 
-// TestPipelinedKeepTraces sends a kept trace through the ring: the
-// materialized records must be byte-identical to the batch trace, per
-// position — the strictest "pipeline reorders nothing" check.
+// TestPipelinedKeepTraces checks the kept traces of the shared
+// experiment cache, which crossed the ring at the default warm-up, per
+// position against the serial reference's — the strictest "pipeline
+// reorders nothing" check at the configuration every figure test reads.
 func TestPipelinedKeepTraces(t *testing.T) {
-	batch := collect(t, Apache)
-	r := NewRunner()
-	exp, err := r.Run(context.Background(), Request{
-		App: Apache, Scale: Small, Seed: 1, TargetMisses: 35000,
-		KeepTraces: true, PipelineDepth: 2, // per-request knob, tiny ring: maximal backpressure
-	})
-	if err != nil {
-		t.Fatalf("pipelined Run: %v", err)
-	}
+	got, want := collect(t, Apache), fullReference(Apache)
 	for _, ctx := range Contexts() {
-		b, s := batch.Context(ctx), exp.Context(ctx)
-		if s.Trace == nil {
+		g, w := got.Context(ctx), want.Context(ctx)
+		if g.Trace == nil {
 			t.Fatalf("%v: KeepTraces produced no trace", ctx)
 		}
-		if !reflect.DeepEqual(s.Trace.Misses, b.Trace.Misses) {
-			t.Errorf("%v: pipelined trace differs from batch", ctx)
-		}
-	}
-}
-
-// TestPipelineDepthOverride checks the per-request knob wins over the
-// Runner default in both directions (forced serial on a pipelining
-// Runner, pipelined on a serial Runner) by confirming both still
-// produce the serial results.
-func TestPipelineDepthOverride(t *testing.T) {
-	batch := collect(t, OLTP)
-	for _, tc := range []struct {
-		name string
-		r    *Runner
-		req  Request
-	}{
-		{"forced-serial", NewRunner(WithIntraParallelism(0)),
-			Request{App: OLTP, Scale: Small, Seed: 1, TargetMisses: 35000, PipelineDepth: -1}},
-		{"forced-pipelined", NewRunner(),
-			Request{App: OLTP, Scale: Small, Seed: 1, TargetMisses: 35000, PipelineDepth: 3}},
-	} {
-		exp, err := tc.r.Run(context.Background(), tc.req)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		for _, ctx := range Contexts() {
-			b, s := batch.Context(ctx), exp.Context(ctx)
-			if got, want := pipelineDigest(s), pipelineDigest(b); got != want {
-				t.Errorf("%s %v: window digest %#x, want %#x", tc.name, ctx, got, want)
-			}
+		if !reflect.DeepEqual(g.Trace.Misses, w.Trace.Misses) {
+			t.Errorf("%v: pipelined trace differs from serial", ctx)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package tempstream
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -13,77 +14,54 @@ import (
 // the equivalence sweep.
 var streamPfCfg = prefetch.Config{Depth: 8, HistoryLen: 20000, BufferBlocks: 2048}
 
-// TestStreamingMatchesBatchAllApps is the tentpole's equivalence guard:
-// CollectStreaming must reproduce Collect field for field — per-context
-// headers, every per-miss analysis field, the distribution summaries, and
-// the prefetch counters — for every application. The batch side reuses the
-// shared experiment cache, so the streaming runs are the only extra
-// simulations.
+// TestStreamingMatchesBatchAllApps is the streaming equivalence guard:
+// Runner.Run without kept traces, with and without a prefetcher, must
+// reproduce the serial reference field for field — per-context
+// headers, every per-miss analysis field, the distribution summaries,
+// the raw results, and prefetch.Evaluate's counters over the reference
+// traces — for every application, while materializing no trace.
 func TestStreamingMatchesBatchAllApps(t *testing.T) {
 	apps := Apps()
 	if testing.Short() {
 		apps = apps[:1] // one app keeps -short sweeps fast; CI race runs all
 	}
+	r := NewRunner()
 	for _, app := range apps {
-		batch := collect(t, app)
-		stream := CollectStreaming(app, Small, 1, 35000, StreamOptions{Prefetch: &streamPfCfg})
-		for _, ctx := range Contexts() {
-			b, s := batch.Context(ctx), stream.Context(ctx)
-			if s.Trace != nil {
-				t.Errorf("%v %v: streaming result materialized a trace", app, ctx)
+		for _, pf := range []*prefetch.Config{nil, &streamPfCfg} {
+			req := equivRequest(app)
+			req.Prefetch = pf
+			exp, err := r.Run(context.Background(), req)
+			if err != nil {
+				t.Fatalf("%v: Run: %v", app, err)
 			}
-			if want := headerOf(b.Trace); s.Header != want {
-				t.Errorf("%v %v: header %+v, want %+v", app, ctx, s.Header, want)
-			}
-			ba, sa := b.Analysis, s.Analysis
-			if len(sa.Misses) != len(ba.Misses) {
-				t.Fatalf("%v %v: window %d vs %d misses", app, ctx, len(sa.Misses), len(ba.Misses))
-			}
-			if !reflect.DeepEqual(sa.Misses, ba.Misses) {
-				t.Errorf("%v %v: analysis windows differ", app, ctx)
-			}
-			if !reflect.DeepEqual(sa.State, ba.State) {
-				t.Errorf("%v %v: per-miss stream states differ", app, ctx)
-			}
-			if !reflect.DeepEqual(sa.Strided, ba.Strided) {
-				t.Errorf("%v %v: stride flags differ", app, ctx)
-			}
-			if !reflect.DeepEqual(sa.Instances, ba.Instances) {
-				t.Errorf("%v %v: stream instances differ (%d vs %d)",
-					app, ctx, len(sa.Instances), len(ba.Instances))
-			}
-			if !reflect.DeepEqual(sa.ReuseDist.Buckets(), ba.ReuseDist.Buckets()) {
-				t.Errorf("%v %v: reuse-distance histograms differ", app, ctx)
-			}
-			if sa.MedianStreamLength() != ba.MedianStreamLength() {
-				t.Errorf("%v %v: median stream length %v vs %v",
-					app, ctx, sa.MedianStreamLength(), ba.MedianStreamLength())
-			}
-			if sa.GrammarRules() != ba.GrammarRules() {
-				t.Errorf("%v %v: grammar rules %d vs %d", app, ctx, sa.GrammarRules(), ba.GrammarRules())
-			}
-			if s.Prefetch == nil {
-				t.Fatalf("%v %v: no prefetch counters", app, ctx)
-			}
-			if want := prefetch.Evaluate(b.Trace, streamPfCfg); *s.Prefetch != want {
-				t.Errorf("%v %v: prefetch counters %+v, want %+v", app, ctx, *s.Prefetch, want)
-			}
+			compareExperiments(t, exp, expectFor(reference(app), req))
 		}
 	}
 }
 
-// TestStreamingKeepTraces checks the KeepTraces escape hatch: the
-// materialized streaming traces must be byte-identical to the batch ones.
+// TestStreamingKeepTraces checks that KeepTraces keeps the whole stream
+// even when the analysis window is far shorter: the traces must be the
+// serial reference's, record for record, although the analyzer stopped
+// reading after the window filled.
 func TestStreamingKeepTraces(t *testing.T) {
-	batch := collect(t, Apache)
-	stream := CollectStreaming(Apache, Small, 1, 35000, StreamOptions{KeepTraces: true})
+	const window = 4000
+	req := equivRequest(Apache)
+	req.Analysis.MaxMisses, req.KeepTraces = window, true
+	exp, err := NewRunner().Run(context.Background(), req)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	ref := reference(Apache)
 	for _, ctx := range Contexts() {
-		b, s := batch.Context(ctx), stream.Context(ctx)
+		s, b := exp.Context(ctx), ref.Context(ctx)
 		if s.Trace == nil {
 			t.Fatalf("%v: KeepTraces produced no trace", ctx)
 		}
+		if len(s.Analysis.Misses) != window {
+			t.Errorf("%v: analysis window %d misses, want %d", ctx, len(s.Analysis.Misses), window)
+		}
 		if !reflect.DeepEqual(s.Trace.Misses, b.Trace.Misses) {
-			t.Errorf("%v: materialized streaming trace differs from batch", ctx)
+			t.Errorf("%v: materialized streaming trace differs from the serial reference", ctx)
 		}
 		if s.Trace.Instructions != b.Trace.Instructions || s.Trace.CPUs != b.Trace.CPUs {
 			t.Errorf("%v: trace header %d/%d vs %d/%d", ctx,
@@ -92,13 +70,15 @@ func TestStreamingKeepTraces(t *testing.T) {
 	}
 }
 
-// streamAllocBytes measures the heap bytes one streaming collection
-// allocates end to end.
-func streamAllocBytes(target int, opts StreamOptions) uint64 {
+// streamAllocBytes measures the heap bytes one streaming Run allocates
+// end to end.
+func streamAllocBytes(target int, analysis core.Options) uint64 {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	CollectStreaming(OLTP, Small, 9, target, opts)
+	NewRunner().Run(context.Background(), Request{
+		App: OLTP, Scale: Small, Seed: 9, TargetMisses: target, Analysis: analysis,
+	})
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
 }
@@ -112,7 +92,7 @@ func TestStreamingBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping memory-growth sweep in short mode")
 	}
-	opts := StreamOptions{Analysis: core.Options{MaxMisses: 4000}}
+	opts := core.Options{MaxMisses: 4000}
 	streamAllocBytes(6000, opts) // warm pools and lazily-grown storage
 	base := streamAllocBytes(6000, opts)
 	big := streamAllocBytes(4*6000, opts)

@@ -1,6 +1,7 @@
 package tempstream
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -12,6 +13,12 @@ type tCat = trace.Category
 func crossCats() []tCat { return trace.CrossAppCategories() }
 func dbCats() []tCat    { return trace.DBCategories() }
 
+// testTarget is the shared per-machine miss target of the cached
+// experiments. The window must span the I/O buffer recycle distance
+// (~16k misses for DSS) for recurrence to be observable, as in the
+// paper's billion-instruction traces.
+const testTarget = 35000
+
 // Experiments are expensive; collect each app once for the whole test
 // binary (benchmarks share this cache too).
 var (
@@ -19,6 +26,13 @@ var (
 	expCache = map[App]*Experiment{}
 )
 
+// collectRequest is the configuration of app's cached experiment.
+func collectRequest(app App) Request {
+	return Request{App: app, Scale: Small, Seed: 1, TargetMisses: testTarget, KeepTraces: true}
+}
+
+// collect returns app's experiment as Runner.Run produces it for
+// collectRequest(app).
 func collect(tb testing.TB, app App) *Experiment {
 	tb.Helper()
 	expMu.Lock()
@@ -26,10 +40,10 @@ func collect(tb testing.TB, app App) *Experiment {
 	if e, ok := expCache[app]; ok {
 		return e
 	}
-	// The window must span the I/O buffer recycle distance (~16k misses
-	// for DSS) for recurrence to be observable, as in the paper's
-	// billion-instruction traces.
-	e := Collect(app, Small, 1, 35000)
+	e, err := NewRunner().Run(context.Background(), collectRequest(app))
+	if err != nil {
+		tb.Fatalf("%v: Run: %v", app, err)
+	}
 	expCache[app] = e
 	return e
 }
