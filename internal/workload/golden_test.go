@@ -19,9 +19,15 @@ import (
 // digest mismatch, so perf PRs prove byte-for-byte trace equivalence by
 // leaving this file untouched.
 //
+// That fixture runs at a short warm-up (goldenWarm), after which only the
+// construction pass has filled an L2 in volume. testdata/golden_steady_digests.json
+// pins the same twelve runs at the default warm-up, which refills every L2
+// in the system, so L2 evictions, the directory updates they make and the
+// back-invalidations they cause are all inside the pinned window.
+//
 // Regenerate (only when a behavior change is intended and reviewed):
 //
-//	go test ./internal/workload -run TestGoldenTraceDigests -update
+//	go test ./internal/workload -run 'TestGolden(Trace|Steady)Digests' -update
 
 var updateGolden = flag.Bool("update", false, "rewrite golden trace digests")
 
@@ -70,15 +76,10 @@ func goldenKey(app App, mk MachineKind) string {
 	return fmt.Sprintf("%s/%s", app, mk)
 }
 
-func goldenPath(t *testing.T) string {
-	t.Helper()
-	return filepath.Join("testdata", "golden_digests.json")
-}
-
-func runGolden(app App, mk MachineKind) goldenDigest {
+func runGolden(app App, mk MachineKind, warm int) goldenDigest {
 	res := Run(Config{
 		App: app, Machine: mk, Scale: Small,
-		Seed: goldenSeed, TargetMisses: goldenTarget, WarmMisses: goldenWarm,
+		Seed: goldenSeed, TargetMisses: goldenTarget, WarmMisses: warm,
 	})
 	g := goldenDigest{
 		OffChip:      fmt.Sprintf("%016x", digestTrace(res.OffChip)),
@@ -96,17 +97,39 @@ func runGolden(app App, mk MachineKind) goldenDigest {
 // TestGoldenTraceDigests proves the simulator still produces byte-identical
 // traces for every application on both machine organizations.
 func TestGoldenTraceDigests(t *testing.T) {
+	checkGolden(t, "golden_digests.json", goldenWarm)
+}
+
+// TestGoldenSteadyDigests is TestGoldenTraceDigests at the default warm-up
+// (WarmMisses 0), where every L2 has been refilled and evicts in steady
+// state.
+func TestGoldenSteadyDigests(t *testing.T) {
+	checkGolden(t, "golden_steady_digests.json", 0)
+}
+
+// checkGolden runs all app × machine configurations at the given warm-up
+// and compares (or, with -update, rewrites) the digests in testdata/file.
+func checkGolden(t *testing.T, file string, warm int) {
 	if testing.Short() {
 		t.Skip("skipping full golden sweep in short mode")
 	}
-	path := goldenPath(t)
+	path := filepath.Join("testdata", file)
+
+	type job struct {
+		app App
+		mk  MachineKind
+	}
+	var jobs []job
+	for _, app := range Apps() {
+		for _, mk := range []MachineKind{MultiChip, SingleChip} {
+			jobs = append(jobs, job{app, mk})
+		}
+	}
 
 	if *updateGolden {
 		got := map[string]goldenDigest{}
-		for _, app := range Apps() {
-			for _, mk := range []MachineKind{MultiChip, SingleChip} {
-				got[goldenKey(app, mk)] = runGolden(app, mk)
-			}
+		for _, j := range jobs {
+			got[goldenKey(j.app, j.mk)] = runGolden(j.app, j.mk, warm)
 		}
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -130,17 +153,6 @@ func TestGoldenTraceDigests(t *testing.T) {
 	if err := json.Unmarshal(buf, &want); err != nil {
 		t.Fatalf("corrupt golden fixtures: %v", err)
 	}
-
-	type job struct {
-		app App
-		mk  MachineKind
-	}
-	jobs := []job{}
-	for _, app := range Apps() {
-		for _, mk := range []MachineKind{MultiChip, SingleChip} {
-			jobs = append(jobs, job{app, mk})
-		}
-	}
 	for _, j := range jobs {
 		j := j
 		t.Run(goldenKey(j.app, j.mk), func(t *testing.T) {
@@ -149,7 +161,7 @@ func TestGoldenTraceDigests(t *testing.T) {
 			if !ok {
 				t.Fatalf("no golden digest for %s (run with -update)", goldenKey(j.app, j.mk))
 			}
-			got := runGolden(j.app, j.mk)
+			got := runGolden(j.app, j.mk, warm)
 			if got != w {
 				t.Errorf("trace digest drifted from golden fixture:\n got %+v\nwant %+v", got, w)
 			}
