@@ -17,13 +17,16 @@
 //   - 2-way sets (the L1s, the hottest arrays in the simulator): LRU is a
 //     single MRU byte per set — the victim is the other way — and the
 //     read-hit path is two tag compares plus a one-byte store.
-//   - 16-way sets (the L2s): a 64-byte per-set header holds 16-bit tag
-//     signatures, recency rank bytes (byte w = rank of way w, 0 = MRU)
-//     updated with branch-free SWAR arithmetic, and the valid mask. The
-//     simulated address spaces are compact, so the 16-bit signature is
-//     the EXACT tag above the set index (Fill enforces this) and a
-//     probe+touch reads and writes one host cache line without ever
-//     walking the 16 tag words.
+//   - 16-way sets (the L2s): a 64-byte per-set header holds one 16-bit
+//     signature per way, recency rank bytes (byte w = rank of way w, 0 =
+//     MRU) updated with branch-free SWAR arithmetic, and the valid mask.
+//     A way's signature lane holds the tag above the set index plus one,
+//     and 0 marks an invalid way. The simulated address spaces are
+//     compact, so that tag is EXACT (Fill enforces the range), and a
+//     probe is one zero-lane test per eight bytes of header whose first
+//     hit is the answer: a probe+touch reads and writes one host cache
+//     line without walking the 16 tag words or consulting the valid
+//     mask.
 //   - other widths (tests): one SWAR rank word per set plus a valid mask.
 //
 // Free ways come from the valid mask (or the tag words themselves for
@@ -94,9 +97,12 @@ const (
 // write a single host cache line and only consult the tag array when a
 // line's full block number or state is actually needed.
 const (
-	metaStride = 64 // bytes 0..31 sig16s, 32..47 rank bytes, 48..49 valid
+	metaStride = 64 // bytes 0..31 signature lanes, 32..47 rank bytes, 48..49 valid
 	metaRanks  = 32
 	metaValid  = 48
+
+	// maxSig bounds a wide-set signature: lanes store sig+1 in 16 bits.
+	maxSig = 0xFFFE
 )
 
 // Config sizes a cache.
@@ -122,7 +128,7 @@ type Cache struct {
 	lines     []uint64 // packed state|block words, 0 == invalid
 	mru       []uint8  // 2-way sets: most recently used way (LRU = 1-mru)
 	ranks     []uint64 // 3..8-way sets: one rank word per set
-	meta      []uint8  // wide sets: 32-byte header (signatures + ranks)
+	meta      []uint8  // wide sets: metaStride-byte header per set
 	valid     []uint16 // per-set bitmask of valid ways (unused for 2-way)
 
 	// Statistics.
@@ -205,37 +211,33 @@ func (c *Cache) Config() Config { return c.cfg }
 // line index helpers
 func (c *Cache) setOf(block uint64) int { return int(block & c.setMask) }
 
-// sigOf returns the 16-bit tag signature used by the wide-set header.
-// Fill guarantees (by panicking otherwise) that block >> setBits fits in
-// 16 bits, so the signature is the EXACT tag above the set index and a
-// signature match needs no verification against the tag array — the
-// simulated address spaces are compact (memmap), far below the
-// 2^(setBits+16)-block ceiling.
+// sigOf returns the tag signature used by the wide-set header: the tag
+// above the set index. Fill guarantees (by panicking otherwise) that it is
+// at most maxSig, so a signature match is exact and needs no verification
+// against the tag array — the simulated address spaces are compact
+// (memmap), far below the 2^setBits*maxSig-block ceiling.
 func (c *Cache) sigOf(block uint64) uint64 { return block >> c.setBits }
 
 // sigMatch scans a wide set's header for block's signature, returning the
 // matching way or -1. Only the set's one-line header is read.
 func (c *Cache) sigMatch(off int, block uint64) int {
-	if c.sigOf(block) > 0xFFFF {
+	sig := c.sigOf(block)
+	if sig > maxSig {
 		// Beyond the signature range nothing can be resident (Fill
 		// refuses such blocks), and the truncated signature must not be
 		// allowed to alias a resident line.
 		return -1
 	}
-	sl := c.sigOf(block) * l16
-	valid := uint64(binary.LittleEndian.Uint16(c.meta[off+metaValid:]))
-	for j := 0; j < c.ways*2; j += 8 {
-		z := binary.LittleEndian.Uint64(c.meta[off+j:]) ^ sl
-		// Zero-lane detect: may flag false positives (re-checked against
-		// the register value below), never false negatives.
-		m := (z - l16) & ^z & h16
-		for m != 0 {
-			lane := bits.TrailingZeros64(m) >> 4
-			way := j>>1 + lane
-			if z>>(uint(lane)*16)&0xFFFF == 0 && valid>>uint(way)&1 != 0 {
-				return way
-			}
-			m &= m - 1
+	sl := (sig + 1) * l16
+	h := c.meta[off : off+metaRanks : off+metaRanks]
+	for j := 0; j < len(h); j += 8 {
+		z := binary.LittleEndian.Uint64(h[j:]) ^ sl
+		// Zero-lane detect. A false positive needs a borrow from a true
+		// zero lane below it, so the lowest flagged lane is always a true
+		// match. Invalid ways hold 0, which no sig+1 equals, and a block
+		// is resident at most once, so the first match is the answer.
+		if m := (z - l16) & ^z & h16; m != 0 {
+			return j>>1 + bits.TrailingZeros64(m)>>4
 		}
 	}
 	return -1
@@ -462,12 +464,14 @@ func (c *Cache) SetState(i int, s State) {
 }
 
 // clearValid drops way's valid bit in whichever layout tracks it (the
-// 2-way layout derives validity from the tag words and tracks nothing).
+// 2-way layout derives validity from the tag words and tracks nothing);
+// a wide set also zeroes the way's signature lane, so probes skip it.
 func (c *Cache) clearValid(set, way int) {
 	if c.meta != nil {
-		off := set*metaStride + metaValid
-		v := binary.LittleEndian.Uint16(c.meta[off:])
-		binary.LittleEndian.PutUint16(c.meta[off:], v&^(1<<uint(way)))
+		off := set * metaStride
+		binary.LittleEndian.PutUint16(c.meta[off+2*way:], 0)
+		v := binary.LittleEndian.Uint16(c.meta[off+metaValid:])
+		binary.LittleEndian.PutUint16(c.meta[off+metaValid:], v&^(1<<uint(way)))
 	} else if c.valid != nil {
 		c.valid[set] &^= 1 << uint(way)
 	}
@@ -494,7 +498,7 @@ func (c *Cache) Fill(block uint64, s State) (victim Victim, evicted bool, line i
 	set := c.setOf(block)
 	var way int
 	if c.wide() {
-		if c.sigOf(block) > 0xFFFF {
+		if c.sigOf(block) > maxSig {
 			panic(fmt.Sprintf("cache: block %#x exceeds the wide-set signature range (compact address spaces only)", block))
 		}
 		off := set * metaStride
@@ -512,7 +516,7 @@ func (c *Cache) Fill(block uint64, s State) (victim Victim, evicted bool, line i
 		}
 		line = set<<c.waysShift + way
 		c.lines[line] = block | uint64(s)<<stateShift
-		binary.LittleEndian.PutUint16(c.meta[off+2*way:], uint16(c.sigOf(block)))
+		binary.LittleEndian.PutUint16(c.meta[off+2*way:], uint16(c.sigOf(block)+1))
 		c.touchWide(off, way)
 		return victim, evicted, line
 	}

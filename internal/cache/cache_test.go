@@ -432,10 +432,23 @@ func TestWideSetSignatureCeiling(t *testing.T) {
 	if _, hit := c.Probe(alias); hit {
 		t.Error("Probe false-hit on out-of-range block")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Fill of out-of-range block did not panic")
-		}
-	}()
-	c.Fill(alias, Shared)
+	// The last in-range signature fills and hits; the next one is out of
+	// range (its lane would overflow) and must neither hit nor fill.
+	c.Fill(maxSig, Shared)
+	if !c.Contains(maxSig) {
+		t.Error("block at the signature ceiling not resident after Fill")
+	}
+	if c.Contains(maxSig + 1) {
+		t.Error("block one past the signature ceiling aliased a resident line")
+	}
+	for _, b := range []uint64{alias, maxSig + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Fill of out-of-range block %#x did not panic", b)
+				}
+			}()
+			c.Fill(b, Shared)
+		}()
+	}
 }

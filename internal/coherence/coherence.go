@@ -1,159 +1,121 @@
-// Package coherence holds the protocol bookkeeping shared by the two
-// machine models in internal/sim: a full-map MSI directory for the 16-node
-// distributed-shared-memory system, and per-block L1 presence tracking for
-// the 4-core single-chip system's Piranha-like MOSI protocol.
+// Package coherence holds the protocol bookkeeping of the two machine
+// models in internal/sim, as one word per block: a full-map MSI directory
+// entry for the 16-node distributed-shared-memory system, and an on-chip
+// presence entry for the 4-core single-chip system's Piranha-like MOSI
+// protocol.
 //
-// Both structures are flat arrays indexed by block number, which works
-// because the simulated address space is compact (see internal/memmap).
+// The machines keep each block's word in their flat per-block state
+// record, next to the block's classifier word, so a miss reads one host
+// cache line for both. That works because the simulated address space is
+// compact (see internal/memmap). The zero value of either word is a block
+// no cache holds.
 package coherence
 
-import "math/bits"
+// MaxNodes bounds the directory's sharer bitmap width.
+const MaxNodes = 16
 
-// MaxNodes bounds the sharer bitmap width.
-const MaxNodes = 64
+// MaxCores bounds the presence entry's holder bitmap width.
+const MaxCores = 8
 
-// Directory is a full-map MSI directory: for every block it records the
-// set of sharer nodes and the exclusive owner, if any. State is implicit:
-// owner >= 0 means Modified at owner; otherwise a non-empty sharer set
-// means Shared; otherwise the block is uncached.
-type Directory struct {
-	sharers []uint64
-	owner   []int16
-}
+// DirEntry is one block's full-map MSI directory entry: the set of sharer
+// nodes (bits 0..15) and the exclusive owner plus one (bits 16..23, 0 for
+// none). State is implicit: an owner means Modified at owner; otherwise a
+// non-empty sharer set means Shared; otherwise the block is uncached.
+type DirEntry uint32
 
-// NewDirectory sizes a directory for nblocks blocks.
-func NewDirectory(nblocks uint64) *Directory {
-	d := &Directory{
-		sharers: make([]uint64, nblocks),
-		owner:   make([]int16, nblocks),
-	}
-	for i := range d.owner {
-		d.owner[i] = -1
-	}
-	return d
-}
+const (
+	dirSharers    = 1<<MaxNodes - 1
+	dirOwnerShift = MaxNodes
+)
 
-// Owner returns the exclusive owner of block, or -1.
-func (d *Directory) Owner(block uint64) int { return int(d.owner[block]) }
+// Owner returns the exclusive owner, or -1.
+func (d DirEntry) Owner() int { return int(d>>dirOwnerShift) - 1 }
 
-// Sharers returns the sharer bitmap for block (owner excluded).
-func (d *Directory) Sharers(block uint64) uint64 { return d.sharers[block] }
+// Sharers returns the sharer bitmap (the owner included).
+func (d DirEntry) Sharers() uint16 { return uint16(d) }
 
 // AddSharer records node as holding a shared copy.
-func (d *Directory) AddSharer(block uint64, node int) {
-	d.sharers[block] |= 1 << uint(node)
-}
+func (d *DirEntry) AddSharer(node int) { *d |= 1 << uint(node) }
 
-// RemoveSharer drops node's copy (used on cache evictions).
-func (d *Directory) RemoveSharer(block uint64, node int) {
-	d.sharers[block] &^= 1 << uint(node)
-	if int(d.owner[block]) == node {
-		d.owner[block] = -1
+// RemoveSharer drops node's copy (used on cache evictions); evicting the
+// owner clears ownership.
+func (d *DirEntry) RemoveSharer(node int) {
+	e := *d &^ (1 << uint(node))
+	if d.Owner() == node {
+		e &= dirSharers
 	}
+	*d = e
 }
 
 // SetOwner makes node the exclusive modified owner, clearing all sharers.
 // The caller is responsible for invalidating the previous copies.
-func (d *Directory) SetOwner(block uint64, node int) {
-	d.sharers[block] = 1 << uint(node)
-	d.owner[block] = int16(node)
+func (d *DirEntry) SetOwner(node int) {
+	*d = DirEntry(1<<uint(node) | (node+1)<<dirOwnerShift)
 }
 
 // Downgrade demotes a Modified block to Shared (owner keeps a copy).
-func (d *Directory) Downgrade(block uint64) {
-	d.owner[block] = -1
-}
+func (d *DirEntry) Downgrade() { *d &= dirSharers }
 
 // Clear removes all copies (DMA writes and non-allocating stores
 // invalidate every cache).
-func (d *Directory) Clear(block uint64) {
-	d.sharers[block] = 0
-	d.owner[block] = -1
+func (d *DirEntry) Clear() { *d = 0 }
+
+// PresenceEntry is one block's on-chip presence in the single-chip
+// system, mirroring the duplicate-tag "shadow directory" of Piranha's
+// intra-chip protocol: which cores' private L1s hold the block (bits 0..7,
+// covering both L1I and L1D), which core owns it dirty (Modified or Owned
+// in its L1D; owner plus one in bits 8..11, 0 for none), and whether the
+// shared L2 holds it (bit 12), so the L2 is probed only for blocks it has.
+type PresenceEntry uint16
+
+const (
+	presHolders    = 1<<MaxCores - 1
+	presOwnerShift = MaxCores
+	presOwnerMask  = 0xF << presOwnerShift
+	presInL2       = 1 << 12
+)
+
+// Holders returns the bitmap of cores with an L1 copy.
+func (p PresenceEntry) Holders() uint8 { return uint8(p) }
+
+// HasPeer reports whether any core other than cpu holds the block in an L1.
+func (p PresenceEntry) HasPeer(cpu int) bool {
+	return uint8(p)&^(1<<uint(cpu)) != 0
 }
 
-// ForEachSharer calls fn for every node holding a copy of block, except
-// skip (pass -1 to visit all).
-func (d *Directory) ForEachSharer(block uint64, skip int, fn func(node int)) {
-	bits := d.sharers[block]
-	for bits != 0 {
-		n := trailingZeros(bits)
-		bits &^= 1 << uint(n)
-		if n != skip {
-			fn(n)
-		}
-	}
-}
-
-// Presence tracks, for the single-chip system, which cores' private L1s
-// hold each block (a bitmap over cores, covering both L1I and L1D) and
-// which core owns it dirty (Modified or Owned in its L1D), mirroring the
-// duplicate-tag "shadow directory" of Piranha's intra-chip protocol.
-type Presence struct {
-	bits  []uint8
-	owner []int8
-}
-
-// NewPresence sizes presence tracking for nblocks blocks and up to 8 cores.
-func NewPresence(nblocks uint64) *Presence {
-	p := &Presence{
-		bits:  make([]uint8, nblocks),
-		owner: make([]int8, nblocks),
-	}
-	for i := range p.owner {
-		p.owner[i] = -1
-	}
-	return p
-}
-
-// Holders returns the bitmap of cores with an L1 copy of block.
-func (p *Presence) Holders(block uint64) uint8 { return p.bits[block] }
-
-// HasPeer reports whether any core other than cpu holds block in an L1.
-func (p *Presence) HasPeer(block uint64, cpu int) bool {
-	return p.bits[block]&^(1<<uint(cpu)) != 0
-}
-
-// Owner returns the core holding block dirty (M or O), or -1.
-func (p *Presence) Owner(block uint64) int { return int(p.owner[block]) }
+// Owner returns the core holding the block dirty (M or O), or -1.
+func (p PresenceEntry) Owner() int { return int(p&presOwnerMask>>presOwnerShift) - 1 }
 
 // Add records an L1 fill at cpu.
-func (p *Presence) Add(block uint64, cpu int) { p.bits[block] |= 1 << uint(cpu) }
+func (p *PresenceEntry) Add(cpu int) { *p |= 1 << uint(cpu) }
 
-// Remove records an L1 eviction or invalidation at cpu.
-func (p *Presence) Remove(block uint64, cpu int) {
-	p.bits[block] &^= 1 << uint(cpu)
-	if int(p.owner[block]) == cpu {
-		p.owner[block] = -1
+// Remove records an L1 eviction or invalidation at cpu; removing the owner
+// clears ownership.
+func (p *PresenceEntry) Remove(cpu int) {
+	e := *p &^ (1 << uint(cpu))
+	if p.Owner() == cpu {
+		e &^= presOwnerMask
+	}
+	*p = e
+}
+
+// SetOwner marks cpu as the dirty owner, and a holder.
+func (p *PresenceEntry) SetOwner(cpu int) {
+	*p = *p&^presOwnerMask | 1<<uint(cpu) | PresenceEntry(cpu+1)<<presOwnerShift
+}
+
+// InL2 reports whether the shared L2 holds the block.
+func (p PresenceEntry) InL2() bool { return p&presInL2 != 0 }
+
+// SetInL2 records whether the shared L2 holds the block.
+func (p *PresenceEntry) SetInL2(in bool) {
+	if in {
+		*p |= presInL2
+	} else {
+		*p &^= presInL2
 	}
 }
 
-// SetOwner marks cpu as the dirty owner of block.
-func (p *Presence) SetOwner(block uint64, cpu int) {
-	p.bits[block] |= 1 << uint(cpu)
-	p.owner[block] = int8(cpu)
-}
-
-// ClearOwner drops dirty ownership, keeping the copy (M/O -> S transitions
-// where the owner's data was written back to the L2).
-func (p *Presence) ClearOwner(block uint64) { p.owner[block] = -1 }
-
-// Clear removes every record for block (invalidation by writes, DMA, or
-// non-allocating stores).
-func (p *Presence) Clear(block uint64) {
-	p.bits[block] = 0
-	p.owner[block] = -1
-}
-
-// ForEachHolder calls fn for every core with a copy of block, except skip.
-func (p *Presence) ForEachHolder(block uint64, skip int, fn func(cpu int)) {
-	bits := p.bits[block]
-	for bits != 0 {
-		n := trailingZeros(uint64(bits))
-		bits &^= 1 << uint(n)
-		if n != skip {
-			fn(n)
-		}
-	}
-}
-
-func trailingZeros(v uint64) int { return bits.TrailingZeros64(v) }
+// Clear removes every on-chip record of the block, the L2's included
+// (invalidation by DMA or non-allocating stores).
+func (p *PresenceEntry) Clear() { *p = 0 }

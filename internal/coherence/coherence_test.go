@@ -6,86 +6,82 @@ import (
 )
 
 func TestDirectoryBasics(t *testing.T) {
-	d := NewDirectory(16)
-	if d.Owner(3) != -1 || d.Sharers(3) != 0 {
-		t.Fatal("fresh directory not empty")
+	var d DirEntry
+	if d.Owner() != -1 || d.Sharers() != 0 {
+		t.Fatal("zero directory entry not empty")
 	}
-	d.AddSharer(3, 2)
-	d.AddSharer(3, 5)
-	if d.Sharers(3) != (1<<2)|(1<<5) {
-		t.Errorf("sharers = %b", d.Sharers(3))
+	d.AddSharer(2)
+	d.AddSharer(5)
+	if d.Sharers() != (1<<2)|(1<<5) {
+		t.Errorf("sharers = %b", d.Sharers())
 	}
-	d.SetOwner(3, 7)
-	if d.Owner(3) != 7 || d.Sharers(3) != 1<<7 {
+	d.SetOwner(15)
+	if d.Owner() != 15 || d.Sharers() != 1<<15 {
 		t.Error("SetOwner must clear old sharers and install owner")
 	}
-	d.Downgrade(3)
-	if d.Owner(3) != -1 || d.Sharers(3) != 1<<7 {
+	d.Downgrade()
+	if d.Owner() != -1 || d.Sharers() != 1<<15 {
 		t.Error("Downgrade must keep the copy, drop ownership")
 	}
-	d.RemoveSharer(3, 7)
-	if d.Sharers(3) != 0 {
+	d.RemoveSharer(15)
+	if d.Sharers() != 0 {
 		t.Error("RemoveSharer failed")
+	}
+	d.SetOwner(0)
+	d.AddSharer(3)
+	d.Clear()
+	if d != 0 {
+		t.Errorf("Clear left %#x", uint32(d))
 	}
 }
 
 func TestDirectoryRemoveOwnerClearsOwner(t *testing.T) {
-	d := NewDirectory(4)
-	d.SetOwner(1, 3)
-	d.RemoveSharer(1, 3)
-	if d.Owner(1) != -1 {
+	var d DirEntry
+	d.SetOwner(3)
+	d.RemoveSharer(3)
+	if d.Owner() != -1 {
 		t.Error("evicting the owner must clear ownership")
 	}
-}
-
-func TestDirectoryForEachSharer(t *testing.T) {
-	d := NewDirectory(4)
-	for _, n := range []int{0, 3, 9, 15} {
-		d.AddSharer(2, n)
-	}
-	var visited []int
-	d.ForEachSharer(2, 9, func(n int) { visited = append(visited, n) })
-	want := []int{0, 3, 15}
-	if len(visited) != len(want) {
-		t.Fatalf("visited %v", visited)
-	}
-	for i := range want {
-		if visited[i] != want[i] {
-			t.Errorf("visited %v, want %v", visited, want)
-		}
+	// Evicting a non-owner keeps the owner.
+	d.SetOwner(4)
+	d.AddSharer(1)
+	d.RemoveSharer(1)
+	if d.Owner() != 4 || d.Sharers() != 1<<4 {
+		t.Errorf("after non-owner eviction: owner=%d sharers=%b", d.Owner(), d.Sharers())
 	}
 }
 
 func TestPresenceBasics(t *testing.T) {
-	p := NewPresence(8)
-	p.Add(1, 0)
-	p.Add(1, 2)
-	if !p.HasPeer(1, 0) || !p.HasPeer(1, 3) {
+	var p PresenceEntry
+	p.Add(0)
+	p.Add(2)
+	if !p.HasPeer(0) || !p.HasPeer(3) {
 		t.Error("HasPeer wrong")
 	}
-	if p.HasPeer(1, 2) && p.Holders(1) == 1<<2 {
+	if solo := PresenceEntry(1 << 2); solo.HasPeer(2) {
 		t.Error("HasPeer must exclude self")
 	}
-	p.SetOwner(1, 2)
-	if p.Owner(1) != 2 {
-		t.Error("owner not recorded")
+	p.SetInL2(true)
+	p.SetOwner(7)
+	if p.Owner() != 7 || p.Holders() != 1|1<<2|1<<7 || !p.InL2() {
+		t.Errorf("after SetOwner: owner=%d holders=%b inL2=%v", p.Owner(), p.Holders(), p.InL2())
 	}
-	p.Remove(1, 2)
-	if p.Owner(1) != -1 || p.Holders(1) != 1 {
-		t.Errorf("after Remove: owner=%d holders=%b", p.Owner(1), p.Holders(1))
+	p.SetOwner(2)
+	if p.Owner() != 2 {
+		t.Error("owner not replaced")
 	}
-	p.Clear(1)
-	if p.Holders(1) != 0 {
-		t.Error("Clear failed")
+	p.Remove(2)
+	if p.Owner() != -1 || p.Holders() != 1|1<<7 || !p.InL2() {
+		t.Errorf("after Remove: owner=%d holders=%b inL2=%v", p.Owner(), p.Holders(), p.InL2())
 	}
-}
-
-func TestPresenceClearOwnerKeepsCopy(t *testing.T) {
-	p := NewPresence(4)
-	p.SetOwner(2, 1)
-	p.ClearOwner(2)
-	if p.Owner(2) != -1 || p.Holders(2) != 1<<1 {
-		t.Error("ClearOwner must keep the holder bit")
+	p.SetInL2(false)
+	if p.InL2() || p.Holders() != 1|1<<7 {
+		t.Error("SetInL2(false) must drop only the L2 bit")
+	}
+	p.SetInL2(true)
+	p.Clear()
+	if p != 0 {
+		t.Errorf("Clear left %#x", uint16(p))
 	}
 }
 
@@ -93,22 +89,24 @@ func TestPresenceClearOwnerKeepsCopy(t *testing.T) {
 // bitmap, under arbitrary operation sequences.
 func TestQuickDirectoryOwnerIsSharer(t *testing.T) {
 	f := func(ops []uint16) bool {
-		d := NewDirectory(8)
+		var d [8]DirEntry
 		for _, op := range ops {
-			b := uint64(op % 8)
-			n := int(op/8) % 16
-			switch op % 4 {
+			b := op % 8
+			n := int(op/8) % MaxNodes
+			switch op % 5 {
 			case 0:
-				d.AddSharer(b, n)
+				d[b].AddSharer(n)
 			case 1:
-				d.SetOwner(b, n)
+				d[b].SetOwner(n)
 			case 2:
-				d.RemoveSharer(b, n)
+				d[b].RemoveSharer(n)
 			case 3:
-				d.Downgrade(b)
+				d[b].Downgrade()
+			case 4:
+				d[b].Clear()
 			}
-			for blk := uint64(0); blk < 8; blk++ {
-				if o := d.Owner(blk); o >= 0 && d.Sharers(blk)&(1<<uint(o)) == 0 {
+			for _, e := range d {
+				if o := e.Owner(); o >= 0 && e.Sharers()&(1<<uint(o)) == 0 {
 					return false
 				}
 			}
@@ -120,25 +118,34 @@ func TestQuickDirectoryOwnerIsSharer(t *testing.T) {
 	}
 }
 
-// Property: presence owner, when set, is always among the holders.
+// Property: the presence owner, when set, is always among the holders, and
+// no L1 operation disturbs the in-L2 bit.
 func TestQuickPresenceOwnerIsHolder(t *testing.T) {
 	f := func(ops []uint8) bool {
-		p := NewPresence(4)
+		var p [4]PresenceEntry
+		var inL2 [4]bool
 		for _, op := range ops {
-			b := uint64(op % 4)
-			n := int(op/4) % 8
-			switch op % 4 {
+			b := op % 4
+			n := int(op/4) % MaxCores
+			switch op % 5 {
 			case 0:
-				p.Add(b, n)
+				p[b].Add(n)
 			case 1:
-				p.SetOwner(b, n)
+				p[b].SetOwner(n)
 			case 2:
-				p.Remove(b, n)
+				p[b].Remove(n)
 			case 3:
-				p.Clear(b)
+				p[b].Clear()
+				inL2[b] = false
+			case 4:
+				inL2[b] = !inL2[b]
+				p[b].SetInL2(inL2[b])
 			}
-			for blk := uint64(0); blk < 4; blk++ {
-				if o := p.Owner(blk); o >= 0 && p.Holders(blk)&(1<<uint(o)) == 0 {
+			for blk, e := range p {
+				if o := e.Owner(); o >= 0 && e.Holders()&(1<<uint(o)) == 0 {
+					return false
+				}
+				if e.InL2() != inL2[blk] {
 					return false
 				}
 			}

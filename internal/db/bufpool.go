@@ -26,7 +26,7 @@ type BufferPool struct {
 	clock    uint64 // shared clock-hand block
 	latches  []*Latch
 
-	table      map[PageID]int
+	index      [][]int32 // frame plus one (0: not resident), by space then page
 	frameOwner []PageID
 	frameUsed  []bool
 	frameDirty []bool
@@ -46,7 +46,6 @@ func newBufferPool(d *Engine) *BufferPool {
 		frames:     d.K.AS.Alloc("db.bufferpool", uint64(p.BufferPoolPages)*p.PageBytes),
 		descBase:   0,
 		hashMask:   uint32(p.HashBuckets - 1),
-		table:      make(map[PageID]int, p.BufferPoolPages),
 		frameOwner: make([]PageID, p.BufferPoolPages),
 		frameUsed:  make([]bool, p.BufferPoolPages),
 		frameDirty: make([]bool, p.BufferPoolPages),
@@ -75,19 +74,38 @@ func (bp *BufferPool) FrameAddr(f int) uint64 {
 	return bp.frames.Base + uint64(f)*bp.d.P.PageBytes
 }
 
-// Frames returns the frame region (for warm sweeps).
-func (bp *BufferPool) Frames() memmap.Region { return bp.frames }
-
 func (bp *BufferPool) hashOf(pid PageID) uint32 {
 	h := pid.Num*2654435761 + pid.Space*40503
 	return h & bp.hashMask
 }
 
-// Resident reports whether pid is in the pool (no accesses emitted).
-func (bp *BufferPool) Resident(pid PageID) bool {
-	_, ok := bp.table[pid]
-	return ok
+// frameOf returns the frame holding pid, or -1 when pid is not resident.
+func (bp *BufferPool) frameOf(pid PageID) int {
+	if int(pid.Space) < len(bp.index) {
+		if pages := bp.index[pid.Space]; int(pid.Num) < len(pages) {
+			return int(pages[pid.Num]) - 1
+		}
+	}
+	return -1
 }
+
+// setFrame records pid's frame (f = -1: not resident), growing the dense
+// index as new tablespaces and pages appear. Page numbers are dense from 0
+// within a tablespace, so the index stays the size of the pages touched.
+func (bp *BufferPool) setFrame(pid PageID, f int) {
+	if int(pid.Space) >= len(bp.index) {
+		bp.index = append(bp.index, make([][]int32, int(pid.Space)+1-len(bp.index))...)
+	}
+	pages := bp.index[pid.Space]
+	if int(pid.Num) >= len(pages) {
+		pages = append(pages, make([]int32, int(pid.Num)+1-len(pages))...)
+		bp.index[pid.Space] = pages
+	}
+	pages[pid.Num] = int32(f + 1)
+}
+
+// Resident reports whether pid is in the pool (no accesses emitted).
+func (bp *BufferPool) Resident(pid PageID) bool { return bp.frameOf(pid) >= 0 }
 
 // Fetch pins page pid, returning its frame address. A hit probes the hash
 // chain and descriptor; a miss additionally runs clock eviction, a
@@ -104,7 +122,7 @@ func (bp *BufferPool) Fetch(ctx *engine.Ctx, pid PageID) uint64 {
 	latch.Enter(ctx)
 	defer latch.Exit(ctx)
 
-	if f, ok := bp.table[pid]; ok {
+	if f := bp.frameOf(pid); f >= 0 {
 		bp.Hits++
 		ctx.Read(bp.descBase + uint64(f)*memmap.BlockSize)
 		return bp.FrameAddr(f)
@@ -120,7 +138,7 @@ func (bp *BufferPool) Fetch(ctx *engine.Ctx, pid PageID) uint64 {
 	d.K.Disk.DiskRead(ctx, stage.Base, d.P.PageBytes)
 	d.K.Copyout(ctx, stage.Base, bp.FrameAddr(f), d.P.PageBytes)
 
-	bp.table[pid] = f
+	bp.setFrame(pid, f)
 	bp.frameOwner[f] = pid
 	bp.frameUsed[f] = true
 	bp.frameDirty[f] = false
@@ -131,7 +149,7 @@ func (bp *BufferPool) Fetch(ctx *engine.Ctx, pid PageID) uint64 {
 
 // MarkDirty flags pid's frame for flush-before-evict.
 func (bp *BufferPool) MarkDirty(pid PageID) {
-	if f, ok := bp.table[pid]; ok {
+	if f := bp.frameOf(pid); f >= 0 {
 		bp.frameDirty[f] = true
 	}
 }
@@ -155,7 +173,7 @@ func (bp *BufferPool) evict(ctx *engine.Ctx) int {
 		bp.flush(ctx, f)
 	}
 	old := bp.frameOwner[f]
-	delete(bp.table, old)
+	bp.setFrame(old, -1)
 	oh := bp.hashOf(old)
 	ctx.Write(bp.hashBase + uint64(oh)*memmap.BlockSize)
 	bp.frameUsed[f] = false

@@ -89,13 +89,6 @@ func (g *Gate) Kill() {
 	}
 }
 
-// Killed reports whether Kill has run.
-func (g *Gate) Killed() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.killed
-}
-
 // abort closes conn so a TCP peer sees RST rather than FIN.
 func abort(conn net.Conn) {
 	if tc, ok := conn.(*net.TCPConn); ok {

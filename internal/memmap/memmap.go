@@ -4,12 +4,11 @@
 // Addresses are plain uint64 byte addresses. The space is carved into named
 // regions by a bump allocator so that the total footprint stays compact:
 // every allocated block index (addr >> BlockBits) lies in [0, Blocks()).
-// Compactness lets the simulator keep per-block metadata (coherence
-// directory entries, write versions, read versions) in flat arrays instead
-// of maps, which is what makes whole-trace classification affordable.
+// Compactness lets the simulator keep per-block metadata (directory or
+// presence entries, classifier words) in one flat array of per-block
+// records instead of maps, which is what makes whole-trace classification
+// affordable.
 package memmap
-
-import "fmt"
 
 const (
 	// BlockBits is log2 of the cache block size (64-byte blocks, as in the
@@ -31,9 +30,6 @@ func BlockIndex(addr uint64) uint64 { return addr >> BlockBits }
 
 // PageOf returns the page-aligned address containing addr.
 func PageOf(addr uint64) uint64 { return addr &^ (PageSize - 1) }
-
-// PageIndex returns the page index (address divided by page size).
-func PageIndex(addr uint64) uint64 { return addr >> PageBits }
 
 // RegionID identifies an allocated region within an AddressSpace.
 type RegionID uint16
@@ -100,9 +96,6 @@ func (as *AddressSpace) Blocks() uint64 { return (as.next + BlockSize - 1) >> Bl
 // Pages returns the number of pages spanned by the allocated space.
 func (as *AddressSpace) Pages() uint64 { return (as.next + PageSize - 1) >> PageBits }
 
-// Regions returns all allocated regions in allocation order.
-func (as *AddressSpace) Regions() []Region { return as.regions }
-
 // RegionOf returns the region containing addr, or false if the address was
 // never allocated. It is O(log n) and intended for diagnostics, not hot
 // paths.
@@ -121,13 +114,4 @@ func (as *AddressSpace) RegionOf(addr uint64) (Region, bool) {
 		}
 	}
 	return Region{}, false
-}
-
-// MustRegionOf is RegionOf but panics on unknown addresses. Used in tests.
-func (as *AddressSpace) MustRegionOf(addr uint64) Region {
-	r, ok := as.RegionOf(addr)
-	if !ok {
-		panic(fmt.Sprintf("memmap: address %#x outside all regions", addr))
-	}
-	return r
 }

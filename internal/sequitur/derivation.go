@@ -124,41 +124,6 @@ func (g *Grammar) Walk(v DerivationVisitor) {
 	walk(0, 0)
 }
 
-// BodyRef is one element of a rule body in a BodyOf result.
-type BodyRef struct {
-	IsRule bool
-	RuleID int
-	Term   uint64
-}
-
-// BodyOf returns the body of rule id, or nil if the rule is not live.
-func (g *Grammar) BodyOf(id int) []BodyRef {
-	if id < 0 || id >= len(g.rules) || g.rules[id].guard < 0 {
-		return nil
-	}
-	var out []BodyRef
-	for n := g.first(int32(id)); !g.isGuard(n); n = g.nodes[n].next {
-		if g.nodes[n].sym&kindMask == kindRule {
-			out = append(out, BodyRef{IsRule: true, RuleID: int(g.ruleOf(n))})
-		} else {
-			out = append(out, BodyRef{Term: g.terms[g.nodes[n].sym>>kindBits]})
-		}
-	}
-	return out
-}
-
-// RuleIDs returns the ids of all live rules (the root included) in
-// ascending order.
-func (g *Grammar) RuleIDs() []int {
-	ids := make([]int, 0, g.live)
-	for id := range g.rules {
-		if g.rules[id].guard >= 0 {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
 // String renders the grammar for debugging, one rule per line.
 func (g *Grammar) String() string {
 	var b strings.Builder

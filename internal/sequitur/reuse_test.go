@@ -243,3 +243,32 @@ func TestDigramTable(t *testing.T) {
 		t.Fatalf("forEach visited %d entries, want %d", count, len(ref))
 	}
 }
+
+// TestTermTable checks the terminal interning table against a map: ids are
+// dense in first-sight order, stable across growth, and restart at 0 after
+// reset.
+func TestTermTable(t *testing.T) {
+	var tab termTable
+	tab.init()
+	rng := rand.New(rand.NewSource(9))
+	for round := 0; round < 2; round++ {
+		ref := make(map[uint64]uint32)
+		for i := 0; i < 100000; i++ {
+			v := uint64(rng.Intn(20000)) << 6 // block-aligned, like miss addresses
+			next := uint32(len(ref))
+			want, seen := ref[v]
+			if !seen {
+				want = next
+				ref[v] = want
+			}
+			got, added := tab.intern(v, next)
+			if got != want || added == seen {
+				t.Fatalf("round %d step %d: intern(%#x) = %d,%v want %d,%v", round, i, v, got, added, want, !seen)
+			}
+		}
+		if tab.live != len(ref) {
+			t.Fatalf("round %d: live %d, want %d", round, tab.live, len(ref))
+		}
+		tab.reset()
+	}
+}

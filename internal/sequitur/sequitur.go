@@ -23,10 +23,11 @@
 // live in a growable slab indexed by int32, with a free list recycling
 // slots as digram substitution unlinks them; no per-symbol heap object is
 // ever created. Terminal values are interned to dense 30-bit ids on first
-// sight, so every symbol — terminal, rule reference, or guard — packs into
-// a single tagged uint32 and a digram becomes one uint64 key in a flat
-// open-addressed hash table. Reset rewinds the grammar for reuse, keeping
-// the slab, the interning table, and the digram index's storage.
+// sight, through a flat open-addressed table of their own, so every symbol
+// — terminal, rule reference, or guard — packs into a single tagged uint32
+// and a digram becomes one uint64 key in a second flat open-addressed
+// table. Reset rewinds the grammar for reuse, keeping the slab, the
+// interning table, and the digram index's storage.
 package sequitur
 
 import "math/bits"
@@ -69,7 +70,7 @@ type Grammar struct {
 	rules  []ruleMeta
 	live   int      // live rules (root included)
 	terms  []uint64 // dense terminal id -> original value
-	intern map[uint64]uint32
+	intern termTable
 	index  digramTable
 	length int
 
@@ -80,7 +81,8 @@ type Grammar struct {
 
 // New returns an empty grammar.
 func New() *Grammar {
-	g := &Grammar{free: nilNode, intern: make(map[uint64]uint32)}
+	g := &Grammar{free: nilNode}
+	g.intern.init()
 	g.index.init()
 	g.newRule() // root, id 0
 	return g
@@ -102,7 +104,7 @@ func (g *Grammar) Reset() {
 	g.nodes = g.nodes[:0]
 	g.rules = g.rules[:0]
 	g.terms = g.terms[:0]
-	clear(g.intern)
+	g.intern.reset()
 	g.index.reset()
 	g.free = nilNode
 	g.live = 0
@@ -170,13 +172,11 @@ func (g *Grammar) newRule() int32 {
 // invariants. Steady-state appends (terminal already interned, storage
 // already grown) perform no heap allocation.
 func (g *Grammar) Append(v uint64) {
-	id, ok := g.intern[v]
-	if !ok {
+	id, added := g.intern.intern(v, uint32(len(g.terms)))
+	if added {
 		if len(g.terms) > maxID {
 			panic("sequitur: terminal id space exhausted")
 		}
-		id = uint32(len(g.terms))
-		g.intern[v] = id
 		g.terms = append(g.terms, v)
 	}
 	n := g.newNode(id<<kindBits | kindTerm)
@@ -370,11 +370,14 @@ func (t *digramTable) reset() {
 	t.used, t.live = 0, 0
 }
 
-// hash mixes the key over the table's current size. Fibonacci hashing on
-// the high bits gives good spread for the low-entropy packed keys.
-func (t *digramTable) slot(key uint64) uint32 {
-	return uint32((key * 0x9E3779B97F4A7C15) >> (64 - uint(bits.TrailingZeros(uint(len(t.keys))))))
+// fibSlot maps key to a slot of a power-of-two table of size slots.
+// Fibonacci hashing on the high bits gives good spread for low-entropy
+// keys: packed digrams, and block-aligned terminal addresses.
+func fibSlot(key uint64, size int) uint32 {
+	return uint32((key * 0x9E3779B97F4A7C15) >> (64 - uint(bits.TrailingZeros(uint(size)))))
 }
+
+func (t *digramTable) slot(key uint64) uint32 { return fibSlot(key, len(t.keys)) }
 
 func (t *digramTable) get(key uint64) (int32, bool) {
 	mask := uint32(len(t.keys) - 1)
@@ -474,6 +477,71 @@ func (t *digramTable) forEach(fn func(key uint64, val int32)) {
 	for i, v := range t.vals {
 		if v >= 0 {
 			fn(t.keys[i], v)
+		}
+	}
+}
+
+// termTable interns terminal values to dense ids: a flat open-addressed
+// table with linear probing, like digramTable, but insert-only (ids live
+// until Reset), so it needs no tombstones. Each slot holds the value
+// beside its id, so a lookup reads one host cache line per probe.
+type termTable struct {
+	slots []termSlot
+	live  int
+}
+
+// termSlot is one table entry; id is the dense id plus one, 0 marking an
+// empty slot.
+type termSlot struct {
+	key uint64
+	id  uint32
+}
+
+func (t *termTable) init() {
+	t.slots = make([]termSlot, tabMin)
+	t.live = 0
+}
+
+// reset empties the table without shrinking its storage.
+func (t *termTable) reset() {
+	clear(t.slots)
+	t.live = 0
+}
+
+// intern returns v's id. A value not yet in the table is given id next,
+// and added reports that it was.
+func (t *termTable) intern(v uint64, next uint32) (id uint32, added bool) {
+	if 4*(t.live+1) > 3*len(t.slots) {
+		t.grow()
+	}
+	mask := uint32(len(t.slots) - 1)
+	for i := fibSlot(v, len(t.slots)); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.id == 0 {
+			s.key, s.id = v, next+1
+			t.live++
+			return next, true
+		}
+		if s.key == v {
+			return s.id - 1, false
+		}
+	}
+}
+
+// grow rehashes into a table of twice the size.
+func (t *termTable) grow() {
+	old := t.slots
+	t.slots = make([]termSlot, 2*len(old))
+	mask := uint32(len(t.slots) - 1)
+	for _, s := range old {
+		if s.id == 0 {
+			continue
+		}
+		for i := fibSlot(s.key, len(t.slots)); ; i = (i + 1) & mask {
+			if t.slots[i].id == 0 {
+				t.slots[i] = s
+				break
+			}
 		}
 	}
 }

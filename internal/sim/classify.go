@@ -2,18 +2,21 @@ package sim
 
 import "repro/internal/trace"
 
-// Writer identities for blocks last written by agents other than a CPU.
+// Writer codes for a block's last writer. Zero means nobody has written
+// the block, so the zero classifier word is an untouched block; CPU c
+// writes as writerCPU+c.
 const (
-	writerNone    int16 = -3
-	writerCopyout int16 = -2
-	writerDMA     int16 = -1
+	writerCopyout = 1
+	writerDMA     = 2
+	writerCPU     = 3
 )
 
 // maxClassifierCPUs bounds the per-block CPU bitmasks.
 const maxClassifierCPUs = 16
 
-// Classifier implements the paper's miss taxonomy (Section 4.1) from first
-// principles, independent of cache contents:
+// classWord is one block's classifier state. It implements the paper's
+// miss taxonomy (Section 4.1) from first principles, independent of cache
+// contents:
 //
 //   - Compulsory: the cache block has never previously been accessed.
 //   - I/O Coherence: the block was last written by a DMA transfer or a
@@ -24,72 +27,44 @@ const maxClassifierCPUs = 16
 //     cache.
 //   - Replacement: everything else (capacity/conflict).
 //
-// All state lives in ONE packed word per block — a bitmask of CPUs
-// holding the current write version, a bitmask of CPUs that ever read the
-// block, and the last writer's identity — so classifying or noting an
-// access touches a single cache line. The bitmasks carry exactly the
-// information the classical per-CPU read-version arrays do: "written
+// The word packs a bitmask of CPUs holding the current write version
+// (bits 0..15), a bitmask of CPUs that ever read the block (bits 16..31)
+// and the last writer's code (bits 32 and up). The bitmasks carry exactly
+// the information the classical per-CPU read-version arrays do: "written
 // since my last read" is "I read it before, and a write has cleared my
-// holder bit since".
-type Classifier struct {
-	ncpu int
-	// per block: holders | everRead<<16 | uint16(lastWriter)<<32
-	state []uint64
-}
+// holder bit since". Each machine keeps the word in its per-block state
+// record beside the block's coherence word.
+type classWord uint64
 
-func packWriter(w int16) uint64 { return uint64(uint16(w)) << 32 }
+const everReadMask = 0xFFFF << 16
 
-var initialWState = packWriter(writerNone)
-
-// NewClassifier sizes classification state for ncpu CPUs over nblocks
-// blocks of compact address space.
-func NewClassifier(ncpu int, nblocks uint64) *Classifier {
-	if ncpu > maxClassifierCPUs {
-		panic("sim: classifier supports at most 16 CPUs")
-	}
-	c := &Classifier{
-		ncpu:  ncpu,
-		state: make([]uint64, nblocks),
-	}
-	for i := range c.state {
-		c.state[i] = initialWState
-	}
-	return c
-}
-
-// Touched reports whether any CPU has accessed block.
-func (c *Classifier) Touched(block uint64) bool {
-	return c.state[block]>>16&0xFFFF != 0
-}
-
-// ClassifyRead classifies a read miss by cpu to block. remoteDirty reports
-// that another cache is supplying the block dirty. offChipCMP marks
-// off-chip misses of the single-chip system, where inter-core communication
-// is captured on chip and a miss that leaves the chip is by definition a
+// classifyRead classifies a read miss by cpu. remoteDirty reports that
+// another cache is supplying the block dirty. offChipCMP marks off-chip
+// misses of the single-chip system, where inter-core communication is
+// captured on chip and a miss that leaves the chip is by definition a
 // capacity phenomenon (the paper observes no non-I/O off-chip coherence in
 // single-chip systems); such misses degrade from Coherence to Replacement.
 //
-// Call before NoteRead for the same access.
-func (c *Classifier) ClassifyRead(cpu int, block uint64, remoteDirty, offChipCMP bool) trace.MissClass {
-	s := c.state[block]
-	everRead := s >> 16 & 0xFFFF
+// Call before noteRead for the same access.
+func (w classWord) classifyRead(cpu int, remoteDirty, offChipCMP bool) trace.MissClass {
+	everRead := uint64(w) >> 16 & 0xFFFF
 	if everRead == 0 {
 		// No CPU has read or written the block (writes set the writer's
 		// everRead bit): first access, compulsory.
 		return trace.Compulsory
 	}
 	bit := uint64(1) << uint(cpu)
-	w := int16(uint16(s >> 32))
+	writer := int(w >> 32)
 	// "Written since my last read": this CPU read the block at some point,
 	// and a later write cleared its holder bit.
-	writtenSinceMyRead := everRead&bit != 0 && s&bit == 0
+	writtenSinceMyRead := everRead&bit != 0 && uint64(w)&bit == 0
 	switch {
-	case (w == writerDMA || w == writerCopyout) && writtenSinceMyRead:
+	case (writer == writerDMA || writer == writerCopyout) && writtenSinceMyRead:
 		// The I/O write invalidated a copy this CPU had actually read:
 		// a true I/O-coherence miss. First-ever reads of I/O-written data
 		// are compulsory (handled above) or plain replacement.
 		return trace.IOCoherence
-	case w >= 0 && int(w) != cpu && (remoteDirty || writtenSinceMyRead):
+	case writer >= writerCPU && writer != writerCPU+cpu && (remoteDirty || writtenSinceMyRead):
 		if offChipCMP {
 			return trace.Replacement
 		}
@@ -99,31 +74,26 @@ func (c *Classifier) ClassifyRead(cpu int, block uint64, remoteDirty, offChipCMP
 	}
 }
 
-// NoteRead records that cpu observed the current version of block.
-func (c *Classifier) NoteRead(cpu int, block uint64) {
-	bit := uint64(1) << uint(cpu)
-	c.state[block] |= bit | bit<<16
+// noteRead records that cpu observed the current version of the block.
+func (w *classWord) noteRead(cpu int) {
+	bit := classWord(1) << uint(cpu)
+	*w |= bit | bit<<16
 }
 
-// NoteWrite records a store by cpu: every other CPU's copy becomes stale
+// noteWrite records a store by cpu: every other CPU's copy becomes stale
 // (holder bits collapse to the writer), and the writer trivially holds
 // the new version.
-func (c *Classifier) NoteWrite(cpu int, block uint64) {
-	bit := uint64(1) << uint(cpu)
-	ever := c.state[block] & 0xFFFF0000
-	c.state[block] = bit | bit<<16 | ever | packWriter(int16(cpu))
+func (w *classWord) noteWrite(cpu int) {
+	bit := classWord(1) << uint(cpu)
+	*w = bit | bit<<16 | *w&everReadMask | classWord(writerCPU+cpu)<<32
 }
 
-// NoteDMA records a DMA write: all copies become stale. DMA writes do not
+// noteDMA records a DMA write: all copies become stale. DMA writes do not
 // count as CPU accesses for compulsory-miss purposes: the first CPU touch
 // of freshly arrived I/O data is a compulsory miss, exactly as in the
 // paper's physical-address traces.
-func (c *Classifier) NoteDMA(block uint64) {
-	c.state[block] = c.state[block]&0xFFFF0000 | packWriter(writerDMA)
-}
+func (w *classWord) noteDMA() { *w = *w&everReadMask | writerDMA<<32 }
 
-// NoteCopyout records a non-allocating kernel-to-user bulk-copy store
+// noteCopyout records a non-allocating kernel-to-user bulk-copy store
 // (the Solaris default_copyout family).
-func (c *Classifier) NoteCopyout(block uint64) {
-	c.state[block] = c.state[block]&0xFFFF0000 | packWriter(writerCopyout)
-}
+func (w *classWord) noteCopyout() { *w = *w&everReadMask | writerCopyout<<32 }

@@ -26,14 +26,15 @@ import (
 // Like the DSM, the hot paths are single-pass: Read/Fetch resolve the
 // L1-hit case with one fused probe+touch, each level's set is scanned at
 // most once per protocol step, and holder iteration runs as inline
-// bitmask loops over the presence vector.
+// bitmask loops over the block's presence entry. The presence entry also
+// records whether the shared L2 holds the block, so the L2 is probed or
+// invalidated only for blocks it holds.
 type CMP struct {
 	ncpu      int
 	l1i       []cache.Cache
 	l1d       []cache.Cache
 	l2        *cache.Cache
-	pres      *coherence.Presence
-	cls       *Classifier
+	blocks    []cmpBlock
 	off       trace.Trace
 	intra     trace.Trace
 	offSink   trace.Sink // destination of off-chip records; defaults to &off
@@ -41,14 +42,24 @@ type CMP struct {
 	instr     uint64
 }
 
+// cmpBlock is one block's state record: the classifier word beside the
+// block's on-chip presence entry. The zero record is an untouched block
+// held nowhere on chip.
+type cmpBlock struct {
+	cls  classWord
+	pres coherence.PresenceEntry
+}
+
 // NewCMP builds a single-chip system with ncpu cores over a compact
 // address space of nblocks blocks.
 func NewCMP(ncpu int, p CacheParams, nblocks uint64) *CMP {
+	if ncpu > coherence.MaxCores {
+		panic("sim: the CMP supports at most 8 cores")
+	}
 	m := &CMP{
-		ncpu: ncpu,
-		l2:   cache.New(cache.Config{Bytes: p.L2Bytes, Ways: p.L2Ways, BlockBits: 6}),
-		pres: coherence.NewPresence(nblocks),
-		cls:  NewClassifier(ncpu, nblocks),
+		ncpu:   ncpu,
+		l2:     cache.New(cache.Config{Bytes: p.L2Bytes, Ways: p.L2Ways, BlockBits: 6}),
+		blocks: make([]cmpBlock, nblocks),
 	}
 	for i := 0; i < ncpu; i++ {
 		m.l1i = append(m.l1i, *cache.New(cache.Config{Bytes: p.L1Bytes, Ways: p.L1Ways, BlockBits: 6}))
@@ -92,30 +103,27 @@ func (m *CMP) IntraChip() *trace.Trace {
 // Tick implements Machine.
 func (m *CMP) Tick(cpu int, n uint64) { m.instr += n }
 
-// Classifier exposes the classifier (tests).
-func (m *CMP) Classifier() *Classifier { return m.cls }
-
 // fillL1 inserts b into cpu's L1 (instruction or data side); the victim
 // spills into the shared L2 (victim-style non-inclusion).
 func (m *CMP) fillL1(cpu int, l1 *cache.Cache, b uint64, st cache.State) {
 	victim, evicted, _ := l1.Fill(b, st)
 	if st.Dirty() {
-		m.pres.SetOwner(b, cpu)
+		m.blocks[b].pres.SetOwner(cpu)
 	} else {
-		m.pres.Add(b, cpu)
+		m.blocks[b].pres.Add(cpu)
 	}
 	if !evicted {
 		return
 	}
-	m.pres.Remove(victim.Block, cpu)
-	// Spill the victim into the L2 unless another L1 still holds it (then
-	// the L2 copy would be redundant; Piranha keeps a single on-chip copy
-	// path - we approximate by only allocating when no L1 copy remains or
-	// the victim is dirty). One fused scan covers the residence check, the
-	// dirty-state merge, and the allocation slot.
-	li, resident := m.l2.Probe(victim.Block)
-	if resident {
+	vr := &m.blocks[victim.Block]
+	vr.pres.Remove(cpu)
+	// Spill the victim into the L2 unless the L2 already holds it (then
+	// only a dirty victim's state is merged). Piranha keeps a single
+	// on-chip copy path; we approximate by allocating whenever the L2
+	// lacks the block.
+	if vr.pres.InL2() {
 		if victim.State.Dirty() {
+			li, _ := m.l2.Probe(victim.Block)
 			m.l2.SetState(li, cache.Modified)
 		}
 		return
@@ -126,7 +134,10 @@ func (m *CMP) fillL1(cpu int, l1 *cache.Cache, b uint64, st cache.State) {
 	}
 	// L2 victim, if any, is silently dropped: a dirty line is written back
 	// to memory, and peer L1 copies survive (non-inclusive hierarchy).
-	m.l2.Fill(victim.Block, l2st)
+	if v, ev, _ := m.l2.Fill(victim.Block, l2st); ev {
+		m.blocks[v.Block].pres.SetInL2(false)
+	}
+	vr.pres.SetInL2(true)
 }
 
 // intraMiss records an L1 miss satisfied on chip.
@@ -143,74 +154,75 @@ func (m *CMP) intraMiss(cpu int, b uint64, fn trace.FuncID, class trace.MissClas
 // readMiss is the shared L1-miss tail of Read and Fetch.
 func (m *CMP) readMiss(l1 *cache.Cache, cpu int, b uint64, fn trace.FuncID) {
 	// L1 miss: determine the cause before protocol state changes.
-	owner := m.pres.Owner(b)
+	r := &m.blocks[b]
+	owner := r.pres.Owner()
 	remoteDirty := owner >= 0 && owner != cpu
 	switch {
 	case remoteDirty:
 		// Peer L1 holds the block dirty: it supplies the data and keeps an
 		// Owned copy (MOSI; no writeback to L2 on the forwarding path).
-		class := m.cls.ClassifyRead(cpu, b, true, false)
+		class := r.cls.classifyRead(cpu, true, false)
 		m.intraMiss(cpu, b, fn, class, trace.SupplierPeerL1)
 		if i, hit := m.l1d[owner].Probe(b); hit && m.l1d[owner].State(i) == cache.Modified {
 			m.l1d[owner].SetState(i, cache.Owned)
 		}
 		m.fillL1(cpu, l1, b, cache.Shared)
-	default:
-		if i, hit := m.l2.Probe(b); hit {
-			// Shared L2 hit: move the block up into the L1 (victim-style).
-			class := m.cls.ClassifyRead(cpu, b, false, false)
-			if class == trace.Compulsory || class == trace.IOCoherence {
-				// Cannot happen for on-chip blocks (DMA and copyout
-				// invalidate; untouched blocks are uncached), but keep the
-				// taxonomy total.
-				class = trace.Replacement
-			}
-			m.intraMiss(cpu, b, fn, class, trace.SupplierL2)
-			if m.l2.State(i).Dirty() {
-				// The L2 holds the only dirty copy (the owner's line was
-				// evicted into it). It supplies the data and keeps the
-				// dirty line; the reader gets a Shared copy.
-				m.l2.Touch(i)
-			} else {
-				// Clean line: victim-style move up into the L1.
-				m.l2.SetState(i, cache.Invalid)
-			}
-			m.fillL1(cpu, l1, b, cache.Shared)
-		} else if m.pres.HasPeer(b, cpu) {
-			// Clean copy in a peer L1 only (non-inclusive L2 lost its
-			// copy): the peer supplies.
-			class := m.cls.ClassifyRead(cpu, b, false, false)
-			if class == trace.Compulsory || class == trace.IOCoherence {
-				class = trace.Replacement
-			}
-			m.intraMiss(cpu, b, fn, class, trace.SupplierPeerL1)
-			m.fillL1(cpu, l1, b, cache.Shared)
-		} else {
-			// Off-chip miss.
-			class := m.cls.ClassifyRead(cpu, b, false, true)
-			m.offSink.Append(trace.Miss{
-				Addr:     b << 6,
-				Func:     fn,
-				CPU:      uint8(cpu),
-				Class:    class,
-				Supplier: trace.SupplierMemory,
-			})
-			m.fillL1(cpu, l1, b, cache.Shared)
+	case r.pres.InL2():
+		// Shared L2 hit: move the block up into the L1 (victim-style).
+		i, _ := m.l2.Probe(b)
+		class := r.cls.classifyRead(cpu, false, false)
+		if class == trace.Compulsory || class == trace.IOCoherence {
+			// Cannot happen for on-chip blocks (DMA and copyout
+			// invalidate; untouched blocks are uncached), but keep the
+			// taxonomy total.
+			class = trace.Replacement
 		}
+		m.intraMiss(cpu, b, fn, class, trace.SupplierL2)
+		if m.l2.State(i).Dirty() {
+			// The L2 holds the only dirty copy (the owner's line was
+			// evicted into it). It supplies the data and keeps the
+			// dirty line; the reader gets a Shared copy.
+			m.l2.Touch(i)
+		} else {
+			// Clean line: victim-style move up into the L1.
+			m.l2.SetState(i, cache.Invalid)
+			r.pres.SetInL2(false)
+		}
+		m.fillL1(cpu, l1, b, cache.Shared)
+	case r.pres.HasPeer(cpu):
+		// Clean copy in a peer L1 only (non-inclusive L2 lost its
+		// copy): the peer supplies.
+		class := r.cls.classifyRead(cpu, false, false)
+		if class == trace.Compulsory || class == trace.IOCoherence {
+			class = trace.Replacement
+		}
+		m.intraMiss(cpu, b, fn, class, trace.SupplierPeerL1)
+		m.fillL1(cpu, l1, b, cache.Shared)
+	default:
+		// Off-chip miss.
+		class := r.cls.classifyRead(cpu, false, true)
+		m.offSink.Append(trace.Miss{
+			Addr:     b << 6,
+			Func:     fn,
+			CPU:      uint8(cpu),
+			Class:    class,
+			Supplier: trace.SupplierMemory,
+		})
+		m.fillL1(cpu, l1, b, cache.Shared)
 	}
-	m.cls.NoteRead(cpu, b)
+	r.cls.noteRead(cpu)
 }
 
 // Read implements Machine. Unlike the DSM (whose invalidations are
-// node-granular), the presence vector tracks cores, not individual L1
+// node-granular), the presence entry tracks cores, not individual L1
 // arrays, so a stale copy can survive in one L1 side after the other
 // side's copy was evicted and a peer wrote — the L1-hit path therefore
-// keeps the seed's NoteRead.
+// keeps the seed's noteRead.
 func (m *CMP) Read(cpu int, addr uint64, fn trace.FuncID) {
 	b := blockOf(addr)
 	l1 := &m.l1d[cpu]
 	if l1.ReadHit(b) {
-		m.cls.NoteRead(cpu, b)
+		m.blocks[b].cls.noteRead(cpu)
 		return
 	}
 	m.readMiss(l1, cpu, b, fn)
@@ -221,7 +233,7 @@ func (m *CMP) Fetch(cpu int, addr uint64, fn trace.FuncID) {
 	b := blockOf(addr)
 	l1 := &m.l1i[cpu]
 	if l1.ReadHit(b) {
-		m.cls.NoteRead(cpu, b)
+		m.blocks[b].cls.noteRead(cpu)
 		return
 	}
 	m.readMiss(l1, cpu, b, fn)
@@ -231,52 +243,59 @@ func (m *CMP) Fetch(cpu int, addr uint64, fn trace.FuncID) {
 // protocol state (invalidations) and classification versions.
 func (m *CMP) Write(cpu int, addr uint64, fn trace.FuncID) {
 	b := blockOf(addr)
+	r := &m.blocks[b]
 	l1d := &m.l1d[cpu]
 	li, l1hit, mod := l1d.WriteHit(b)
 	if mod {
-		m.cls.NoteWrite(cpu, b)
+		r.cls.noteWrite(cpu)
 		return
 	}
 	// Invalidate every other on-chip copy; the writer's own L1 line (and
 	// with it the probe above) is untouched by the peer sweep.
-	holders := m.pres.Holders(b) &^ (1 << uint(cpu))
+	holders := r.pres.Holders() &^ (1 << uint(cpu))
 	for holders != 0 {
 		peer := bits.TrailingZeros8(holders)
 		holders &^= 1 << uint(peer)
 		m.l1i[peer].Invalidate(b)
 		m.l1d[peer].Invalidate(b)
-		m.pres.Remove(b, peer)
+		r.pres.Remove(peer)
 	}
-	m.l2.Invalidate(b)
+	if r.pres.InL2() {
+		m.l2.Invalidate(b)
+		r.pres.SetInL2(false)
+	}
 	if l1hit {
 		l1d.SetState(li, cache.Modified)
 		l1d.Touch(li)
 	} else {
 		m.fillL1(cpu, l1d, b, cache.Modified)
 	}
-	m.pres.SetOwner(b, cpu)
-	m.cls.NoteWrite(cpu, b)
+	r.pres.SetOwner(cpu)
+	r.cls.noteWrite(cpu)
 	_ = fn
 }
 
 // invalidateAll removes every on-chip copy of b.
 func (m *CMP) invalidateAll(b uint64) {
-	holders := m.pres.Holders(b)
+	r := &m.blocks[b]
+	holders := r.pres.Holders()
 	for holders != 0 {
 		cpu := bits.TrailingZeros8(holders)
 		holders &^= 1 << uint(cpu)
 		m.l1i[cpu].Invalidate(b)
 		m.l1d[cpu].Invalidate(b)
 	}
-	m.pres.Clear(b)
-	m.l2.Invalidate(b)
+	if r.pres.InL2() {
+		m.l2.Invalidate(b)
+	}
+	r.pres.Clear()
 }
 
 // NonAllocStore implements Machine.
 func (m *CMP) NonAllocStore(cpu int, addr uint64, fn trace.FuncID) {
 	b := blockOf(addr)
 	m.invalidateAll(b)
-	m.cls.NoteCopyout(b)
+	m.blocks[b].cls.noteCopyout()
 	_ = fn
 }
 
@@ -288,6 +307,6 @@ func (m *CMP) DMAWrite(addr uint64, size uint64) {
 	}
 	for b := blockOf(addr); b <= blockOf(addr+size-1); b++ {
 		m.invalidateAll(b)
-		m.cls.NoteDMA(b)
+		m.blocks[b].cls.noteDMA()
 	}
 }

@@ -19,12 +19,13 @@ import (
 // miss path otherwise; each cache level's set is scanned at most once per
 // protocol step; sharer iteration runs as inline bitmask loops. Per-node
 // state lives in one contiguous nodes slice so an access indexes a single
-// struct instead of three parallel pointer slices.
+// struct instead of three parallel pointer slices, and per-block state in
+// one record per block, so a miss reads its classifier word and directory
+// entry from one host cache line.
 type DSM struct {
 	ncpu    int
 	nodes   []dsmNode
-	dir     *coherence.Directory
-	cls     *Classifier
+	blocks  []dsmBlock
 	off     trace.Trace
 	offSink trace.Sink // destination of off-chip records; defaults to &off
 	instr   uint64
@@ -35,14 +36,23 @@ type dsmNode struct {
 	l1i, l1d, l2 cache.Cache
 }
 
+// dsmBlock is one block's state record: the classifier word beside the
+// block's directory entry. The zero record is an untouched, uncached block.
+type dsmBlock struct {
+	cls classWord
+	dir coherence.DirEntry
+}
+
 // NewDSM builds a multi-chip system of ncpu single-core nodes over a
 // compact address space of nblocks blocks.
 func NewDSM(ncpu int, p CacheParams, nblocks uint64) *DSM {
+	if ncpu > maxClassifierCPUs || ncpu > coherence.MaxNodes {
+		panic("sim: the DSM supports at most 16 nodes")
+	}
 	m := &DSM{
-		ncpu:  ncpu,
-		nodes: make([]dsmNode, ncpu),
-		dir:   coherence.NewDirectory(nblocks),
-		cls:   NewClassifier(ncpu, nblocks),
+		ncpu:   ncpu,
+		nodes:  make([]dsmNode, ncpu),
+		blocks: make([]dsmBlock, nblocks),
 	}
 	for i := range m.nodes {
 		m.nodes[i].l1i = *cache.New(cache.Config{Bytes: p.L1Bytes, Ways: p.L1Ways, BlockBits: 6})
@@ -81,9 +91,6 @@ func (m *DSM) IntraChip() *trace.Trace { return nil }
 // Tick implements Machine.
 func (m *DSM) Tick(cpu int, n uint64) { m.instr += n }
 
-// Classifier exposes the classifier (tests).
-func (m *DSM) Classifier() *Classifier { return m.cls }
-
 // fillL1 inserts b into an L1 (the caller's probe missed), spilling any
 // dirty victim's state into the (inclusive) L2.
 func (m *DSM) fillL1(n *dsmNode, l1 *cache.Cache, b uint64, st cache.State) {
@@ -99,7 +106,7 @@ func (m *DSM) fillL1(n *dsmNode, l1 *cache.Cache, b uint64, st cache.State) {
 func (m *DSM) evictL2(n *dsmNode, cpu int, v cache.Victim) {
 	n.l1i.Invalidate(v.Block)
 	n.l1d.Invalidate(v.Block)
-	m.dir.RemoveSharer(v.Block, cpu)
+	m.blocks[v.Block].dir.RemoveSharer(cpu)
 }
 
 // readMiss is the shared L1-miss tail of Read and Fetch.
@@ -109,14 +116,15 @@ func (m *DSM) readMiss(n *dsmNode, l1 *cache.Cache, cpu int, b uint64, fn trace.
 		// context traces off-chip misses only). A resident line implies
 		// this node already observed the current write version (any newer
 		// write or DMA would have invalidated the copy), so the classifier
-		// needs no NoteRead.
+		// needs no noteRead.
 		m.fillL1(n, l1, b, cache.Shared)
 		return
 	}
 	// Off-chip read miss.
-	owner := m.dir.Owner(b)
+	r := &m.blocks[b]
+	owner := r.dir.Owner()
 	remoteDirty := owner >= 0 && owner != cpu
-	class := m.cls.ClassifyRead(cpu, b, remoteDirty, false)
+	class := r.cls.classifyRead(cpu, remoteDirty, false)
 	m.offSink.Append(trace.Miss{
 		Addr:     b << 6,
 		Func:     fn,
@@ -130,16 +138,16 @@ func (m *DSM) readMiss(n *dsmNode, l1 *cache.Cache, cpu int, b uint64, fn trace.
 		ro := &m.nodes[owner]
 		ro.l2.FindSetState(b, cache.Shared)
 		ro.l1d.FindSetState(b, cache.Shared)
-		m.dir.Downgrade(b)
+		r.dir.Downgrade()
 	}
-	m.dir.AddSharer(b, cpu)
+	r.dir.AddSharer(cpu)
+	r.cls.noteRead(cpu)
 	if v, ev, _ := n.l2.Fill(b, cache.Shared); ev {
 		m.evictL2(n, cpu, v)
 	}
 	// The L2 eviction may have back-invalidated a line of this very L1
 	// set, so the fill must pick its slot from a fresh scan.
 	m.fillL1(n, l1, b, cache.Shared)
-	m.cls.NoteRead(cpu, b)
 }
 
 // Read implements Machine. The L1-hit fast path (a resident line implies
@@ -170,15 +178,17 @@ func (m *DSM) Fetch(cpu int, addr uint64, fn trace.FuncID) {
 func (m *DSM) Write(cpu int, addr uint64, fn trace.FuncID) {
 	b := blockOf(addr)
 	n := &m.nodes[cpu]
+	r := &m.blocks[b]
 	li, l1hit, mod := n.l1d.WriteHit(b)
 	if mod {
-		m.cls.NoteWrite(cpu, b)
+		r.cls.noteWrite(cpu)
 		return
 	}
 	// Gain exclusivity: invalidate all remote copies. Only remote nodes
 	// are touched, so the local L1 probe stays valid across the sweep.
 	m.invalidateRemote(b, cpu)
-	m.dir.SetOwner(b, cpu)
+	r.dir.SetOwner(cpu)
+	r.cls.noteWrite(cpu)
 	if i, hit := n.l2.Probe(b); hit {
 		n.l2.SetState(i, cache.Modified)
 		n.l2.Touch(i)
@@ -193,19 +203,19 @@ func (m *DSM) Write(cpu int, addr uint64, fn trace.FuncID) {
 	} else {
 		m.fillL1(n, &n.l1d, b, cache.Modified)
 	}
-	m.cls.NoteWrite(cpu, b)
 }
 
 // invalidateRemote removes every cached copy of b outside node keep
 // (keep == -1 invalidates everywhere), walking the directory's sharer
 // bitmap inline.
 func (m *DSM) invalidateRemote(b uint64, keep int) {
-	sharers := m.dir.Sharers(b)
+	r := &m.blocks[b]
+	sharers := r.dir.Sharers()
 	if keep >= 0 {
 		sharers &^= 1 << uint(keep)
 	}
 	for sharers != 0 {
-		node := bits.TrailingZeros64(sharers)
+		node := bits.TrailingZeros16(sharers)
 		sharers &^= 1 << uint(node)
 		n := &m.nodes[node]
 		// Inclusive hierarchy: an L1 can only hold what the node's L2
@@ -216,7 +226,7 @@ func (m *DSM) invalidateRemote(b uint64, keep int) {
 			n.l1i.Invalidate(b)
 			n.l1d.Invalidate(b)
 		}
-		m.dir.RemoveSharer(b, node)
+		r.dir.RemoveSharer(node)
 	}
 }
 
@@ -225,8 +235,9 @@ func (m *DSM) invalidateRemote(b uint64, keep int) {
 func (m *DSM) NonAllocStore(cpu int, addr uint64, fn trace.FuncID) {
 	b := blockOf(addr)
 	m.invalidateRemote(b, -1)
-	m.dir.Clear(b)
-	m.cls.NoteCopyout(b)
+	r := &m.blocks[b]
+	r.dir.Clear()
+	r.cls.noteCopyout()
 	_ = fn
 }
 
@@ -238,7 +249,8 @@ func (m *DSM) DMAWrite(addr uint64, size uint64) {
 	}
 	for b := blockOf(addr); b <= blockOf(addr+size-1); b++ {
 		m.invalidateRemote(b, -1)
-		m.dir.Clear(b)
-		m.cls.NoteDMA(b)
+		r := &m.blocks[b]
+		r.dir.Clear()
+		r.cls.noteDMA()
 	}
 }

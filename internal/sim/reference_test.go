@@ -124,69 +124,97 @@ func wasReader(o *oracle, cpu int, b uint64) bool {
 	return true
 }
 
+// randomStep applies one random access to m: mostly reads and fetches,
+// plus writes, non-allocating stores and DMA writes of up to four blocks,
+// all within the first nblk blocks.
+func randomStep(m Machine, rng *rand.Rand, ncpu, nblk int) {
+	cpu := rng.Intn(ncpu)
+	b := uint64(rng.Intn(nblk))
+	switch rng.Intn(10) {
+	case 0, 1:
+		m.Write(cpu, b<<6, 0)
+	case 2:
+		m.NonAllocStore(cpu, b<<6, 0)
+	case 3:
+		if b > uint64(nblk-4) {
+			b = uint64(nblk - 4)
+		}
+		m.DMAWrite(b<<6+uint64(rng.Intn(64)), uint64(1+rng.Intn(192)))
+	case 4:
+		m.Fetch(cpu, b<<6, 0)
+	default:
+		m.Read(cpu, b<<6, 0)
+	}
+}
+
 // TestCMPSingleDirtyOwner: at every point, at most one core's L1D holds a
-// block dirty, and the presence bits agree with cache contents.
+// block dirty, and each block's record agrees with cache contents: a
+// presence owner is a holder that really has the block in an L1, and the
+// in-L2 bit is set exactly when the shared L2 holds the block.
 func TestCMPSingleDirtyOwner(t *testing.T) {
-	const ncpu, blocks = 4, 1 << 12
+	const ncpu, blocks, nblk = 4, 1 << 12, 256
 	m := NewCMP(ncpu, tinyCaches(), blocks)
 	rng := rand.New(rand.NewSource(37))
 
 	for step := 0; step < 100000; step++ {
-		cpu := rng.Intn(ncpu)
-		b := uint64(rng.Intn(256))
-		switch rng.Intn(5) {
-		case 0:
-			m.Write(cpu, b<<6, 0)
-		case 1:
-			m.NonAllocStore(cpu, b<<6, 0)
-		default:
-			m.Read(cpu, b<<6, 0)
+		randomStep(m, rng, ncpu, nblk)
+		if step%100 != 0 {
+			continue
 		}
-		if step%1000 == 0 {
-			for blk := uint64(0); blk < 256; blk++ {
-				dirty := 0
-				for c := 0; c < ncpu; c++ {
-					if i, ok := m.l1d[c].Probe(blk); ok && m.l1d[c].State(i).Dirty() {
-						dirty++
-					}
+		for blk := uint64(0); blk < nblk; blk++ {
+			dirty := 0
+			for c := 0; c < ncpu; c++ {
+				if i, ok := m.l1d[c].Probe(blk); ok && m.l1d[c].State(i).Dirty() {
+					dirty++
 				}
-				if dirty > 1 {
-					t.Fatalf("step %d: block %d dirty in %d L1s", step, blk, dirty)
+			}
+			if dirty > 1 {
+				t.Fatalf("step %d: block %d dirty in %d L1s", step, blk, dirty)
+			}
+			pres := m.blocks[blk].pres
+			if own := pres.Owner(); own >= 0 {
+				if pres.Holders()&(1<<uint(own)) == 0 {
+					t.Fatalf("step %d: owner %d of block %d is not a holder", step, own, blk)
 				}
-				// Presence owner must be a real holder when set.
-				if own := m.pres.Owner(blk); own >= 0 {
-					if !m.l1d[own].Contains(blk) && !m.l1i[own].Contains(blk) {
-						t.Fatalf("step %d: owner %d does not hold block %d", step, own, blk)
-					}
+				if !m.l1d[own].Contains(blk) && !m.l1i[own].Contains(blk) {
+					t.Fatalf("step %d: owner %d does not hold block %d", step, own, blk)
 				}
+			}
+			if pres.InL2() != m.l2.Contains(blk) {
+				t.Fatalf("step %d: block %d in-L2 bit %v, L2 residency %v", step, blk, pres.InL2(), m.l2.Contains(blk))
 			}
 		}
 	}
 }
 
 // TestDSMDirectorySharersSuperset: the directory's sharer set must always
-// be a superset of actual cache residency.
+// be a superset of actual cache residency, and an owner must be a sharer
+// whose L2 holds the block.
 func TestDSMDirectorySharersSuperset(t *testing.T) {
-	const ncpu, blocks = 4, 1 << 12
+	const ncpu, blocks, nblk = 4, 1 << 12, 256
 	m := NewDSM(ncpu, tinyCaches(), blocks)
 	rng := rand.New(rand.NewSource(41))
 	for step := 0; step < 100000; step++ {
-		cpu := rng.Intn(ncpu)
-		b := uint64(rng.Intn(256))
-		if rng.Intn(4) == 0 {
-			m.Write(cpu, b<<6, 0)
-		} else {
-			m.Read(cpu, b<<6, 0)
+		randomStep(m, rng, ncpu, nblk)
+		if step%100 != 0 {
+			continue
 		}
-		if step%1000 == 0 {
-			for blk := uint64(0); blk < 256; blk++ {
-				sharers := m.dir.Sharers(blk)
-				for c := 0; c < ncpu; c++ {
-					n := &m.nodes[c]
-					resident := n.l2.Contains(blk) || n.l1d.Contains(blk) || n.l1i.Contains(blk)
-					if resident && sharers&(1<<uint(c)) == 0 {
-						t.Fatalf("step %d: node %d holds block %d but is not a sharer", step, c, blk)
-					}
+		for blk := uint64(0); blk < nblk; blk++ {
+			dir := m.blocks[blk].dir
+			sharers := dir.Sharers()
+			for c := 0; c < ncpu; c++ {
+				n := &m.nodes[c]
+				resident := n.l2.Contains(blk) || n.l1d.Contains(blk) || n.l1i.Contains(blk)
+				if resident && sharers&(1<<uint(c)) == 0 {
+					t.Fatalf("step %d: node %d holds block %d but is not a sharer", step, c, blk)
+				}
+			}
+			if own := dir.Owner(); own >= 0 {
+				if sharers&(1<<uint(own)) == 0 {
+					t.Fatalf("step %d: owner %d of block %d is not a sharer", step, own, blk)
+				}
+				if !m.nodes[own].l2.Contains(blk) {
+					t.Fatalf("step %d: owner %d does not hold block %d", step, own, blk)
 				}
 			}
 		}

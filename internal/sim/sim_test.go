@@ -23,65 +23,65 @@ func lastMiss(t *trace.Trace) trace.Miss {
 // --- Classifier unit tests -------------------------------------------------
 
 func TestClassifierCompulsoryThenReplacement(t *testing.T) {
-	c := NewClassifier(2, 64)
-	if got := c.ClassifyRead(0, 5, false, false); got != trace.Compulsory {
+	var c [64]classWord
+	if got := c[5].classifyRead(0, false, false); got != trace.Compulsory {
 		t.Errorf("first access = %v, want Compulsory", got)
 	}
-	c.NoteRead(0, 5)
-	if got := c.ClassifyRead(0, 5, false, false); got != trace.Replacement {
+	c[5].noteRead(0)
+	if got := c[5].classifyRead(0, false, false); got != trace.Replacement {
 		t.Errorf("re-read = %v, want Replacement", got)
 	}
 	// Another CPU's first read of a clean block read before by CPU 0:
 	// replacement (no communication).
-	if got := c.ClassifyRead(1, 5, false, false); got != trace.Replacement {
+	if got := c[5].classifyRead(1, false, false); got != trace.Replacement {
 		t.Errorf("cpu1 first read = %v, want Replacement", got)
 	}
 }
 
 func TestClassifierCoherence(t *testing.T) {
-	c := NewClassifier(2, 64)
-	c.NoteRead(0, 7) // cpu0 reads
-	c.NoteWrite(1, 7)
-	if got := c.ClassifyRead(0, 7, false, false); got != trace.Coherence {
+	var c [64]classWord
+	c[7].noteRead(0) // cpu0 reads
+	c[7].noteWrite(1)
+	if got := c[7].classifyRead(0, false, false); got != trace.Coherence {
 		t.Errorf("read after remote write = %v, want Coherence", got)
 	}
 	// Own write does not make a later own read a coherence miss.
-	c.NoteWrite(0, 8)
-	if got := c.ClassifyRead(0, 8, false, false); got != trace.Replacement {
+	c[8].noteWrite(0)
+	if got := c[8].classifyRead(0, false, false); got != trace.Replacement {
 		t.Errorf("read after own write = %v, want Replacement", got)
 	}
 	// Dirty remote supply is coherence even on a first read.
-	c.NoteWrite(1, 9)
-	if got := c.ClassifyRead(0, 9, true, false); got != trace.Coherence {
+	c[9].noteWrite(1)
+	if got := c[9].classifyRead(0, true, false); got != trace.Coherence {
 		t.Errorf("dirty remote supply = %v, want Coherence", got)
 	}
 	// Single-chip off-chip misses degrade coherence to replacement.
-	if got := c.ClassifyRead(0, 7, false, true); got != trace.Replacement {
+	if got := c[7].classifyRead(0, false, true); got != trace.Replacement {
 		t.Errorf("offChipCMP = %v, want Replacement", got)
 	}
 }
 
 func TestClassifierIOCoherence(t *testing.T) {
-	c := NewClassifier(2, 64)
-	c.NoteRead(0, 3)
-	c.NoteDMA(3)
-	if got := c.ClassifyRead(0, 3, false, false); got != trace.IOCoherence {
+	var c [64]classWord
+	c[3].noteRead(0)
+	c[3].noteDMA()
+	if got := c[3].classifyRead(0, false, false); got != trace.IOCoherence {
 		t.Errorf("read after DMA = %v, want IOCoherence", got)
 	}
 	// A block only ever DMA-written is still compulsory on first CPU touch.
-	c.NoteDMA(4)
-	if got := c.ClassifyRead(1, 4, false, false); got != trace.Compulsory {
+	c[4].noteDMA()
+	if got := c[4].classifyRead(1, false, false); got != trace.Compulsory {
 		t.Errorf("first CPU read of DMA-only block = %v, want Compulsory", got)
 	}
 	// Copyout behaves like DMA.
-	c.NoteRead(0, 6)
-	c.NoteCopyout(6)
-	if got := c.ClassifyRead(0, 6, false, false); got != trace.IOCoherence {
+	c[6].noteRead(0)
+	c[6].noteCopyout()
+	if got := c[6].classifyRead(0, false, false); got != trace.IOCoherence {
 		t.Errorf("read after copyout = %v, want IOCoherence", got)
 	}
 	// A reader that never held the block does not take an I/O-coherence
 	// miss: nothing of its was invalidated.
-	if got := c.ClassifyRead(1, 6, false, false); got != trace.Replacement {
+	if got := c[6].classifyRead(1, false, false); got != trace.Replacement {
 		t.Errorf("first read of copyout block by other cpu = %v, want Replacement", got)
 	}
 }

@@ -31,13 +31,13 @@ func (d *BlockDev) DiskRead(ctx *engine.Ctx, dst, size uint64) {
 	k := d.k
 	buf := d.bufs[d.next%len(d.bufs)]
 	d.next++
-	ctx.Call(k.Fn("bdev_strategy"))
+	ctx.Call(k.fn.bdevStrategy)
 	ctx.Read(buf)
 	ctx.Write(buf)
 	ctx.Write(d.queue)
 	ctx.Ret()
 	ctx.DMAWrite(dst, size)
-	ctx.Call(k.Fn("biodone"))
+	ctx.Call(k.fn.biodone)
 	ctx.Read(buf)
 	ctx.Write(buf)
 	ctx.Ret()
@@ -51,12 +51,12 @@ func (d *BlockDev) DiskWrite(ctx *engine.Ctx, src, size uint64) {
 	k := d.k
 	buf := d.bufs[d.next%len(d.bufs)]
 	d.next++
-	ctx.Call(k.Fn("bdev_strategy"))
+	ctx.Call(k.fn.bdevStrategy)
 	ctx.Read(buf)
 	ctx.Write(buf)
 	ctx.Write(d.queue)
 	ctx.Ret()
-	ctx.Call(k.Fn("biodone"))
+	ctx.Call(k.fn.biodone)
 	ctx.Read(buf)
 	ctx.Write(buf)
 	ctx.Ret()

@@ -72,7 +72,7 @@ type Kernel struct {
 	sysTable  uint64 // syscall dispatch table block
 	ncache    uint64 // directory name cache (8 blocks)
 
-	fns map[string]trace.Func
+	fn kernelFuncs
 
 	nextThreadID int
 	nextProcID   int
@@ -81,7 +81,7 @@ type Kernel struct {
 // NewKernel builds the kernel model, allocating all kernel regions from as
 // and registering every kernel function in st.
 func NewKernel(as *memmap.AddressSpace, st *trace.SymbolTable, p Params) *Kernel {
-	k := &Kernel{AS: as, ST: st, P: p, fns: make(map[string]trace.Func)}
+	k := &Kernel{AS: as, ST: st, P: p}
 	k.kdata = as.Alloc("kernel.kdata", p.KDataBytes)
 	k.registerFunctions()
 
@@ -112,76 +112,81 @@ func (k *Kernel) AllocBlocks(n int) uint64 {
 	return addr
 }
 
-// register adds one named kernel function with a code footprint.
-func (k *Kernel) register(name string, cat trace.Category, codeBytes uint64) {
-	id := k.ST.Register(name, cat, codeBytes)
-	k.fns[name] = k.ST.Func(id)
+// kernelFuncs holds the descriptor of every kernel function the model
+// calls, resolved once at registration, so a simulated call reads a field
+// instead of looking its name up.
+type kernelFuncs struct {
+	disp, dispGetwork, dispGetbest, dispdeq, dispRatify, setbackdq        trace.Func
+	mutexEnter, mutexExit, cvBlock, cvSignal, sleepqInsert, sleepqUnsleep trace.Func
+	dtlbMiss, itlbMiss, sfmmuTSBMiss, winSpill, winFill                   trace.Func
+	syscallTrap, poll, open, close, read, write, stat, lookuppn           trace.Func
+	bcopy, copyin, defaultCopyout                                         trace.Func
+	strwrite, strread, putnext, putq, getq, allocb, freeb                 trace.Func
+	ipWput, ipInput, tcpOutput                                            trace.Func
+	kmemCacheAlloc, kmemCacheFree                                         trace.Func
+	bdevStrategy, biodone                                                 trace.Func
 }
 
-// Fn returns a registered kernel function descriptor; unknown names panic
-// (they indicate a typo in the model itself).
-func (k *Kernel) Fn(name string) trace.Func {
-	f, ok := k.fns[name]
-	if !ok {
-		panic("solaris: unregistered function " + name)
-	}
-	return f
-}
-
+// registerFunctions registers every kernel function in the symbol table,
+// in a fixed order (it fixes FuncIDs and code addresses), and resolves the
+// descriptors the model calls.
 func (k *Kernel) registerFunctions() {
-	reg := k.register
+	reg := func(name string, cat trace.Category, codeBytes uint64) trace.Func {
+		return k.ST.Func(k.ST.Register(name, cat, codeBytes))
+	}
+	f := &k.fn
 	// Kernel task scheduler (Section 2.1, example two).
-	reg("disp", trace.CatScheduler, 256)
-	reg("disp_getwork", trace.CatScheduler, 384)
-	reg("disp_getbest", trace.CatScheduler, 256)
-	reg("dispdeq", trace.CatScheduler, 192)
-	reg("disp_ratify", trace.CatScheduler, 128)
-	reg("setbackdq", trace.CatScheduler, 256)
+	f.disp = reg("disp", trace.CatScheduler, 256)
+	f.dispGetwork = reg("disp_getwork", trace.CatScheduler, 384)
+	f.dispGetbest = reg("disp_getbest", trace.CatScheduler, 256)
+	f.dispdeq = reg("dispdeq", trace.CatScheduler, 192)
+	f.dispRatify = reg("disp_ratify", trace.CatScheduler, 128)
+	f.setbackdq = reg("setbackdq", trace.CatScheduler, 256)
 	reg("swtch", trace.CatScheduler, 256)
 	// Synchronization primitives.
-	reg("mutex_enter", trace.CatSync, 128)
-	reg("mutex_exit", trace.CatSync, 64)
-	reg("cv_block", trace.CatSync, 256)
-	reg("cv_signal", trace.CatSync, 128)
-	reg("sleepq_insert", trace.CatSync, 192)
-	reg("sleepq_unsleep", trace.CatSync, 192)
+	f.mutexEnter = reg("mutex_enter", trace.CatSync, 128)
+	f.mutexExit = reg("mutex_exit", trace.CatSync, 64)
+	f.cvBlock = reg("cv_block", trace.CatSync, 256)
+	f.cvSignal = reg("cv_signal", trace.CatSync, 128)
+	f.sleepqInsert = reg("sleepq_insert", trace.CatSync, 192)
+	f.sleepqUnsleep = reg("sleepq_unsleep", trace.CatSync, 192)
 	// MMU and trap handlers.
-	reg("dtlb_miss", trace.CatMMUTrap, 128)
-	reg("itlb_miss", trace.CatMMUTrap, 128)
-	reg("sfmmu_tsb_miss", trace.CatMMUTrap, 256)
-	reg("win_spill", trace.CatMMUTrap, 128)
-	reg("win_fill", trace.CatMMUTrap, 128)
+	f.dtlbMiss = reg("dtlb_miss", trace.CatMMUTrap, 128)
+	f.itlbMiss = reg("itlb_miss", trace.CatMMUTrap, 128)
+	f.sfmmuTSBMiss = reg("sfmmu_tsb_miss", trace.CatMMUTrap, 256)
+	f.winSpill = reg("win_spill", trace.CatMMUTrap, 128)
+	f.winFill = reg("win_fill", trace.CatMMUTrap, 128)
 	// System call implementation.
-	reg("syscall_trap", trace.CatSyscall, 192)
-	reg("poll", trace.CatSyscall, 512)
-	reg("open", trace.CatSyscall, 448)
-	reg("close", trace.CatSyscall, 128)
-	reg("read", trace.CatSyscall, 384)
-	reg("write", trace.CatSyscall, 384)
-	reg("stat", trace.CatSyscall, 256)
-	reg("lookuppn", trace.CatSyscall, 384)
+	f.syscallTrap = reg("syscall_trap", trace.CatSyscall, 192)
+	f.poll = reg("poll", trace.CatSyscall, 512)
+	f.open = reg("open", trace.CatSyscall, 448)
+	f.close = reg("close", trace.CatSyscall, 128)
+	f.read = reg("read", trace.CatSyscall, 384)
+	f.write = reg("write", trace.CatSyscall, 384)
+	f.stat = reg("stat", trace.CatSyscall, 256)
+	f.lookuppn = reg("lookuppn", trace.CatSyscall, 384)
 	// Bulk copies.
-	reg("bcopy", trace.CatBulkCopy, 192)
-	reg("copyin", trace.CatBulkCopy, 128)
-	reg("default_copyout", trace.CatBulkCopy, 192)
+	f.bcopy = reg("bcopy", trace.CatBulkCopy, 192)
+	f.copyin = reg("copyin", trace.CatBulkCopy, 128)
+	f.defaultCopyout = reg("default_copyout", trace.CatBulkCopy, 192)
 	// STREAMS.
-	reg("strwrite", trace.CatSTREAMS, 384)
-	reg("strread", trace.CatSTREAMS, 384)
-	reg("putnext", trace.CatSTREAMS, 128)
-	reg("putq", trace.CatSTREAMS, 256)
-	reg("getq", trace.CatSTREAMS, 256)
-	reg("allocb", trace.CatSTREAMS, 192)
-	reg("freeb", trace.CatSTREAMS, 128)
+	f.strwrite = reg("strwrite", trace.CatSTREAMS, 384)
+	f.strread = reg("strread", trace.CatSTREAMS, 384)
+	f.putnext = reg("putnext", trace.CatSTREAMS, 128)
+	f.putq = reg("putq", trace.CatSTREAMS, 256)
+	f.getq = reg("getq", trace.CatSTREAMS, 256)
+	f.allocb = reg("allocb", trace.CatSTREAMS, 192)
+	f.freeb = reg("freeb", trace.CatSTREAMS, 128)
 	// IP packet assembly.
-	reg("ip_wput", trace.CatIPPacket, 512)
-	reg("ip_input", trace.CatIPPacket, 512)
-	reg("tcp_output", trace.CatIPPacket, 384)
+	f.ipWput = reg("ip_wput", trace.CatIPPacket, 512)
+	f.ipInput = reg("ip_input", trace.CatIPPacket, 512)
+	f.tcpOutput = reg("tcp_output", trace.CatIPPacket, 384)
 	// Kernel - other.
-	reg("kmem_cache_alloc", trace.CatKernelOther, 192)
-	reg("kmem_cache_free", trace.CatKernelOther, 128)
+	f.kmemCacheAlloc = reg("kmem_cache_alloc", trace.CatKernelOther, 192)
+	f.kmemCacheFree = reg("kmem_cache_free", trace.CatKernelOther, 128)
 	reg("taskq_dispatch", trace.CatKernelOther, 192)
 	reg("callout_schedule", trace.CatKernelOther, 128)
 	// Block device driver.
-	reg("bdev_strategy", trace.CatBlockDev, 256)
-	reg("biodone", trace.CatBlockDev, 128)
+	f.bdevStrategy = reg("bdev_strategy", trace.CatBlockDev, 256)
+	f.biodone = reg("biodone", trace.CatBlockDev, 128)
 }

@@ -43,7 +43,7 @@ func (c *KmemCache) ObjBytes() uint64 { return c.objBytes }
 
 // Alloc takes an object from the cache (kmem_cache_alloc).
 func (c *KmemCache) Alloc(ctx *engine.Ctx) uint64 {
-	ctx.Call(c.k.Fn("kmem_cache_alloc"))
+	ctx.Call(c.k.fn.kmemCacheAlloc)
 	defer ctx.Ret()
 	ctx.Read(c.hdr)
 	c.Allocs++
@@ -69,7 +69,7 @@ func (c *KmemCache) Alloc(ctx *engine.Ctx) uint64 {
 
 // Free returns an object to the cache (kmem_cache_free).
 func (c *KmemCache) Free(ctx *engine.Ctx, addr uint64) {
-	ctx.Call(c.k.Fn("kmem_cache_free"))
+	ctx.Call(c.k.fn.kmemCacheFree)
 	ctx.Write(addr)
 	ctx.Write(c.hdr)
 	c.free = append(c.free, addr)

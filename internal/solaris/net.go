@@ -55,10 +55,10 @@ func (n *NetStack) Send(ctx *engine.Ctx, p *Process, s *Stream, src, size uint64
 			if chunk > mssBytes {
 				chunk = mssBytes
 			}
-			ctx.Call(k.Fn("tcp_output"))
+			ctx.Call(k.fn.tcpOutput)
 			ctx.Read(s.proto) // tcp_t: sequence numbers, window state
 			ctx.Write(s.proto)
-			ctx.Call(k.Fn("ip_wput"))
+			ctx.Call(k.fn.ipWput)
 			ctx.Read(n.ipTemplate)
 			ctx.Read(n.routes + (s.head>>6%16)*memmap.BlockSize) // route cache
 			ctx.Write(m.addr)
@@ -84,7 +84,7 @@ func (n *NetStack) Receive(ctx *engine.Ctx, s *Stream, size uint64) {
 		size = n.rxData[buf].Size
 	}
 	ctx.DMAWrite(n.rxData[buf].Base, size)
-	ctx.Call(k.Fn("ip_input"))
+	ctx.Call(k.fn.ipInput)
 	ctx.Read(n.rxDesc[buf])
 	ctx.Write(n.rxDesc[buf])
 	ctx.Read(n.routes + (s.head>>6%16)*memmap.BlockSize)

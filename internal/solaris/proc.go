@@ -63,7 +63,7 @@ func (f *File) EvictCache() { f.resident = false }
 
 // syscallEnter models the common syscall trap path.
 func (k *Kernel) syscallEnter(ctx *engine.Ctx, p *Process) {
-	ctx.Call(k.Fn("syscall_trap"))
+	ctx.Call(k.fn.syscallTrap)
 	ctx.Read(k.sysTable)
 	if p != nil {
 		ctx.Read(p.fdTable)
@@ -76,7 +76,7 @@ func (k *Kernel) syscallExit(ctx *engine.Ctx) { ctx.Ret() }
 // polled file's vnode are inspected.
 func (k *Kernel) Poll(ctx *engine.Ctx, p *Process, files []*File) {
 	k.syscallEnter(ctx, p)
-	ctx.Call(k.Fn("poll"))
+	ctx.Call(k.fn.poll)
 	// Scan the pollfd array (hundreds of descriptors in a busy server).
 	for i := uint64(0); i < 8; i++ {
 		ctx.Read(p.pollfd + i*memmap.BlockSize)
@@ -92,8 +92,8 @@ func (k *Kernel) Poll(ctx *engine.Ctx, p *Process, files []*File) {
 // Open models open(2): a name-cache lookup plus fd-table update.
 func (k *Kernel) Open(ctx *engine.Ctx, p *Process, f *File) {
 	k.syscallEnter(ctx, p)
-	ctx.Call(k.Fn("open"))
-	ctx.Call(k.Fn("lookuppn"))
+	ctx.Call(k.fn.open)
+	ctx.Call(k.fn.lookuppn)
 	h := (f.vnode >> memmap.BlockBits) % 8
 	ctx.Read(k.ncache + h*memmap.BlockSize)
 	ctx.Ret()
@@ -106,7 +106,7 @@ func (k *Kernel) Open(ctx *engine.Ctx, p *Process, f *File) {
 // Close models close(2).
 func (k *Kernel) Close(ctx *engine.Ctx, p *Process) {
 	k.syscallEnter(ctx, p)
-	ctx.Call(k.Fn("close"))
+	ctx.Call(k.fn.close)
 	ctx.Write(p.fdTable)
 	ctx.Ret()
 	k.syscallExit(ctx)
@@ -115,8 +115,8 @@ func (k *Kernel) Close(ctx *engine.Ctx, p *Process) {
 // Stat models stat(2).
 func (k *Kernel) Stat(ctx *engine.Ctx, p *Process, f *File) {
 	k.syscallEnter(ctx, p)
-	ctx.Call(k.Fn("stat"))
-	ctx.Call(k.Fn("lookuppn"))
+	ctx.Call(k.fn.stat)
+	ctx.Call(k.fn.lookuppn)
 	h := (f.vnode >> memmap.BlockBits) % 8
 	ctx.Read(k.ncache + h*memmap.BlockSize)
 	ctx.Ret()
@@ -136,7 +136,7 @@ func (k *Kernel) ReadFile(ctx *engine.Ctx, p *Process, f *File, off, n, userBuf 
 		n = f.data.Size - off
 	}
 	k.syscallEnter(ctx, p)
-	ctx.Call(k.Fn("read"))
+	ctx.Call(k.fn.read)
 	ctx.Read(f.vnode)
 	if !f.resident {
 		k.Disk.DiskRead(ctx, f.data.Base, f.data.Size)
@@ -150,7 +150,7 @@ func (k *Kernel) ReadFile(ctx *engine.Ctx, p *Process, f *File, off, n, userBuf 
 
 // Bcopy models an allocating kernel memory copy (bcopy/memcpy).
 func (k *Kernel) Bcopy(ctx *engine.Ctx, src, dst, n uint64) {
-	ctx.Call(k.Fn("bcopy"))
+	ctx.Call(k.fn.bcopy)
 	ctx.ReadN(src, n)
 	ctx.WriteN(dst, n)
 	ctx.Ret()
@@ -158,7 +158,7 @@ func (k *Kernel) Bcopy(ctx *engine.Ctx, src, dst, n uint64) {
 
 // Copyin models a user-to-kernel copy (allocating loads and stores).
 func (k *Kernel) Copyin(ctx *engine.Ctx, src, dst, n uint64) {
-	ctx.Call(k.Fn("copyin"))
+	ctx.Call(k.fn.copyin)
 	ctx.ReadN(src, n)
 	ctx.WriteN(dst, n)
 	ctx.Ret()
@@ -169,7 +169,7 @@ func (k *Kernel) Copyin(ctx *engine.Ctx, src, dst, n uint64) {
 // destination blocks invalid in every cache (the paper's I/O-coherence
 // source).
 func (k *Kernel) Copyout(ctx *engine.Ctx, src, dst, n uint64) {
-	ctx.Call(k.Fn("default_copyout"))
+	ctx.Call(k.fn.defaultCopyout)
 	ctx.ReadN(src, n)
 	ctx.NonAllocStore(dst, n)
 	ctx.Ret()

@@ -51,7 +51,7 @@ func newScheduler(k *Kernel) *Scheduler {
 // and web profiles.
 func (s *Scheduler) Enqueue(ctx *engine.Ctx, t *engine.TCB) {
 	k := s.k
-	ctx.Call(k.Fn("setbackdq"))
+	ctx.Call(k.fn.setbackdq)
 	q := t.LastCPU % s.ncpu
 	switch {
 	case len(s.runq[q]) > 0:
@@ -107,7 +107,7 @@ func (s *Scheduler) chooseCPU(ctx *engine.Ctx, prev int) int {
 func (s *Scheduler) Dequeue(ctx *engine.Ctx) *engine.TCB {
 	cpu := ctx.CPU
 	k := s.k
-	ctx.Call(k.Fn("disp"))
+	ctx.Call(k.fn.disp)
 	defer ctx.Ret()
 
 	ctx.Read(s.cpuT[cpu])
@@ -124,7 +124,7 @@ func (s *Scheduler) Dequeue(ctx *engine.Ctx) *engine.TCB {
 
 	// Local queue empty: disp_getwork scans the real-time queue and then
 	// every CPU in the same global order (0, 1, 2, ...).
-	ctx.Call(k.Fn("disp_getwork"))
+	ctx.Call(k.fn.dispGetwork)
 	defer ctx.Ret()
 	s.IdleScans++
 	ctx.Read(s.kpLock)
@@ -139,7 +139,7 @@ func (s *Scheduler) Dequeue(ctx *engine.Ctx) *engine.TCB {
 			continue
 		}
 		// Found a victim: disp_getbest locks the remote queue and steals.
-		ctx.Call(k.Fn("disp_getbest"))
+		ctx.Call(k.fn.dispGetbest)
 		ctx.Read(s.dispLock[v])
 		ctx.Write(s.dispLock[v])
 		t := s.popLocal(ctx, v)
@@ -155,7 +155,7 @@ func (s *Scheduler) Dequeue(ctx *engine.Ctx) *engine.TCB {
 
 // popLocal removes the front thread from q's run queue (dispdeq).
 func (s *Scheduler) popLocal(ctx *engine.Ctx, q int) *engine.TCB {
-	ctx.Call(s.k.Fn("dispdeq"))
+	ctx.Call(s.k.fn.dispdeq)
 	ctx.Read(s.dispHeads[q])
 	ctx.Write(s.dispHeads[q])
 	t := s.runq[q][0]
@@ -169,7 +169,7 @@ func (s *Scheduler) popLocal(ctx *engine.Ctx, q int) *engine.TCB {
 // ratify re-confirms the choice against the real-time queue and the local
 // heads (disp_ratify).
 func (s *Scheduler) ratify(ctx *engine.Ctx, q int) {
-	ctx.Call(s.k.Fn("disp_ratify"))
+	ctx.Call(s.k.fn.dispRatify)
 	ctx.Read(s.kpHeads)
 	ctx.Read(s.dispHeads[q])
 	ctx.Ret()

@@ -1,6 +1,7 @@
 package solaris
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/engine"
@@ -45,17 +46,23 @@ func TestKernelFunctionsRegistered(t *testing.T) {
 	for _, name := range []string{"disp_getwork", "disp_getbest", "dispdeq", "disp_ratify",
 		"mutex_enter", "cv_block", "dtlb_miss", "sfmmu_tsb_miss", "default_copyout",
 		"strwrite", "getq", "ip_wput", "kmem_cache_alloc", "bdev_strategy", "poll"} {
-		f := r.k.Fn(name)
-		if f.Category == trace.CatUnknown {
+		id, ok := r.k.ST.Lookup(name)
+		if !ok {
+			t.Errorf("%s not registered", name)
+		} else if r.k.ST.CategoryOf(id) == trace.CatUnknown {
 			t.Errorf("%s registered without category", name)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown function lookup must panic")
+	// Every descriptor the model calls was resolved at registration: it is
+	// the symbol table's entry for a registered function.
+	fns := reflect.ValueOf(r.k.fn)
+	for i := 0; i < fns.NumField(); i++ {
+		id := trace.FuncID(fns.Field(i).FieldByName("ID").Uint())
+		name := fns.Field(i).FieldByName("Name").String()
+		if id == 0 || r.k.ST.Func(id).Name != name {
+			t.Errorf("kernel descriptor %s = %d %q not resolved", fns.Type().Field(i).Name, id, name)
 		}
-	}()
-	r.k.Fn("no_such_function")
+	}
 }
 
 func TestMutexEmitsLockAccesses(t *testing.T) {

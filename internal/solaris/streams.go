@@ -47,7 +47,7 @@ func (s *Stream) Pending() int { return len(s.msgs) }
 
 // allocb allocates a message block sized for n payload bytes.
 func (k *Kernel) allocb(ctx *engine.Ctx, n uint64) *Mblk {
-	ctx.Call(k.Fn("allocb"))
+	ctx.Call(k.fn.allocb)
 	addr := k.mblkCache.Alloc(ctx)
 	ctx.Write(addr) // initialize b_rptr/b_wptr
 	ctx.Ret()
@@ -60,7 +60,7 @@ func (k *Kernel) allocb(ctx *engine.Ctx, n uint64) *Mblk {
 
 // freeb releases a message block.
 func (k *Kernel) freeb(ctx *engine.Ctx, m *Mblk) {
-	ctx.Call(k.Fn("freeb"))
+	ctx.Call(k.fn.freeb)
 	k.mblkCache.Free(ctx, m.addr)
 	ctx.Ret()
 }
@@ -69,13 +69,13 @@ func (k *Kernel) freeb(ctx *engine.Ctx, m *Mblk) {
 // structure is read and updated, and the message's link pointer rewritten.
 func (k *Kernel) putnext(ctx *engine.Ctx, s *Stream, m *Mblk) {
 	for _, q := range s.qs {
-		ctx.Call(k.Fn("putnext"))
+		ctx.Call(k.fn.putnext)
 		ctx.Read(q)
 		ctx.Write(q)
 		ctx.Write(m.addr)
 		ctx.Ret()
 	}
-	ctx.Call(k.Fn("putq"))
+	ctx.Call(k.fn.putq)
 	ctx.Read(s.head)
 	ctx.Write(s.head)
 	s.msgs = append(s.msgs, m)
@@ -87,8 +87,8 @@ func (k *Kernel) putnext(ctx *engine.Ctx, s *Stream, m *Mblk) {
 // pass each down the module chain.
 func (k *Kernel) StreamWrite(ctx *engine.Ctx, p *Process, s *Stream, src, n uint64) {
 	k.syscallEnter(ctx, p)
-	ctx.Call(k.Fn("write"))
-	ctx.Call(k.Fn("strwrite"))
+	ctx.Call(k.fn.write)
+	ctx.Call(k.fn.strwrite)
 	ctx.Read(s.head)
 	maxPayload := k.mblkCache.ObjBytes() - memmap.BlockSize
 	for off := uint64(0); off < n; off += maxPayload {
@@ -111,14 +111,14 @@ func (k *Kernel) StreamWrite(ctx *engine.Ctx, p *Process, s *Stream, src, n uint
 // 0 if the stream was empty (the caller then blocks).
 func (k *Kernel) StreamRead(ctx *engine.Ctx, p *Process, s *Stream, dst, max uint64) uint64 {
 	k.syscallEnter(ctx, p)
-	ctx.Call(k.Fn("read"))
-	ctx.Call(k.Fn("strread"))
+	ctx.Call(k.fn.read)
+	ctx.Call(k.fn.strread)
 	ctx.Read(s.head)
 	var total uint64
 	for len(s.msgs) > 0 && total < max {
 		m := s.msgs[0]
 		s.msgs = s.msgs[1:]
-		ctx.Call(k.Fn("getq"))
+		ctx.Call(k.fn.getq)
 		ctx.Read(s.qs[len(s.qs)-1])
 		ctx.Write(s.qs[len(s.qs)-1])
 		ctx.Read(m.addr)

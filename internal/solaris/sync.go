@@ -35,8 +35,8 @@ func newSyncSystem(k *Kernel) *SyncSystem {
 func (s *SyncSystem) OnSleep(ctx *engine.Ctx, t *engine.TCB) {
 	k := s.k
 	b := &s.buckets[t.CVBucket%len(s.buckets)]
-	ctx.Call(k.Fn("cv_block"))
-	ctx.Call(k.Fn("sleepq_insert"))
+	ctx.Call(k.fn.cvBlock)
+	ctx.Call(k.fn.sleepqInsert)
 	ctx.Read(b.lock)
 	ctx.Write(b.lock)
 	ctx.Read(b.head)
@@ -56,8 +56,8 @@ func (s *SyncSystem) OnSleep(ctx *engine.Ctx, t *engine.TCB) {
 func (s *SyncSystem) OnWake(ctx *engine.Ctx, t *engine.TCB) {
 	k := s.k
 	b := &s.buckets[t.CVBucket%len(s.buckets)]
-	ctx.Call(k.Fn("cv_signal"))
-	ctx.Call(k.Fn("sleepq_unsleep"))
+	ctx.Call(k.fn.cvSignal)
+	ctx.Call(k.fn.sleepqUnsleep)
 	ctx.Read(b.lock)
 	ctx.Write(b.lock)
 	ctx.Read(b.head)
@@ -92,7 +92,7 @@ func (k *Kernel) NewMutex() *Mutex {
 
 // Enter acquires the mutex (read the owner word, then swing it).
 func (m *Mutex) Enter(ctx *engine.Ctx) {
-	ctx.Call(m.k.Fn("mutex_enter"))
+	ctx.Call(m.k.fn.mutexEnter)
 	ctx.Read(m.Addr)
 	ctx.Write(m.Addr)
 	ctx.Ret()
@@ -100,7 +100,7 @@ func (m *Mutex) Enter(ctx *engine.Ctx) {
 
 // Exit releases the mutex.
 func (m *Mutex) Exit(ctx *engine.Ctx) {
-	ctx.Call(m.k.Fn("mutex_exit"))
+	ctx.Call(m.k.fn.mutexExit)
 	ctx.Write(m.Addr)
 	ctx.Ret()
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/memmap"
-	"repro/internal/trace"
 )
 
 // VM models the SPARC/Solaris software MMU-fill path: each CPU has small
@@ -30,12 +29,6 @@ type VM struct {
 	dtlb [][]uint64
 	itlb [][]uint64
 
-	// Trap-handler descriptors resolved once at construction: the miss
-	// paths run on every translated access and must not pay a string-keyed
-	// map lookup per trap.
-	fnDtlbMiss, fnItlbMiss, fnTSBMiss trace.Func
-	fnWinSpill, fnWinFill             trace.Func
-
 	// Stats.
 	TLBMisses, TSBMisses uint64
 }
@@ -50,11 +43,6 @@ func newVM(k *Kernel) *VM {
 		v.dtlb = append(v.dtlb, make([]uint64, k.P.TLBEntries))
 		v.itlb = append(v.itlb, make([]uint64, k.P.TLBEntries))
 	}
-	v.fnDtlbMiss = k.Fn("dtlb_miss")
-	v.fnItlbMiss = k.Fn("itlb_miss")
-	v.fnTSBMiss = k.Fn("sfmmu_tsb_miss")
-	v.fnWinSpill = k.Fn("win_spill")
-	v.fnWinFill = k.Fn("win_fill")
 	return v
 }
 
@@ -82,10 +70,10 @@ func (v *VM) Install(ctx *engine.Ctx) {
 func (v *VM) translate(ctx *engine.Ctx, addr uint64, instruction bool) {
 	vpn := addr >> memmap.PageBits
 	tlb := v.dtlb[ctx.CPU]
-	h := v.fnDtlbMiss
+	h := v.k.fn.dtlbMiss
 	if instruction {
 		tlb = v.itlb[ctx.CPU]
-		h = v.fnItlbMiss
+		h = v.k.fn.itlbMiss
 	}
 	idx := vpn & uint64(len(tlb)-1)
 	if tlb[idx] == vpn+1 {
@@ -105,7 +93,7 @@ func (v *VM) translate(ctx *engine.Ctx, addr uint64, instruction bool) {
 	if v.tsbTags[tsbIdx] != vpn+1 {
 		// TSB miss: fetch the slow handler and walk the page table.
 		v.TSBMisses++
-		walk := v.fnTSBMiss
+		walk := v.k.fn.sfmmuTSBMiss
 		if walk.Code.Size > 0 {
 			ctx.RawFetch(walk.Code.Base, walk.ID)
 		}
@@ -125,11 +113,11 @@ func (v *VM) window(ctx *engine.Ctx, t *engine.TCB, spill bool) {
 	slot := uint64(t.WinDepth/8) % (stackBlocks / 2)
 	base := t.StackBase + slot*2*memmap.BlockSize
 	if spill {
-		f := v.fnWinSpill
+		f := v.k.fn.winSpill
 		ctx.RawWrite(base, f.ID)
 		ctx.RawWrite(base+memmap.BlockSize, f.ID)
 	} else {
-		f := v.fnWinFill
+		f := v.k.fn.winFill
 		ctx.RawRead(base, f.ID)
 		ctx.RawRead(base+memmap.BlockSize, f.ID)
 	}
