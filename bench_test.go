@@ -207,20 +207,8 @@ func BenchmarkAblationFixedDepth(b *testing.B) {
 	exp := benchCollect(b, Apache)
 	a := exp.Contexts[MultiChipCtx].Analysis
 	for i := 0; i < b.N; i++ {
-		total := 0.0
-		for _, inst := range a.Instances {
-			total += float64(inst.Len)
-		}
-		for _, depth := range []int{4, 8, 16, 64} {
-			covered := 0.0
-			for _, inst := range a.Instances {
-				l := inst.Len
-				if l > depth {
-					l = depth
-				}
-				covered += float64(l)
-			}
-			b.ReportMetric(100*covered/total, fmt.Sprintf("covered_%%_d%d", depth))
+		for _, depth := range fixedDepths {
+			b.ReportMetric(100*fixedDepthCoverage(a, depth), fmt.Sprintf("covered_%%_d%d", depth))
 		}
 	}
 }

@@ -103,8 +103,8 @@ type Analysis struct {
 
 // Analyzer runs stream analyses while reusing all heavy intermediate
 // storage across calls: the SEQUITUR grammar's node slab and digram index,
-// the stride detector's tables, the derivation walker's stacks, and the
-// rule- and CPU-indexed scratch of the reuse-distance pass. One Analyzer
+// the stride detector's tables, the derivation walk's instance lists, and
+// the rule- and CPU-indexed scratch of the reuse-distance pass. One Analyzer
 // amortizes allocation to near zero when analyzing many traces; it is not
 // safe for concurrent use (give each goroutine its own, e.g. via a
 // sync.Pool).
@@ -128,9 +128,10 @@ type Analyzer struct {
 	opts Options
 	det  *stride.Detector
 
-	// Walker scratch.
-	topOcc   []int32
-	recStack []bool
+	// Derivation scratch: the walk's top-level instances and maximal
+	// later occurrences, and top-level occurrences so far per rule id.
+	top, repeats []sequitur.Instance
+	topOcc       []int32
 
 	// Reuse-distance scratch: per-CPU miss positions accumulated online
 	// during Feed, and the last top-level instance index per rule id.
@@ -271,12 +272,29 @@ func (an *Analyzer) Finish() *Analysis {
 	g := an.g
 	a.grammarRules = g.RuleCount()
 
-	// Walk the derivation: mark per-miss stream state and collect
-	// top-level instances.
+	// Walk the derivation: a miss is Recurring if any enclosing rule
+	// instance is the second-or-later occurrence of its rule, NewStream if
+	// it lies only inside first occurrences, NonRepetitive (State's zero
+	// value) if it hangs directly off the root. Every top-level instance
+	// becomes a stream instance, numbered among the top-level instances of
+	// its rule.
+	an.top, an.repeats = g.Derive(an.top[:0], an.repeats[:0])
 	an.topOcc = resetInt32(an.topOcc, g.RuleIDBound(), 0)
-	v := &walker{a: a, topOcc: an.topOcc, recStack: an.recStack[:0]}
-	g.Walk(v)
-	an.recStack = v.recStack[:0] // keep any capacity the walk grew
+	a.Instances = slices.Grow(a.Instances, len(an.top))
+	for _, in := range an.top {
+		an.topOcc[in.Rule]++
+		a.Instances = append(a.Instances, Instance{
+			RuleID:     int(in.Rule),
+			Occurrence: int(an.topOcc[in.Rule]),
+			Pos:        int(in.Pos),
+			Len:        int(in.Len),
+		})
+		a.LengthDist.Add(float64(in.Len), float64(in.Len))
+		fill(a.State[in.Pos:in.Pos+in.Len], NewStream)
+	}
+	for _, in := range an.repeats {
+		fill(a.State[in.Pos:in.Pos+in.Len], Recurring)
+	}
 
 	// Reuse distances between consecutive top-level occurrences of the
 	// same rule: count intervening misses on the processor that observed
@@ -298,52 +316,11 @@ func resetInt32(buf []int32, n int, fill int32) []int32 {
 	return buf
 }
 
-// walker implements sequitur.DerivationVisitor: a miss is Recurring if any
-// enclosing rule instance is the second-or-later occurrence of its rule,
-// NewStream if it lies only inside first occurrences, NonRepetitive if it
-// hangs directly off the root.
-type walker struct {
-	a        *Analysis
-	topOcc   []int32 // top-level occurrences so far, indexed by rule id
-	recStack []bool
-	recDepth int
-}
-
-func (w *walker) EnterRule(ruleID, occurrence, pos, length, depth int) {
-	if depth == 1 {
-		w.topOcc[ruleID]++
-		w.a.Instances = append(w.a.Instances, Instance{
-			RuleID:     ruleID,
-			Occurrence: int(w.topOcc[ruleID]),
-			Pos:        pos,
-			Len:        length,
-		})
-		w.a.LengthDist.Add(float64(length), float64(length))
+// fill sets every element of states to st.
+func fill(states []StreamState, st StreamState) {
+	for i := range states {
+		states[i] = st
 	}
-	rec := occurrence >= 2
-	w.recStack = append(w.recStack, rec)
-	if rec {
-		w.recDepth++
-	}
-}
-
-func (w *walker) Terminal(pos int, val uint64, depth int) {
-	switch {
-	case depth == 0:
-		w.a.State[pos] = NonRepetitive
-	case w.recDepth > 0:
-		w.a.State[pos] = Recurring
-	default:
-		w.a.State[pos] = NewStream
-	}
-}
-
-func (w *walker) ExitRule(ruleID, pos, length, depth int) {
-	n := len(w.recStack) - 1
-	if w.recStack[n] {
-		w.recDepth--
-	}
-	w.recStack = w.recStack[:n]
 }
 
 // computeReuseDistances fills ReuseDist from the per-CPU miss-position

@@ -5,60 +5,6 @@ import (
 	"strings"
 )
 
-// ruleLengths fills g.lenBuf with the expansion length (in terminals) of
-// every rule id (dead rules get 0) and returns it. The buffer is reused
-// across calls.
-func (g *Grammar) ruleLengths() []int32 {
-	n := len(g.rules)
-	if cap(g.lenBuf) < n {
-		g.lenBuf = make([]int32, n)
-	}
-	g.lenBuf = g.lenBuf[:n]
-	for i := range g.lenBuf {
-		g.lenBuf[i] = 0 // 0 = unknown or dead
-	}
-	var lengthOf func(r int32) int32
-	lengthOf = func(r int32) int32 {
-		if l := g.lenBuf[r]; l != 0 {
-			if l < 0 {
-				panic("sequitur: cyclic grammar")
-			}
-			return l
-		}
-		// Mark in-progress to catch (impossible) cycles deterministically.
-		g.lenBuf[r] = -1
-		total := int32(0)
-		for n := g.first(r); !g.isGuard(n); n = g.nodes[n].next {
-			if g.nodes[n].sym&kindMask == kindRule {
-				total += lengthOf(g.ruleOf(n))
-			} else {
-				total++
-			}
-		}
-		g.lenBuf[r] = total
-		return total
-	}
-	for id := range g.rules {
-		if g.rules[id].guard >= 0 {
-			lengthOf(int32(id))
-		}
-	}
-	return g.lenBuf
-}
-
-// RuleLengths returns the expansion length (in terminals) of every live
-// rule, keyed by rule id. The root's length equals the input length.
-func (g *Grammar) RuleLengths() map[int]int {
-	lengths := g.ruleLengths()
-	out := make(map[int]int, g.live)
-	for id := range g.rules {
-		if g.rules[id].guard >= 0 {
-			out[id] = int(lengths[id])
-		}
-	}
-	return out
-}
-
 // Expansion reconstructs the original input from the grammar.
 func (g *Grammar) Expansion() []uint64 {
 	out := make([]uint64, 0, g.length)
@@ -76,52 +22,67 @@ func (g *Grammar) Expansion() []uint64 {
 	return out
 }
 
-// DerivationVisitor receives events from Walk's left-to-right traversal of
-// the parse tree. Positions are 0-based indices into the original input.
-//
-// EnterRule fires once per rule *instance* in the derivation: occurrence is
-// 1 for the instance whose expansion appears first in the input, 2 for the
-// next, and so on; depth is the nesting level (1 for children of the root).
-// Terminal fires once per input position, with depth the number of
-// enclosing non-root rule instances (0 for terminals hanging directly off
-// the root, which are by construction not part of any repetition).
-type DerivationVisitor interface {
-	EnterRule(ruleID, occurrence, pos, length, depth int)
-	Terminal(pos int, v uint64, depth int)
-	ExitRule(ruleID, pos, length, depth int)
+// Instance is one rule instance in the derivation of the input: rule
+// Rule's expansion covers input positions [Pos, Pos+Len).
+type Instance struct {
+	Rule, Pos, Len int32
 }
 
-// Walk traverses the full derivation of the input. The parse tree has at
-// most one internal node per input symbol, so the walk is O(input length).
-// Walk's internal state (rule lengths, occurrence counters) lives in
-// grammar-owned buffers reused across calls.
-func (g *Grammar) Walk(v DerivationVisitor) {
-	lengths := g.ruleLengths()
-	if cap(g.occBuf) < len(g.rules) {
-		g.occBuf = make([]int32, len(g.rules))
+// Derive walks the derivation of the input left to right and appends to
+// top every rule instance directly under the root, in input order, and
+// to repeats every maximal later occurrence: each rule instance that is
+// not its rule's first occurrence in input order and lies inside no
+// other such instance, in input order. Input positions covered by no top
+// instance hang directly off the root; positions inside a repeat lie in
+// a second or later occurrence of some rule; the rest lie only inside
+// first occurrences.
+//
+// The walk descends only into each rule's first occurrence. A rule
+// instance inside a later occurrence of rule Y also lies, earlier, inside
+// Y's first occurrence, so every rule's first occurrence sits on a chain
+// of first occurrences from the root and nothing is missed. Each rule
+// body is therefore read once, and the walk costs O(grammar), not
+// O(input); rule lengths come out of the same walk, since a later
+// occurrence always follows its rule's completed first one. Its scratch
+// lives in a grammar-owned buffer reused across calls.
+func (g *Grammar) Derive(top, repeats []Instance) ([]Instance, []Instance) {
+	n := len(g.rules)
+	if cap(g.lenBuf) < n {
+		g.lenBuf = make([]int32, n)
 	}
-	g.occBuf = g.occBuf[:len(g.rules)]
-	for i := range g.occBuf {
-		g.occBuf[i] = 0
-	}
-	pos := 0
-	var walk func(r int32, depth int)
-	walk = func(r int32, depth int) {
-		for n := g.first(r); !g.isGuard(n); n = g.nodes[n].next {
-			if g.nodes[n].sym&kindMask == kindRule {
-				id := g.ruleOf(n)
-				g.occBuf[id]++
-				l := int(lengths[id])
-				v.EnterRule(int(id), int(g.occBuf[id]), pos, l, depth+1)
-				walk(id, depth+1)
-				v.ExitRule(int(id), pos, l, depth+1)
-			} else {
-				v.Terminal(pos, g.terms[g.nodes[n].sym>>kindBits], depth)
-				pos++
-			}
+	g.lenBuf = g.lenBuf[:n]
+	clear(g.lenBuf) // 0: rule not reached yet (every rule expands to >= 2)
+	g.descend(0, 0, &top, &repeats)
+	return top, repeats
+}
+
+// descend walks the first occurrence of rule id, which starts at input
+// position pos: it appends the later occurrences directly inside it to
+// repeats, descends into the first ones, and, when top is non-nil,
+// appends every rule instance directly inside it to top. It records and
+// returns the rule's expansion length.
+func (g *Grammar) descend(id, pos int32, top, repeats *[]Instance) int32 {
+	start := pos
+	for s := g.first(id); !g.isGuard(s); s = g.nodes[s].next {
+		sym := g.nodes[s].sym
+		if sym&kindMask != kindRule {
+			pos++
+			continue
 		}
+		c := int32(sym >> kindBits)
+		l := g.lenBuf[c]
+		if l == 0 {
+			l = g.descend(c, pos, nil, repeats)
+		} else {
+			*repeats = append(*repeats, Instance{Rule: c, Pos: pos, Len: l})
+		}
+		if top != nil {
+			*top = append(*top, Instance{Rule: c, Pos: pos, Len: l})
+		}
+		pos += l
 	}
-	walk(0, 0)
+	g.lenBuf[id] = pos - start
+	return pos - start
 }
 
 // String renders the grammar for debugging, one rule per line.

@@ -13,7 +13,8 @@ const maxFuzzSymbols = 1024
 // Fuzz bytes map onto a four-symbol alphabet, so repeats, runs of equal
 // symbols and rule inlining occur constantly. Parse over the whole input
 // and an incremental Append, checked after every symbol, must both keep
-// every grammar invariant and expand back to exactly the input.
+// every grammar invariant and expand back to exactly the input, and
+// Derive over each finished grammar must agree with the reference walk.
 func FuzzSequitur(f *testing.F) {
 	f.Add(junctionOverlapInput)
 	f.Add([]byte{})
@@ -37,11 +38,14 @@ func FuzzSequitur(f *testing.F) {
 				t.Fatalf("%s: expansion %v, want %v", what, got, want)
 			}
 		}
-		check("Parse", Parse(in), in)
+		parsed := Parse(in)
+		check("Parse", parsed, in)
+		checkDerive(t, parsed, in)
 		g := New()
 		for i, v := range in {
 			g.Append(v)
 			check("Append", g, in[:i+1])
 		}
+		checkDerive(t, g, in)
 	})
 }

@@ -14,7 +14,7 @@ func grammarFingerprint(t *testing.T, g *Grammar) (string, map[int]int) {
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatalf("invariants violated: %v", err)
 	}
-	return g.String(), g.RuleLengths()
+	return g.String(), ruleLengths(g)
 }
 
 // deBruijn returns the binary de Bruijn sequence B(2, n) as uint64 symbols,
@@ -179,8 +179,9 @@ func TestSteadyStateAppendAllocs(t *testing.T) {
 	}
 }
 
-// TestWalkReuseAllocs guards the derivation side: repeated walks over one
-// grammar must reuse the grammar-owned scratch buffers.
+// TestWalkReuseAllocs guards the derivation side: repeated Derive walks
+// over one grammar must reuse the grammar-owned scratch and the caller's
+// instance buffers.
 func TestWalkReuseAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under the race detector")
@@ -190,29 +191,120 @@ func TestWalkReuseAllocs(t *testing.T) {
 		in[i] = uint64(i % 61)
 	}
 	g := Parse(in)
-	v := &countingVisitor{}
-	g.Walk(v) // grow scratch once
-	avg := testing.AllocsPerRun(3, func() { g.Walk(v) })
+	top, repeats := g.Derive(nil, nil) // grow scratch once
+	avg := testing.AllocsPerRun(3, func() { top, repeats = g.Derive(top[:0], repeats[:0]) })
 	if avg > 0.5 {
-		t.Errorf("steady-state Walk allocated %.1f times per run, want ~0", avg)
+		t.Errorf("steady-state Derive allocated %.1f times per run, want ~0", avg)
 	}
 }
 
-type countingVisitor struct{ rules, terms int }
+// del removes key's entry, if any, in one probe sequence.
+func (t *digramTable) del(key uint64) {
+	if i, ok := t.find(key); ok {
+		t.remove(i)
+	}
+}
 
-func (c *countingVisitor) EnterRule(ruleID, occurrence, pos, length, depth int) { c.rules++ }
-func (c *countingVisitor) Terminal(pos int, v uint64, depth int)                { c.terms++ }
-func (c *countingVisitor) ExitRule(ruleID, pos, length, depth int)              {}
+// checkDigramTable compares the table with ref: the live count, every
+// entry's node, forEach's coverage, and the linear-probing invariant that
+// makes backward-shift deletion safe — no empty slot between an entry's
+// home slot and the slot it sits in.
+func checkDigramTable(t *testing.T, tab *digramTable, ref map[uint64]int32) {
+	t.Helper()
+	if tab.live != len(ref) {
+		t.Fatalf("live count %d, want %d", tab.live, len(ref))
+	}
+	for key, want := range ref {
+		if got, ok := tab.get(key); !ok || got != want {
+			t.Fatalf("get(%#x) = %d,%v want %d,true", key, got, ok, want)
+		}
+	}
+	count := 0
+	tab.forEach(func(key uint64, node int32) {
+		if want, ok := ref[key]; !ok || want != node {
+			t.Errorf("forEach: key %#x = %d, want %d,%v", key, node, want, ok)
+		}
+		count++
+	})
+	if count != len(ref) {
+		t.Fatalf("forEach visited %d entries, want %d", count, len(ref))
+	}
+	mask := uint32(len(tab.slots) - 1)
+	for j, s := range tab.slots {
+		if s.node == 0 {
+			continue
+		}
+		for i := fibSlot(s.key(), len(tab.slots)); i != uint32(j); i = (i + 1) & mask {
+			if tab.slots[i].node == 0 {
+				t.Fatalf("key %#x in slot %d is cut off from its home slot by empty slot %d", s.key(), j, i)
+			}
+		}
+	}
+}
 
-// TestDigramTable exercises the open-addressed table directly through
-// churn that forces tombstone accumulation, purging, and growth.
+// keysHomedAt returns n distinct keys whose home slot in a table of size
+// slots is home.
+func keysHomedAt(home uint32, size, n int) []uint64 {
+	var keys []uint64
+	for k := uint64(0); len(keys) < n; k++ {
+		if fibSlot(k, size) == home {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// TestDigramTable checks the tombstone-free table against a map:
+// deletion chains that wrap past the last slot, reinsertion after
+// backward shifts, random churn, reset, and growth.
 func TestDigramTable(t *testing.T) {
 	var tab digramTable
 	tab.init()
+	size := len(tab.slots)
 	ref := make(map[uint64]int32)
+
+	// A probe run that wraps: keys homed at the last slot spill into slots
+	// 0, 1, 2, and keys homed at slot 0 queue behind them.
+	last := keysHomedAt(uint32(size-1), size, 4)
+	first := keysHomedAt(0, size, 3)
+	chain := append(append([]uint64{}, last...), first...)
+	for i, k := range chain {
+		tab.set(k, int32(i))
+		ref[k] = int32(i)
+	}
+	checkDigramTable(t, &tab, ref)
+	if tab.slots[size-1].key() != last[0] || tab.slots[3].key() != first[0] {
+		t.Fatalf("wrapped run not laid out as expected")
+	}
+	// Delete from the front of the run, one key at a time: every later
+	// key shifts back across the wrap, and stays findable.
+	for i, k := range chain {
+		tab.del(k)
+		delete(ref, k)
+		checkDigramTable(t, &tab, ref)
+		// Reinsert every other deleted key: it lands behind the shifted
+		// entries, and the run stays intact.
+		if i%2 == 0 {
+			tab.set(k, int32(100+i))
+			ref[k] = int32(100 + i)
+			checkDigramTable(t, &tab, ref)
+		}
+	}
+	// Re-pointing an entry keeps its slot.
+	for k := range ref {
+		i, _ := tab.find(k)
+		tab.set(k, 7)
+		ref[k] = 7
+		if j, _ := tab.find(k); j != i {
+			t.Fatalf("re-pointing %#x moved it from slot %d to %d", k, i, j)
+		}
+	}
+	checkDigramTable(t, &tab, ref)
+
+	// Random churn over a small key space: long runs form and dissolve.
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 200000; i++ {
-		key := rng.Uint64() % 512 // small key space -> heavy delete/reinsert churn
+		key := rng.Uint64() % 512
 		switch rng.Intn(3) {
 		case 0:
 			val := int32(rng.Intn(1 << 20))
@@ -228,20 +320,37 @@ func TestDigramTable(t *testing.T) {
 				t.Fatalf("step %d: get(%d) = %d,%v want %d,%v", i, key, got, ok, want, wok)
 			}
 		}
-	}
-	if tab.live != len(ref) {
-		t.Fatalf("live count %d, want %d", tab.live, len(ref))
-	}
-	count := 0
-	tab.forEach(func(key uint64, val int32) {
-		if ref[key] != val {
-			t.Errorf("forEach: key %d = %d, want %d", key, val, ref[key])
+		if i%10000 == 0 {
+			checkDigramTable(t, &tab, ref)
 		}
-		count++
-	})
-	if count != len(ref) {
-		t.Fatalf("forEach visited %d entries, want %d", count, len(ref))
 	}
+	checkDigramTable(t, &tab, ref)
+
+	// Reset empties the table and keeps its storage.
+	grown := len(tab.slots)
+	tab.reset()
+	clear(ref)
+	checkDigramTable(t, &tab, ref)
+	if len(tab.slots) != grown {
+		t.Fatalf("reset resized the table from %d to %d slots", grown, len(tab.slots))
+	}
+
+	// Growth: the table doubles exactly when an insert would pass half
+	// load, and every entry survives the rehash.
+	for i := 0; i < 5*grown; i++ {
+		key := rng.Uint64()
+		before := len(tab.slots)
+		tab.set(key, int32(i))
+		ref[key] = int32(i)
+		want := before
+		if 2*len(ref) > before {
+			want = 2 * before
+		}
+		if len(tab.slots) != want {
+			t.Fatalf("insert %d: %d slots, want %d (live %d)", i, len(tab.slots), want, len(ref))
+		}
+	}
+	checkDigramTable(t, &tab, ref)
 }
 
 // TestTermTable checks the terminal interning table against a map: ids are

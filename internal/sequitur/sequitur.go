@@ -74,9 +74,8 @@ type Grammar struct {
 	index  digramTable
 	length int
 
-	// Walk/RuleLengths scratch, reused across calls.
+	// Derive scratch (rule expansion lengths), reused across calls.
 	lenBuf []int32
-	occBuf []int32
 }
 
 // New returns an empty grammar.
@@ -196,13 +195,15 @@ func (g *Grammar) deleteDigram(s int32) {
 		return
 	}
 	key := g.digramKey(s)
-	if v, ok := g.index.get(key); !ok || v != s {
+	i, ok := g.index.find(key)
+	if !ok || g.index.at(i) != s {
 		return
 	}
-	g.index.del(key)
 	tn := g.nodes[sn].next
 	if tn >= 0 && !g.isGuard(tn) && g.digramKey(sn) == key {
-		g.index.set(key, sn)
+		g.index.put(i, sn)
+	} else {
+		g.index.remove(i)
 	}
 }
 
@@ -243,12 +244,12 @@ func (g *Grammar) check(s int32) bool {
 		return false
 	}
 	key := g.digramKey(s)
-	m, ok := g.index.get(key)
+	i, ok := g.index.find(key)
 	if !ok {
-		g.index.set(key, s)
+		g.index.insert(i, key, s)
 		return false
 	}
-	if g.nodes[m].next != s { // overlapping occurrences (e.g. "aaa") are left alone
+	if m := g.index.at(i); g.nodes[m].next != s { // overlapping occurrences (e.g. "aaa") are left alone
 		g.match(s, m)
 	}
 	return true
@@ -328,8 +329,10 @@ func (g *Grammar) expand(ref int32) {
 		// first copy and silently break digram uniqueness later (a bug
 		// present in the original pointer implementation).
 		key := g.digramKey(l)
-		if m, ok := g.index.get(key); !ok || g.nodes[m].next != l {
-			g.index.set(key, l)
+		if i, ok := g.index.find(key); !ok {
+			g.index.insert(i, key, l)
+		} else if g.nodes[g.index.at(i)].next != l {
+			g.index.put(i, l)
 		}
 	}
 	g.freeNode(ref)
@@ -337,37 +340,40 @@ func (g *Grammar) expand(ref int32) {
 }
 
 // digramTable is a flat open-addressed hash table from packed digram keys
-// to node indices, with linear probing and tombstone deletion. It replaces
-// the two map operations per digram of the map-based design and allocates
-// only when it grows.
+// to node indices: linear probing over one slot array that stores each
+// key beside its node, so a probe reads one host cache line, and
+// backward-shift deletion, so no tombstones accumulate and every lookup
+// stops at the first empty slot. find returns the slot's index, so each
+// index operation of the grammar — look up then insert, look up then
+// delete or re-point — is one probe sequence. The table stays at most
+// half full, which keeps probe runs, and so the shifts a deletion makes,
+// short. It allocates only when it grows.
 type digramTable struct {
-	keys []uint64
-	vals []int32 // >= 0: node index; tabEmpty / tabDead otherwise
-	used int     // live + tombstones
-	live int
+	slots []digramSlot
+	live  int
 }
 
-const (
-	tabEmpty = int32(-1)
-	tabDead  = int32(-2)
-	tabMin   = 64
-)
+// digramSlot is one 12-byte table entry: the key as its two 32-bit
+// symbols, and the node index plus one, 0 marking an empty slot (every
+// key value is a valid digram, so the key cannot carry the mark).
+type digramSlot struct {
+	hi, lo uint32
+	node   int32
+}
+
+func (s *digramSlot) key() uint64 { return uint64(s.hi)<<32 | uint64(s.lo) }
+
+const tabMin = 64
 
 func (t *digramTable) init() {
-	t.keys = make([]uint64, tabMin)
-	t.vals = make([]int32, tabMin)
-	for i := range t.vals {
-		t.vals[i] = tabEmpty
-	}
-	t.used, t.live = 0, 0
+	t.slots = make([]digramSlot, tabMin)
+	t.live = 0
 }
 
 // reset empties the table without shrinking its storage.
 func (t *digramTable) reset() {
-	for i := range t.vals {
-		t.vals[i] = tabEmpty
-	}
-	t.used, t.live = 0, 0
+	clear(t.slots)
+	t.live = 0
 }
 
 // fibSlot maps key to a slot of a power-of-two table of size slots.
@@ -377,113 +383,101 @@ func fibSlot(key uint64, size int) uint32 {
 	return uint32((key * 0x9E3779B97F4A7C15) >> (64 - uint(bits.TrailingZeros(uint(size)))))
 }
 
-func (t *digramTable) slot(key uint64) uint32 { return fibSlot(key, len(t.keys)) }
+// find returns the index of the slot holding key, or of the empty slot
+// where key would be inserted, and whether key is present.
+func (t *digramTable) find(key uint64) (uint32, bool) {
+	mask := uint32(len(t.slots) - 1)
+	for i := fibSlot(key, len(t.slots)); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.node == 0 {
+			return i, false
+		}
+		if s.hi == uint32(key>>32) && s.lo == uint32(key) {
+			return i, true
+		}
+	}
+}
 
+// at returns the node held by the occupied slot i.
+func (t *digramTable) at(i uint32) int32 { return t.slots[i].node - 1 }
+
+// put re-points the occupied slot i at node.
+func (t *digramTable) put(i uint32, node int32) { t.slots[i].node = node + 1 }
+
+// set indexes key under node, inserting or re-pointing its entry.
+func (t *digramTable) set(key uint64, node int32) {
+	if i, ok := t.find(key); ok {
+		t.put(i, node)
+	} else {
+		t.insert(i, key, node)
+	}
+}
+
+// get returns the node indexed under key.
 func (t *digramTable) get(key uint64) (int32, bool) {
-	mask := uint32(len(t.keys) - 1)
-	for i := t.slot(key); ; i = (i + 1) & mask {
-		v := t.vals[i]
-		if v == tabEmpty {
-			return 0, false
-		}
-		if v != tabDead && t.keys[i] == key {
-			return v, true
-		}
-	}
+	i, ok := t.find(key)
+	return t.slots[i].node - 1, ok
 }
 
-// set inserts or overwrites the entry for key.
-func (t *digramTable) set(key uint64, val int32) {
-	if 4*(t.used+1) > 3*len(t.keys) {
+// insert fills the empty slot i, which find returned for key, with node.
+// Above half load the table first doubles, and the slot is found again.
+func (t *digramTable) insert(i uint32, key uint64, node int32) {
+	if 2*(t.live+1) > len(t.slots) {
 		t.grow()
+		i, _ = t.find(key)
 	}
-	mask := uint32(len(t.keys) - 1)
-	firstDead := int32(-1)
-	for i := t.slot(key); ; i = (i + 1) & mask {
-		v := t.vals[i]
-		if v == tabEmpty {
-			if firstDead >= 0 {
-				i = uint32(firstDead) // reuse the tombstone; used unchanged
-			} else {
-				t.used++
-			}
-			t.keys[i] = key
-			t.vals[i] = val
-			t.live++
-			return
-		}
-		if v == tabDead {
-			if firstDead < 0 {
-				firstDead = int32(i)
-			}
-			continue
-		}
-		if t.keys[i] == key {
-			t.vals[i] = val
-			return
-		}
-	}
+	t.slots[i] = digramSlot{hi: uint32(key >> 32), lo: uint32(key), node: node + 1}
+	t.live++
 }
 
-func (t *digramTable) del(key uint64) {
-	mask := uint32(len(t.keys) - 1)
-	for i := t.slot(key); ; i = (i + 1) & mask {
-		v := t.vals[i]
-		if v == tabEmpty {
-			return
-		}
-		if v != tabDead && t.keys[i] == key {
-			t.vals[i] = tabDead
-			t.live--
-			return
+// remove empties the occupied slot i by backward shift: each later entry
+// of the probe run that may legally sit in the hole moves into it, and
+// the run's last hole becomes empty, so lookups never need tombstones.
+func (t *digramTable) remove(i uint32) {
+	mask := uint32(len(t.slots) - 1)
+	hole := i
+	for j := (hole + 1) & mask; t.slots[j].node != 0; j = (j + 1) & mask {
+		// The entry at j probes from its home slot h up to j; it may move
+		// back into the hole only if the hole lies on that path.
+		h := fibSlot(t.slots[j].key(), len(t.slots))
+		if (j-h)&mask >= (j-hole)&mask {
+			t.slots[hole] = t.slots[j]
+			hole = j
 		}
 	}
+	t.slots[hole] = digramSlot{}
+	t.live--
 }
 
-// grow rehashes into a table sized for the live entries, clearing
-// tombstones.
+// grow rehashes into a table of twice the size.
 func (t *digramTable) grow() {
-	size := len(t.keys)
-	if 2*t.live >= size {
-		size *= 2 // genuinely full: double
-	} // else: same size, just purge tombstones
-	ok, ov := t.keys, t.vals
-	t.keys = make([]uint64, size)
-	t.vals = make([]int32, size)
-	for i := range t.vals {
-		t.vals[i] = tabEmpty
-	}
-	t.used, t.live = 0, 0
-	mask := uint32(size - 1)
-	for i, v := range ov {
-		if v < 0 {
+	old := t.slots
+	t.slots = make([]digramSlot, 2*len(old))
+	mask := uint32(len(t.slots) - 1)
+	for _, s := range old {
+		if s.node == 0 {
 			continue
 		}
-		key := ok[i]
-		for j := t.slot(key); ; j = (j + 1) & mask {
-			if t.vals[j] == tabEmpty {
-				t.keys[j] = key
-				t.vals[j] = v
-				t.used++
-				t.live++
-				break
-			}
+		i := fibSlot(s.key(), len(t.slots))
+		for t.slots[i].node != 0 {
+			i = (i + 1) & mask
 		}
+		t.slots[i] = s
 	}
 }
 
 // forEach visits every live entry.
-func (t *digramTable) forEach(fn func(key uint64, val int32)) {
-	for i, v := range t.vals {
-		if v >= 0 {
-			fn(t.keys[i], v)
+func (t *digramTable) forEach(fn func(key uint64, node int32)) {
+	for _, s := range t.slots {
+		if s.node != 0 {
+			fn(s.key(), s.node-1)
 		}
 	}
 }
 
 // termTable interns terminal values to dense ids: a flat open-addressed
 // table with linear probing, like digramTable, but insert-only (ids live
-// until Reset), so it needs no tombstones. Each slot holds the value
+// until Reset), so it needs no deletion. Each slot holds the value
 // beside its id, so a lookup reads one host cache line per probe.
 type termTable struct {
 	slots []termSlot

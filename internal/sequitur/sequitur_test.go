@@ -37,7 +37,7 @@ func TestClassicAbcdbc(t *testing.T) {
 	if g.RuleCount() != 1 {
 		t.Fatalf("RuleCount = %d, want 1\n%s", g.RuleCount(), g)
 	}
-	lengths := g.RuleLengths()
+	lengths := ruleLengths(g)
 	for id, l := range lengths {
 		if id != 0 && l != 2 {
 			t.Errorf("rule R%d length = %d, want 2", id, l)
@@ -53,7 +53,7 @@ func TestNestedHierarchy(t *testing.T) {
 	if g.RuleCount() < 2 {
 		t.Fatalf("expected nested rules, got %d:\n%s", g.RuleCount(), g)
 	}
-	lengths := g.RuleLengths()
+	lengths := ruleLengths(g)
 	if lengths[0] != len(in) {
 		t.Errorf("root length = %d, want %d", lengths[0], len(in))
 	}
@@ -184,7 +184,7 @@ func TestWalkPositionsAndOccurrences(t *testing.T) {
 			terms = append(terms, val)
 		},
 	}
-	g.Walk(v)
+	walkReference(g, v)
 
 	if !reflect.DeepEqual(terms, in) {
 		t.Errorf("walk terminals = %v, want %v", terms, in)
@@ -215,7 +215,7 @@ func TestRuleLengthsConsistentWithWalk(t *testing.T) {
 		in[i] = rng.Uint64() % 8
 	}
 	g := buildAndCheck(t, in)
-	lengths := g.RuleLengths()
+	lengths := ruleLengths(g)
 
 	counted := make(map[int]int)
 	v := &visitorFuncs{
@@ -227,10 +227,10 @@ func TestRuleLengthsConsistentWithWalk(t *testing.T) {
 		},
 		term: func(int, uint64, int) {},
 	}
-	g.Walk(v)
+	walkReference(g, v)
 }
 
-// visitorFuncs adapts closures to DerivationVisitor.
+// visitorFuncs adapts closures to derivationVisitor.
 type visitorFuncs struct {
 	enter func(ruleID, occurrence, pos, length, depth int)
 	term  func(pos int, v uint64, depth int)

@@ -119,3 +119,82 @@ func TestStoreEquivalenceAllApps(t *testing.T) {
 		})
 	}
 }
+
+// TestAnalyzeNarrowedMatchesSession pins store.Analyze's narrowed calls —
+// record ranges (inside the archive, past its end, empty), stream filters
+// and both together — against an in-process Session fed the same cut of
+// the recorded stream, with the archive's own header, as tsquery's
+// -from/-to/-cpu/-class/-category options promise. Analyze presizes each
+// Session by the range, which must not change a result.
+func TestAnalyzeNarrowedMatchesSession(t *testing.T) {
+	s, _, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := workload.Run(workload.Config{
+		App: workload.OLTP, Machine: workload.MultiChip, Scale: workload.Small,
+		Seed: 5, TargetMisses: 12000,
+	})
+	tr := res.OffChip
+	h := trace.Header{Misses: tr.Len(), Instructions: tr.Instructions, CPUs: tr.CPUs}
+	w, err := s.NewWriter(store.Meta{App: "oltp", Machine: "multi-chip", Label: "narrowed"}, tr.CPUs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.AppendBatch(tr.Misses)
+	w.Finish(h)
+	w.SetSymbols(wire.FuncsOf(res.SymTab))
+	e, err := w.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	n := int64(tr.Len())
+	cpu := 3
+	class := trace.Coherence
+	cat := res.SymTab.CategoryOf(tr.Misses[0].Func)
+	for _, c := range []struct {
+		name string
+		q    store.Query
+	}{
+		{"whole", store.Query{}},
+		{"range", store.Query{From: n / 4, To: n / 2}},
+		{"range-to-end", store.Query{From: n / 3}},
+		{"range-past-end", store.Query{From: n / 2, To: 2 * n}},
+		{"range-empty", store.Query{From: n + 10}},
+		{"cpu", store.Query{CPU: &cpu}},
+		{"class", store.Query{Class: &class}},
+		{"category", store.Query{Category: &cat}},
+		{"range-cpu", store.Query{From: n / 5, To: n / 2, CPU: &cpu}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := tempstream.AnalyzersInFlight()
+			c.q.ID = e.ID
+			results, errs := s.Analyze(c.q, tempstreamOptions())
+			if len(errs) != 0 || len(results) != 1 {
+				t.Fatalf("Analyze: %d results, errs %v", len(results), errs)
+			}
+			ms := tr.Misses
+			lo, hi := min(c.q.From, n), n
+			if c.q.To > 0 {
+				hi = min(c.q.To, n)
+			}
+			ref := tempstream.NewSession(tr.CPUs, 0, tempstreamOptions())
+			for _, m := range ms[lo:hi] {
+				if (c.q.CPU == nil || int(m.CPU) == *c.q.CPU) &&
+					(c.q.Class == nil || m.Class == *c.q.Class) &&
+					(c.q.Category == nil || res.SymTab.CategoryOf(m.Func) == *c.q.Category) {
+					ref.Append(m)
+				}
+			}
+			ref.Finish(h)
+			want := server.ResultOf(ref.Result(res.SymTab))
+			if got := server.ResultOf(results[0].Context); !reflect.DeepEqual(got, want) {
+				t.Errorf("store analysis diverges from the in-process cut:\n  store: %+v\n  want:  %+v", got, want)
+			}
+			if after := tempstream.AnalyzersInFlight(); after != before {
+				t.Errorf("analyzers in flight %d after Analyze, want %d", after, before)
+			}
+		})
+	}
+}

@@ -68,6 +68,20 @@ func containsString(list []string, v string) bool {
 	return false
 }
 
+// deliverable returns the most records q's range can deliver from e's
+// archive: min(To, Records) - From when a range is set, the archive's
+// record count otherwise.
+func (q Query) deliverable(e Entry) int {
+	if q.From <= 0 && q.To <= 0 {
+		return int(e.Records)
+	}
+	to := e.Records
+	if q.To > 0 {
+		to = min(q.To, to)
+	}
+	return int(max(to-max(q.From, 0), 0))
+}
+
 // filtered reports whether the query carries decoded-stream filters.
 func (q Query) filtered() bool {
 	return q.CPU != nil || q.Class != nil || q.Category != nil
@@ -226,7 +240,7 @@ func (s *Store) Analyze(q Query, opts tempstream.StreamOptions) ([]Result, []err
 		errs []error
 	)
 	for _, e := range s.Select(q) {
-		ts := tempstream.NewSession(e.CPUs, int(e.Records), opts)
+		ts := tempstream.NewSession(e.CPUs, q.deliverable(e), opts)
 		tr, err := s.Stream(e, ts, q)
 		if err != nil {
 			ts.Close()

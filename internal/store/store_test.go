@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	tempstream "repro"
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/trace/sinktest"
@@ -229,7 +230,13 @@ func TestCorruptArchiveTypedErrors(t *testing.T) {
 		t.Fatalf("working set %d entries, want 2 (truncated one dropped)", len(got))
 	}
 
+	// The corrupt archive's Session is closed: no analyzer is left
+	// checked out of the pool.
+	before := tempstream.AnalyzersInFlight()
 	results, errs := s2.Analyze(store.Query{}, tempstreamOptions())
+	if after := tempstream.AnalyzersInFlight(); after != before {
+		t.Fatalf("analyzers in flight %d after Analyze, want %d", after, before)
+	}
 	if len(results) != 1 || results[0].Entry.ID != good.ID {
 		t.Fatalf("Analyze returned %d results, want only the healthy archive", len(results))
 	}

@@ -195,7 +195,7 @@ func (e *Experiment) Context(c Context) *ContextResult {
 }
 
 // analyzerPool recycles core.Analyzer instances (grammar slab, digram
-// index, stride tables, walker scratch) across contexts, requests, and
+// index, stride tables, derivation scratch) across contexts, requests, and
 // Runner instances. analyzersOut counts instances currently checked out;
 // the cancellation-hygiene tests assert it returns to zero, so no code
 // path — including a cancelled sweep — can strand an analyzer.
