@@ -302,10 +302,8 @@ type headSink struct {
 	ms    []trace.Miss
 }
 
-func (h *headSink) Append(m trace.Miss) {
-	if len(h.ms) < h.limit {
-		h.ms = append(h.ms, m)
-	}
+func (h *headSink) AppendBatch(ms []trace.Miss) {
+	h.ms = append(h.ms, ms[:min(len(ms), h.limit-len(h.ms))]...)
 }
 func (h *headSink) Finish(trace.Header) {}
 

@@ -370,15 +370,20 @@ type windowSink struct {
 	inStream int
 }
 
-// Append implements trace.Sink.
-func (s *windowSink) Append(m trace.Miss) {
-	if s.inWindow == 0 {
-		s.an.Begin(s.cpus, core.Options{MaxMisses: s.window})
-	}
-	s.an.Feed(m)
-	s.inWindow++
-	if s.inWindow == s.window {
-		s.flush()
+// AppendBatch implements trace.Sink, cutting the chunk at window
+// boundaries.
+func (s *windowSink) AppendBatch(ms []trace.Miss) {
+	for len(ms) > 0 {
+		if s.inWindow == 0 {
+			s.an.Begin(s.cpus, core.Options{MaxMisses: s.window})
+		}
+		n := min(s.window-s.inWindow, len(ms))
+		s.an.FeedAll(ms[:n])
+		s.inWindow += n
+		ms = ms[n:]
+		if s.inWindow == s.window {
+			s.flush()
+		}
 	}
 }
 

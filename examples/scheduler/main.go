@@ -60,10 +60,12 @@ func main() {
 	// mechanism the library Runner cancels whole sweeps with.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	off := m.OffChip()
-	if err := eng.RunContext(ctx, func() bool { return off.Len() >= 30000 }); err != nil {
+	// The predicate re-reads the machine's trace each step: OffChip
+	// flushes the machine's gate first, so the count is exact.
+	if err := eng.RunContext(ctx, func() bool { return m.OffChip().Len() >= 30000 }); err != nil {
 		fmt.Fprintf(os.Stderr, "scheduler: %v (analyzing the partial trace)\n", err)
 	}
+	off := m.OffChip()
 
 	// Keep only the scheduler-attributed misses and analyze them.
 	sched := &trace.Trace{CPUs: ncpu}

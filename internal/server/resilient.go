@@ -189,8 +189,9 @@ func (ep *connEpoch) close() {
 // — does it fail, and then with a typed terminal error. A single-shot
 // caller passes RetryPolicy{MaxAttempts: 1}.
 //
-// Like every Sink, a session is driven from one goroutine: Append zero
-// or more times, Finish once, then Result for the server's analysis.
+// Like every Sink, a session is driven from one goroutine: AppendBatch
+// (or Append) zero or more times, Finish once, then Result for the
+// server's analysis.
 type ResilientSession struct {
 	addr string
 	cpus int
@@ -254,14 +255,15 @@ func DialResilient(addr string, cpus int, req Request, pol RetryPolicy) (*Resili
 	return s, nil
 }
 
-// Append implements trace.Sink.
+// Append encodes one record: the per-record form of AppendBatch, for
+// producers that hold records one at a time.
 func (s *ResilientSession) Append(m trace.Miss) {
 	if s.err == nil {
 		s.enc.Append(m)
 	}
 }
 
-// AppendBatch implements trace.BatchSink, forwarding straight to the
+// AppendBatch implements trace.Sink, forwarding straight to the
 // encoder's batch path.
 func (s *ResilientSession) AppendBatch(ms []trace.Miss) {
 	if s.err == nil {

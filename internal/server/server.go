@@ -294,6 +294,25 @@ func failf(code ErrCode, format string, args ...any) *sessionFailure {
 	return &sessionFailure{code: code, err: fmt.Errorf(format, args...)}
 }
 
+// checkRequest validates a new session's request line and clamps its
+// analysis window to maxWindow.
+func checkRequest(req *Request, maxWindow int) *sessionFailure {
+	if req.Analysis.MaxMisses < 0 {
+		return failf(CodeBadRequest, "analysis window %d is negative", req.Analysis.MaxMisses)
+	}
+	if req.Analysis.MaxMisses == 0 || req.Analysis.MaxMisses > maxWindow {
+		req.Analysis.MaxMisses = maxWindow
+	}
+	if pf := req.Prefetch; pf != nil {
+		if pf.HistoryLen < 1 || pf.HistoryLen > MaxPrefetchHistory ||
+			pf.BufferBlocks < 1 || pf.BufferBlocks > MaxPrefetchBuffer {
+			return failf(CodeBadRequest, "prefetch config must be bounded: history_len in [1,%d], buffer_blocks in [1,%d]",
+				MaxPrefetchHistory, MaxPrefetchBuffer)
+		}
+	}
+	return nil
+}
+
 // Listen binds the ingest listener on addr (e.g. ":7465" or
 // "127.0.0.1:0") but does not accept yet; call Serve.
 func Listen(addr string, cfg Config) (*Server, error) {
@@ -446,22 +465,14 @@ type countingSink struct {
 	n     *atomic.Int64
 }
 
-func (c *countingSink) Append(m trace.Miss) {
-	c.n.Add(1)
-	c.inner.Append(m)
-}
-
-// AppendBatch implements trace.BatchSink: one count update and one
-// dispatch per decoded frame, keeping the decoder's batch delivery
-// intact on its way into the session.
+// AppendBatch implements trace.Sink: one count update per decoded
+// frame.
 func (c *countingSink) AppendBatch(ms []trace.Miss) {
 	c.n.Add(int64(len(ms)))
-	trace.AppendAll(c.inner, ms)
+	c.inner.AppendBatch(ms)
 }
 
 func (c *countingSink) Finish(h trace.Header) { c.inner.Finish(h) }
-
-var _ trace.BatchSink = (*countingSink)(nil)
 
 // register adds a session to the stats table, pruning stale finished
 // entries so the table stays bounded even if nobody scrapes stats.
@@ -661,18 +672,8 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 	}
 
 	if parked == nil {
-		if req.Analysis.MaxMisses < 0 {
-			return nil, nil, failf(CodeBadRequest, "analysis window %d is negative", req.Analysis.MaxMisses)
-		}
-		if req.Analysis.MaxMisses == 0 || req.Analysis.MaxMisses > s.cfg.MaxWindow {
-			req.Analysis.MaxMisses = s.cfg.MaxWindow
-		}
-		if pf := req.Prefetch; pf != nil {
-			if pf.HistoryLen < 1 || pf.HistoryLen > MaxPrefetchHistory ||
-				pf.BufferBlocks < 1 || pf.BufferBlocks > MaxPrefetchBuffer {
-				return nil, nil, failf(CodeBadRequest, "prefetch config must be bounded: history_len in [1,%d], buffer_blocks in [1,%d]",
-					MaxPrefetchHistory, MaxPrefetchBuffer)
-			}
+		if fail := checkRequest(&req, s.cfg.MaxWindow); fail != nil {
+			return nil, nil, fail
 		}
 	}
 

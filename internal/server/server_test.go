@@ -503,6 +503,11 @@ func TestServerSessionBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping memory-growth sweep in short mode")
 	}
+	// Measure on one P: the analyzer pool is a sync.Pool, which caches
+	// per P, so with several Ps a session can miss the warm analyzer
+	// another P returned and build a fresh one (~800 KB) — noise that has
+	// nothing to do with stream length.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	srv := startServer(t, server.Config{})
 	addr := srv.Addr().String()
 	base6k := synthMisses(6000, 4, 5)

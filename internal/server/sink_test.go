@@ -32,8 +32,7 @@ func TestSessionSinkConformance(t *testing.T) {
 			}, true
 		}
 	}
+	// The decoder delivers whole frames; the counting wrapper must count
+	// every chunk exactly, whatever its size.
 	sinktest.Run(t, "server.sessionSink", 20000, cpus, factory)
-	// The decoder delivers whole frames through AppendBatch; the counting
-	// wrapper must count batches exactly as it counts records.
-	sinktest.RunBatch(t, "server.sessionSink", 20000, cpus, factory)
 }

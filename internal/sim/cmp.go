@@ -37,8 +37,10 @@ type CMP struct {
 	blocks    []cmpBlock
 	off       trace.Trace
 	intra     trace.Trace
-	offSink   trace.Sink // destination of off-chip records; defaults to &off
-	intraSink trace.Sink // destination of intra-chip records; defaults to &intra
+	ownOff    trace.Gate  // the machine-owned gate, open onto off
+	ownIntra  trace.Gate  // the machine-owned gate, open onto intra
+	offGate   *trace.Gate // destination of off-chip records; defaults to &ownOff
+	intraGate *trace.Gate // destination of intra-chip records; defaults to &ownIntra
 	instr     uint64
 }
 
@@ -67,35 +69,38 @@ func NewCMP(ncpu int, p CacheParams, nblocks uint64) *CMP {
 	}
 	m.off.CPUs = ncpu
 	m.intra.CPUs = ncpu
-	m.offSink = &m.off
-	m.intraSink = &m.intra
+	m.ownOff.Open(&m.off)
+	m.ownIntra.Open(&m.intra)
+	m.offGate, m.intraGate = &m.ownOff, &m.ownIntra
 	return m
 }
 
 // CPUs implements Machine.
 func (m *CMP) CPUs() int { return m.ncpu }
 
-// SetSinks implements Machine.
-func (m *CMP) SetSinks(off, intra trace.Sink) {
+// SetGates implements Machine.
+func (m *CMP) SetGates(off, intra *trace.Gate) {
 	if off == nil {
-		off = &m.off
+		off = &m.ownOff
 	}
 	if intra == nil {
-		intra = &m.intra
+		intra = &m.ownIntra
 	}
-	m.offSink = off
-	m.intraSink = intra
+	m.offGate = off
+	m.intraGate = intra
 }
 
-// OffChip implements Machine; see DSM.OffChip for the lazy instruction
-// fold.
+// OffChip implements Machine; see DSM.OffChip for the flush and the lazy
+// instruction fold.
 func (m *CMP) OffChip() *trace.Trace {
+	m.ownOff.Flush()
 	m.off.Instructions = m.instr
 	return &m.off
 }
 
 // IntraChip implements Machine.
 func (m *CMP) IntraChip() *trace.Trace {
+	m.ownIntra.Flush()
 	m.intra.Instructions = m.instr
 	return &m.intra
 }
@@ -142,7 +147,7 @@ func (m *CMP) fillL1(cpu int, l1 *cache.Cache, b uint64, st cache.State) {
 
 // intraMiss records an L1 miss satisfied on chip.
 func (m *CMP) intraMiss(cpu int, b uint64, fn trace.FuncID, class trace.MissClass, sup trace.Supplier) {
-	m.intraSink.Append(trace.Miss{
+	m.intraGate.Append(trace.Miss{
 		Addr:     b << 6,
 		Func:     fn,
 		CPU:      uint8(cpu),
@@ -201,7 +206,7 @@ func (m *CMP) readMiss(l1 *cache.Cache, cpu int, b uint64, fn trace.FuncID) {
 	default:
 		// Off-chip miss.
 		class := r.cls.classifyRead(cpu, false, true)
-		m.offSink.Append(trace.Miss{
+		m.offGate.Append(trace.Miss{
 			Addr:     b << 6,
 			Func:     fn,
 			CPU:      uint8(cpu),

@@ -27,7 +27,8 @@ type DSM struct {
 	nodes   []dsmNode
 	blocks  []dsmBlock
 	off     trace.Trace
-	offSink trace.Sink // destination of off-chip records; defaults to &off
+	ownOff  trace.Gate  // the machine-owned gate, open onto off
+	offGate *trace.Gate // destination of off-chip records; defaults to &ownOff
 	instr   uint64
 }
 
@@ -60,27 +61,30 @@ func NewDSM(ncpu int, p CacheParams, nblocks uint64) *DSM {
 		m.nodes[i].l2 = *cache.New(cache.Config{Bytes: p.L2Bytes, Ways: p.L2Ways, BlockBits: 6})
 	}
 	m.off.CPUs = ncpu
-	m.offSink = &m.off
+	m.ownOff.Open(&m.off)
+	m.offGate = &m.ownOff
 	return m
 }
 
 // CPUs implements Machine.
 func (m *DSM) CPUs() int { return m.ncpu }
 
-// SetSinks implements Machine; the DSM has no intra-chip stream, so intra
+// SetGates implements Machine; the DSM has no intra-chip stream, so intra
 // is ignored.
-func (m *DSM) SetSinks(off, intra trace.Sink) {
+func (m *DSM) SetGates(off, intra *trace.Gate) {
 	if off == nil {
-		off = &m.off
+		off = &m.ownOff
 	}
-	m.offSink = off
+	m.offGate = off
 	_ = intra
 }
 
-// OffChip implements Machine. Instruction counts accumulate in a scalar on
-// Tick and are folded into the trace here, keeping the per-step path free
-// of trace-header stores.
+// OffChip implements Machine. It first flushes the machine-owned gate, so
+// the trace holds every record emitted so far. Instruction counts
+// accumulate in a scalar on Tick and are folded into the trace here,
+// keeping the per-step path free of trace-header stores.
 func (m *DSM) OffChip() *trace.Trace {
+	m.ownOff.Flush()
 	m.off.Instructions = m.instr
 	return &m.off
 }
@@ -125,7 +129,7 @@ func (m *DSM) readMiss(n *dsmNode, l1 *cache.Cache, cpu int, b uint64, fn trace.
 	owner := r.dir.Owner()
 	remoteDirty := owner >= 0 && owner != cpu
 	class := r.cls.classifyRead(cpu, remoteDirty, false)
-	m.offSink.Append(trace.Miss{
+	m.offGate.Append(trace.Miss{
 		Addr:     b << 6,
 		Func:     fn,
 		CPU:      uint8(cpu),

@@ -38,22 +38,23 @@ type Machine interface {
 	Tick(cpu int, n uint64)
 	// CPUs returns the number of processors.
 	CPUs() int
-	// OffChip returns the off-chip read-miss trace. The trace's
-	// Instructions field is folded from the machine's counter at call
-	// time: re-call OffChip after further Tick activity rather than
-	// reading the field from a retained pointer.
+	// OffChip returns the machine-owned off-chip read-miss trace. The
+	// machine emits into it through a gate of its own, which OffChip
+	// flushes first, and the trace's Instructions field is folded from
+	// the machine's counter at call time: re-call OffChip after further
+	// activity rather than reading a retained pointer.
 	OffChip() *trace.Trace
 	// IntraChip returns the trace of L1 misses satisfied on chip, or nil
 	// for machines without a shared chip (the DSM). The same call-time
-	// Instructions contract as OffChip applies.
+	// contract as OffChip applies.
 	IntraChip() *trace.Trace
-	// SetSinks reroutes miss records: off receives off-chip read misses,
+	// SetGates reroutes miss records: off receives off-chip read misses,
 	// intra receives on-chip-satisfied L1 misses (ignored by machines
-	// without a shared chip). A nil sink restores the machine-owned
-	// materializing trace for that stream. Producers never call Finish on
-	// the machine's behalf — whoever drives the simulation owns the
-	// end-of-stream header fold.
-	SetSinks(off, intra trace.Sink)
+	// without a shared chip). A nil gate restores the machine-owned gate
+	// and trace for that stream. The machine never finishes a gate's
+	// stream: whoever drives the simulation owns the end-of-stream
+	// header fold.
+	SetGates(off, intra *trace.Gate)
 }
 
 // CacheParams sizes one node's (or the chip's) hierarchy.

@@ -179,14 +179,16 @@ func TestAnalyzeNarrowedMatchesSession(t *testing.T) {
 			if c.q.To > 0 {
 				hi = min(c.q.To, n)
 			}
-			ref := tempstream.NewSession(tr.CPUs, 0, tempstreamOptions())
+			var cut []trace.Miss
 			for _, m := range ms[lo:hi] {
 				if (c.q.CPU == nil || int(m.CPU) == *c.q.CPU) &&
 					(c.q.Class == nil || m.Class == *c.q.Class) &&
 					(c.q.Category == nil || res.SymTab.CategoryOf(m.Func) == *c.q.Category) {
-					ref.Append(m)
+					cut = append(cut, m)
 				}
 			}
+			ref := tempstream.NewSession(tr.CPUs, 0, tempstreamOptions())
+			ref.AppendBatch(cut)
 			ref.Finish(h)
 			want := server.ResultOf(ref.Result(res.SymTab))
 			if got := server.ResultOf(results[0].Context); !reflect.DeepEqual(got, want) {

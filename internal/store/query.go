@@ -124,12 +124,6 @@ type filterSink struct {
 	scratch []trace.Miss
 }
 
-func (f *filterSink) Append(m trace.Miss) {
-	if f.q.keep(m, f.st) {
-		f.inner.Append(m)
-	}
-}
-
 func (f *filterSink) AppendBatch(ms []trace.Miss) {
 	f.scratch = f.scratch[:0]
 	for _, m := range ms {
@@ -137,7 +131,7 @@ func (f *filterSink) AppendBatch(ms []trace.Miss) {
 			f.scratch = append(f.scratch, m)
 		}
 	}
-	trace.AppendAll(f.inner, f.scratch)
+	f.inner.AppendBatch(f.scratch)
 }
 
 func (f *filterSink) Finish(h trace.Header) { f.inner.Finish(h) }
@@ -198,6 +192,9 @@ func (s *Store) Stream(e Entry, sink trace.Sink, q Query) (wire.Trailer, error) 
 // openDecoder opens e's archive and validates its header against the
 // manifest entry.
 func (s *Store) openDecoder(e Entry) (*wire.Decoder, *os.File, error) {
+	if !validID(e.ID) {
+		return nil, nil, &CorruptError{ID: e.ID, Reason: badID}
+	}
 	path := filepath.Join(s.dir, e.File())
 	f, err := os.Open(path)
 	if err != nil {
@@ -257,6 +254,9 @@ func (s *Store) Analyze(q Query, opts tempstream.StreamOptions) ([]Result, []err
 // manifest and a full decode (every frame CRC plus the trailer's record
 // count). It returns nil only for a provably intact archive.
 func (s *Store) Verify(e Entry) error {
+	if !validID(e.ID) {
+		return &CorruptError{ID: e.ID, Reason: badID}
+	}
 	raw, err := os.ReadFile(filepath.Join(s.dir, e.File()))
 	if err != nil {
 		return &CorruptError{ID: e.ID, Reason: "archive file unreadable", Err: err}

@@ -162,20 +162,43 @@ func Open(dir string) (*Store, []error, error) {
 		return nil, nil, err
 	}
 	var bad []error
-	for _, e := range m.Entries {
-		if reason := s.entryDamage(e); reason != "" {
-			bad = append(bad, &CorruptError{ID: e.ID, Reason: reason})
-			continue
-		}
-		s.entries = append(s.entries, e)
-	}
+	s.entries, bad = s.sift(m.Entries)
 	sortEntries(s.entries)
 	return s, bad, nil
 }
 
-// entryDamage returns a non-empty reason when e's archive file fails the
-// cheap (stat-level) consistency check.
+// sift splits manifest entries into the working set and the damaged
+// ones (as *CorruptError values), by entryDamage.
+func (s *Store) sift(entries []Entry) (working []Entry, damaged []error) {
+	for _, e := range entries {
+		if reason := s.entryDamage(e); reason != "" {
+			damaged = append(damaged, &CorruptError{ID: e.ID, Reason: reason})
+			continue
+		}
+		working = append(working, e)
+	}
+	return working, damaged
+}
+
+// badID is the damage reason for an entry whose ID is not a plain file
+// name.
+const badID = "archive ID is not a plain file name"
+
+// validID reports whether id is a single plain file name, so that
+// <dir>/<id>.tsw names a file inside the store. The manifest is input
+// from outside the program: an ID like "../x" would point Prune's
+// deletions and Stream's reads outside the store.
+func validID(id string) bool {
+	return id != "" && id != "." && id != ".." && !strings.ContainsAny(id, `/\`) && filepath.Base(id) == id
+}
+
+// entryDamage returns a non-empty reason when e's ID is not a plain file
+// name or its archive file fails the cheap (stat-level) consistency
+// check.
 func (s *Store) entryDamage(e Entry) string {
+	if !validID(e.ID) {
+		return badID
+	}
 	fi, err := os.Stat(filepath.Join(s.dir, e.File()))
 	if err != nil {
 		return "archive file missing"
@@ -312,7 +335,9 @@ func (s *Store) withLock(fn func() error) error {
 
 // commitManifest re-reads the manifest from disk, applies mutate to its
 // entries, and atomically replaces it; the caller holds the lock. The
-// Store's cached working set is replaced with the result.
+// Store's cached working set is replaced with the result's healthy
+// entries, by the same check Open applies; damaged entries stay in the
+// manifest, where Check reports them.
 func (s *Store) commitManifest(mutate func(entries []Entry) []Entry) error {
 	m, err := readManifest(s.dir)
 	if err != nil {
@@ -334,7 +359,7 @@ func (s *Store) commitManifest(mutate func(entries []Entry) []Entry) error {
 		return fmt.Errorf("store: committing manifest: %w", err)
 	}
 	syncDir(s.dir)
-	s.entries = append(s.entries[:0], m.Entries...)
+	s.entries, _ = s.sift(m.Entries)
 	return nil
 }
 
@@ -388,10 +413,8 @@ func (s *Store) Check() (Report, error) {
 	indexed := make(map[string]bool, len(m.Entries))
 	for _, e := range m.Entries {
 		indexed[e.File()] = true
-		if reason := s.entryDamage(e); reason != "" {
-			rep.Damaged = append(rep.Damaged, &CorruptError{ID: e.ID, Reason: reason})
-		}
 	}
+	_, rep.Damaged = s.sift(m.Entries)
 	names, err := os.ReadDir(s.dir)
 	if err != nil {
 		return rep, fmt.Errorf("store: listing %s: %w", s.dir, err)
@@ -438,13 +461,18 @@ func (s *Store) Prune(ret Retention, now time.Time) ([]Entry, error) {
 			sortEntries(entries)
 			keep := entries[:0]
 			// Age pass first: expired entries go regardless of budget.
+			// An entry with an invalid ID stays untouched: it names no
+			// file of the store, so Prune builds no path from it.
 			var live []Entry
 			for _, e := range entries {
-				if ret.MaxAge > 0 && now.Sub(e.End) > ret.MaxAge {
+				switch {
+				case !validID(e.ID):
+					keep = append(keep, e)
+				case ret.MaxAge > 0 && now.Sub(e.End) > ret.MaxAge:
 					removed = append(removed, e)
-					continue
+				default:
+					live = append(live, e)
 				}
-				live = append(live, e)
 			}
 			// Size pass: drop oldest until the rest fit.
 			if ret.MaxBytes > 0 {

@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -17,7 +18,7 @@ import (
 )
 
 // openStore opens dir asserting a clean store.
-func openStore(t *testing.T, dir string) *store.Store {
+func openStore(t testing.TB, dir string) *store.Store {
 	t.Helper()
 	s, bad, err := store.Open(dir)
 	if err != nil {
@@ -31,7 +32,7 @@ func openStore(t *testing.T, dir string) *store.Store {
 
 // writeArchive drives ms + header into a committed archive and returns
 // its entry.
-func writeArchive(t *testing.T, s *store.Store, meta store.Meta, ms []trace.Miss, h trace.Header, funcs []wire.FuncMeta) store.Entry {
+func writeArchive(t testing.TB, s *store.Store, meta store.Meta, ms []trace.Miss, h trace.Header, funcs []wire.FuncMeta) store.Entry {
 	t.Helper()
 	w, err := s.NewWriter(meta, h.CPUs)
 	if err != nil {
@@ -55,7 +56,6 @@ type recorder struct {
 	hs []trace.Header
 }
 
-func (r *recorder) Append(m trace.Miss)         { r.ms = append(r.ms, m) }
 func (r *recorder) AppendBatch(ms []trace.Miss) { r.ms = append(r.ms, ms...) }
 func (r *recorder) Finish(h trace.Header)       { r.hs = append(r.hs, h) }
 
@@ -92,7 +92,6 @@ func TestWriterSinkConformance(t *testing.T) {
 		return w, observe
 	}
 	sinktest.Run(t, "store.Writer", 10000, cpus, factory)
-	sinktest.RunBatch(t, "store.Writer", 10000, cpus, factory)
 }
 
 // TestManifestRoundtrip pins the manifest entry a commit produces and
@@ -458,5 +457,94 @@ func TestQuerySelection(t *testing.T) {
 	}
 	if len(rec.hs) != 1 || rec.hs[0] != h {
 		t.Fatalf("filtered stream header %+v, want the archive's own %+v", rec.hs, h)
+	}
+}
+
+// TestCommitKeepsDamagedEntriesOut pins the working set across commits:
+// an entry Open dropped as damaged must not come back when a later
+// commit (a Writer's or Prune's) refreshes the working set, while the
+// manifest keeps it for Check to report.
+func TestCommitKeepsDamagedEntriesOut(t *testing.T) {
+	dir := t.TempDir()
+	lost := writeArchive(t, openStore(t, dir), store.Meta{App: "oltp"}, sinktest.Misses(100, 2), sinktest.Header(100, 2), nil)
+	if err := os.Remove(filepath.Join(dir, lost.File())); err != nil {
+		t.Fatal(err)
+	}
+	s, bad, err := store.Open(dir)
+	if err != nil || len(bad) != 1 || s.Archives() != 0 {
+		t.Fatalf("Open = %d archives, damaged %v, err %v; want none, one, nil", s.Archives(), bad, err)
+	}
+	kept := writeArchive(t, s, store.Meta{App: "zeus"}, sinktest.Misses(100, 2), sinktest.Header(100, 2), nil)
+	if got := s.Entries(); len(got) != 1 || got[0].ID != kept.ID {
+		t.Fatalf("working set after a commit = %+v, want only %s", got, kept.ID)
+	}
+	if _, err := s.Prune(store.Retention{MaxBytes: 1 << 40}, time.Now()); err != nil {
+		t.Fatalf("Prune: %v", err)
+	}
+	if got := s.Entries(); len(got) != 1 || got[0].ID != kept.ID {
+		t.Fatalf("working set after Prune = %+v, want only %s", got, kept.ID)
+	}
+	rep, err := s.Check()
+	if err != nil || len(rep.Damaged) != 1 {
+		t.Fatalf("Check = %+v, %v; want the lost entry reported", rep, err)
+	}
+}
+
+// TestManifestRejectsPathIDs pins the manifest's ID rule: an entry whose
+// ID is not a single plain file name is damaged. Open reports it, Prune
+// never deletes through it, and Stream never reads through it — even
+// when the file it points at outside the store exists with the recorded
+// size.
+func TestManifestRejectsPathIDs(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "store")
+	victim := filepath.Join(root, "victim"+store.ArchiveExt)
+	if err := os.WriteFile(victim, make([]byte, 8), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-48 * time.Hour)
+	ids := []string{"../victim", "", ".", "..", "a/b", `a\b`, "/victim"}
+	var m struct {
+		Version int           `json:"version"`
+		Entries []store.Entry `json:"entries"`
+	}
+	m.Version = 1
+	for _, id := range ids {
+		m.Entries = append(m.Entries, store.Entry{ID: id, CPUs: 1, Bytes: 8, Start: old, End: old})
+	}
+	raw, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, bad, err := store.Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if len(bad) != len(ids) || s.Archives() != 0 {
+		t.Fatalf("Open: %d archives, damaged %v; want none and all %d reported", s.Archives(), bad, len(ids))
+	}
+	for _, b := range bad {
+		if !errors.Is(b, store.ErrArchiveCorrupt) {
+			t.Errorf("damaged entry error %v does not match ErrArchiveCorrupt", b)
+		}
+	}
+	if removed, err := s.Prune(store.Retention{MaxAge: time.Hour}, time.Now()); err != nil || len(removed) != 0 {
+		t.Fatalf("Prune = %+v, %v; want nothing removed", removed, err)
+	}
+	if _, err := os.Stat(victim); err != nil {
+		t.Fatalf("Prune deleted a file outside the store: %v", err)
+	}
+	if _, err := s.Stream(m.Entries[0], trace.Discard{}, store.Query{}); !errors.Is(err, store.ErrArchiveCorrupt) {
+		t.Fatalf("Stream through %q = %v, want ErrArchiveCorrupt", m.Entries[0].ID, err)
+	}
+	if rep, err := s.Check(); err != nil || len(rep.Damaged) != len(ids) {
+		t.Fatalf("Check = %+v, %v; want every entry reported damaged", rep, err)
 	}
 }

@@ -26,10 +26,10 @@ type Meta struct {
 	Label   string
 }
 
-// Writer records one miss stream into the store: a trace.BatchSink
+// Writer records one miss stream into the store: a trace.Sink
 // wrapping wire.Encoder over a .tmp file, with the crash-safe
 // visibility protocol (fsync → rename → manifest commit) behind Commit.
-// Drive it exactly like any sink — Append/AppendBatch then one Finish —
+// Drive it exactly like any sink — AppendBatch then one Finish —
 // optionally attach symbols, then call Commit to make the archive
 // visible, or Abort to discard it. Until Commit returns nil, the store
 // has no trace of the write; after it, the manifest entry and the
@@ -45,7 +45,7 @@ type Writer struct {
 	done  bool
 }
 
-var _ trace.BatchSink = (*Writer)(nil)
+var _ trace.Sink = (*Writer)(nil)
 
 // NewWriter opens a writer for a cpus-processor stream. The archive's
 // identity (its ID and file name) derives from a unique temp name, so
@@ -106,10 +106,7 @@ func (w *Writer) ID() string {
 	return strings.TrimSuffix(filepath.Base(w.f.Name()), ".tmp")
 }
 
-// Append implements trace.Sink.
-func (w *Writer) Append(m trace.Miss) { w.enc.Append(m) }
-
-// AppendBatch implements trace.BatchSink.
+// AppendBatch implements trace.Sink.
 func (w *Writer) AppendBatch(ms []trace.Miss) { w.enc.AppendBatch(ms) }
 
 // Finish implements trace.Sink.

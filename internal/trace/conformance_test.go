@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/trace"
@@ -13,19 +14,14 @@ type recorder struct {
 	finishes []trace.Header
 }
 
-func (r *recorder) Append(m trace.Miss)   { r.misses = append(r.misses, m) }
-func (r *recorder) Finish(h trace.Header) { r.finishes = append(r.finishes, h) }
+// AppendBatch snapshots the borrowed chunk at once (the harness
+// clobbers it after the call).
+func (r *recorder) AppendBatch(ms []trace.Miss) { r.misses = append(r.misses, ms...) }
+func (r *recorder) Finish(h trace.Header)       { r.finishes = append(r.finishes, h) }
 
 func (r *recorder) observed() (sinktest.Observed, bool) {
 	return sinktest.Observed{Misses: r.misses, Finishes: r.finishes}, true
 }
-
-// batchRecorder is the reference observable BatchSink: it records
-// exactly like recorder but also accepts batches, and snapshots each
-// borrowed slice immediately (the harness clobbers it after the call).
-type batchRecorder struct{ recorder }
-
-func (r *batchRecorder) AppendBatch(ms []trace.Miss) { r.misses = append(r.misses, ms...) }
 
 // TestSinkConformance applies the shared harness to the trace package's
 // own Sink implementations: the materializing *Trace, the Tee combinator
@@ -45,7 +41,7 @@ func TestSinkConformance(t *testing.T) {
 		a, b := &recorder{}, &recorder{}
 		return trace.Tee{a, b}, func() (sinktest.Observed, bool) {
 			// Both branches must agree; check b against a, report a.
-			if len(a.misses) != len(b.misses) || len(a.finishes) != len(b.finishes) {
+			if !reflect.DeepEqual(a, b) {
 				t.Errorf("tee branches diverge: %d/%d misses, %d/%d finishes",
 					len(a.misses), len(b.misses), len(a.finishes), len(b.finishes))
 			}
@@ -54,43 +50,6 @@ func TestSinkConformance(t *testing.T) {
 	})
 
 	sinktest.Run(t, "Discard", 5000, 4, func() (trace.Sink, func() (sinktest.Observed, bool)) {
-		return trace.Discard{}, nil
-	})
-}
-
-// TestBatchSinkConformance applies the batch-path harness to every
-// BatchSink in the trace package: *Trace, Tee (including a tee over a
-// batch-blind branch, which must fall back to per-record delivery), and
-// the blind Discard.
-func TestBatchSinkConformance(t *testing.T) {
-	sinktest.RunBatch(t, "Trace", 5000, 4, func() (trace.Sink, func() (sinktest.Observed, bool)) {
-		tr := &trace.Trace{}
-		return tr, func() (sinktest.Observed, bool) {
-			finishes := []trace.Header{{Misses: tr.Len(), Instructions: tr.Instructions, CPUs: tr.CPUs}}
-			return sinktest.Observed{Misses: tr.Misses, Finishes: finishes}, true
-		}
-	})
-
-	sinktest.RunBatch(t, "Tee", 5000, 4, func() (trace.Sink, func() (sinktest.Observed, bool)) {
-		// One batch-capable branch, one batch-blind branch: AppendAll
-		// must route each delivery down the fastest path its element
-		// supports, and both must still see the identical stream.
-		fast, slow := &batchRecorder{}, &recorder{}
-		return trace.Tee{fast, slow}, func() (sinktest.Observed, bool) {
-			if len(fast.misses) != len(slow.misses) || len(fast.finishes) != len(slow.finishes) {
-				t.Errorf("tee branches diverge: %d/%d misses, %d/%d finishes",
-					len(fast.misses), len(slow.misses), len(fast.finishes), len(slow.finishes))
-			}
-			for i := range fast.misses {
-				if fast.misses[i] != slow.misses[i] {
-					t.Fatalf("tee branches diverge at record %d", i)
-				}
-			}
-			return fast.observed()
-		}
-	})
-
-	sinktest.RunBatch(t, "Discard", 5000, 4, func() (trace.Sink, func() (sinktest.Observed, bool)) {
 		return trace.Discard{}, nil
 	})
 }

@@ -29,9 +29,9 @@ type pipeItem struct {
 }
 
 // Pipelined is a Sink adapter that moves a stream's consumption onto
-// its own goroutine: Append/AppendBatch copy records into bounded
-// chunks and hand full chunks to the consumer over an SPSC ring
-// (par.SPSC), so the producer — a simulator's emission path — overlaps
+// its own goroutine: AppendBatch copies records into bounded chunks and
+// hands full chunks to the consumer over an SPSC ring (par.SPSC), so the
+// producer — a simulator's emission path — overlaps
 // the downstream sink's work — an analysis session's SEQUITUR append —
 // on another core. The wrapped sink sees exactly the stream the
 // producer emitted: same records, same order, one Finish; results are
@@ -43,8 +43,8 @@ type pipeItem struct {
 // producer through a blocking ring push. Consumed chunks recycle through
 // a free list, so a steady-state pipeline allocates nothing per chunk.
 //
-// Lifecycle: drive Append/AppendBatch/Finish as usual from one
-// producer goroutine, then call Close exactly once — after Finish for
+// Lifecycle: drive AppendBatch/Finish as usual from one producer
+// goroutine, then call Close exactly once — after Finish for
 // a completed stream, or in place of it to tear down a cancelled one —
 // and the call returns when the consumer goroutine has drained the
 // ring and exited. Only after Close returns may the wrapped sink's
@@ -106,7 +106,7 @@ func (s *PipeStats) Add(other PipeStats) {
 	s.ConsumerBusySeconds += other.ConsumerBusySeconds
 }
 
-var _ BatchSink = (*Pipelined)(nil)
+var _ Sink = (*Pipelined)(nil)
 
 // NewPipelined starts a pipeline in front of dst with a ring bound of
 // DefaultPipeDepth chunks and spawns its consumer goroutine. dst must
@@ -140,7 +140,7 @@ func (p *Pipelined) consume() {
 			p.consumerBusyNs.Add(int64(time.Since(start)))
 			continue
 		}
-		AppendAll(p.dst, it.ms)
+		p.dst.AppendBatch(it.ms)
 		p.consumerBusyNs.Add(int64(time.Since(start)))
 		select {
 		case p.free <- it.ms[:0]:
@@ -170,18 +170,9 @@ func (p *Pipelined) push() {
 	p.chunk = p.newChunk()
 }
 
-// Append implements Sink: one bounds-checked store per record, with a
-// ring handoff every PipeChunk records.
-func (p *Pipelined) Append(m Miss) {
-	p.chunk = append(p.chunk, m)
-	if len(p.chunk) == cap(p.chunk) {
-		p.push()
-	}
-}
-
-// AppendBatch implements BatchSink: the records are copied into the
+// AppendBatch implements Sink: the records are copied into the
 // pipeline's own chunks (the Sink contract lets the caller reuse ms
-// after return), chunk-boundary aligned with any interleaved Appends.
+// after return), with a ring handoff every PipeChunk records.
 func (p *Pipelined) AppendBatch(ms []Miss) {
 	for len(ms) > 0 {
 		n := min(cap(p.chunk)-len(p.chunk), len(ms))

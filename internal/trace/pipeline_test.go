@@ -9,23 +9,24 @@ import (
 )
 
 // TestPipelinedEquivalence drives the same stream into a bare Trace and
-// a Pipelined-wrapped Trace — mixing per-record appends with batches
-// that straddle chunk boundaries — and requires identical contents.
+// a Pipelined-wrapped Trace — mixing one-record chunks with chunks that
+// straddle the pipeline's chunk boundaries — and requires identical
+// contents.
 func TestPipelinedEquivalence(t *testing.T) {
 	const n = 3*trace.PipeChunk + 37
 	ms := sinktest.Misses(n, 4)
 	h := sinktest.Header(n, 4)
 
 	want := &trace.Trace{}
-	trace.AppendAll(want, ms)
+	want.AppendBatch(ms)
 	want.Finish(h)
 
 	got := &trace.Trace{}
 	p := trace.NewPipelined(got)
-	// Odd split sizes so batch boundaries and PipeChunk boundaries
-	// interleave: records, a large batch, an empty batch, the rest.
-	for _, m := range ms[:100] {
-		p.Append(m)
+	// Odd split sizes so chunk boundaries and PipeChunk boundaries
+	// interleave: single records, a large chunk, an empty chunk, the rest.
+	for i := range 100 {
+		p.AppendBatch(ms[i : i+1])
 	}
 	p.AppendBatch(ms[100 : 2*trace.PipeChunk+5])
 	p.AppendBatch(nil)
@@ -72,8 +73,8 @@ func TestPipelinedCloseWithoutFinish(t *testing.T) {
 	}
 }
 
-// TestPipelinedConformance runs the sink conformance harness (both the
-// per-record and the batch drives) over a Pipelined-wrapped recorder,
+// TestPipelinedConformance runs the sink conformance harness over a
+// Pipelined-wrapped recorder,
 // with Close folded into the observation point so the harness sees a
 // settled sink. Sizes straddle the chunk boundary on both sides.
 func TestPipelinedConformance(t *testing.T) {
@@ -87,6 +88,5 @@ func TestPipelinedConformance(t *testing.T) {
 			}
 		}
 		sinktest.Run(t, "Pipelined", n, 4, factory)
-		sinktest.RunBatch(t, "Pipelined", n, 4, factory)
 	}
 }

@@ -19,85 +19,48 @@ func (h Header) MPKI() float64 {
 	return float64(h.Misses) * 1000 / float64(h.Instructions)
 }
 
-// Sink is a push-based consumer of classified misses. Producers (the
-// machine simulators, via the workload runner's measurement gate) call
-// Append once per record in trace order and Finish exactly once at end of
-// stream, folding the final header. Sinks are the composition point of the
-// streaming data path: a *Trace is the materializing Sink, analyses and
-// prefetcher evaluations are incremental Sinks, and Tee fans one stream
-// out to several consumers.
+// Sink is a push-based consumer of classified misses, delivered in
+// chunks. Producers call AppendBatch with consecutive runs of records in
+// trace order, then Finish exactly once at end of stream with the
+// stream's header. Every producer delivers chunks: the simulator through
+// its Gate (PipeChunk records a chunk), the wire decoder one decoded
+// frame a chunk, the Pipelined adapter one ring chunk a chunk. Sinks are
+// the composition point of the streaming data path: a *Trace is the
+// materializing Sink, analysis sessions are incremental Sinks, and Tee
+// fans one stream out to several consumers.
+//
+// The chunk is only borrowed: the callee must not retain ms (or any
+// subslice) after returning, because producers reuse the backing array
+// for the next chunk. A chunk may be empty. How a stream is split into
+// chunks carries no meaning; any split is the same stream.
 //
 // A Sink is driven from a single goroutine; implementations need no
 // internal locking.
 type Sink interface {
-	// Append consumes the next miss record.
-	Append(m Miss)
+	// AppendBatch consumes ms[0], ms[1], ... in order.
+	AppendBatch(ms []Miss)
 	// Finish marks end of stream and delivers the stream's header.
 	Finish(h Header)
 }
 
-// BatchSink is the bulk fast path a Sink may additionally implement:
-// AppendBatch consumes a run of records in trace order, equivalent to
-// calling Append on each element but paying the interface dispatch (and
-// any per-call bookkeeping) once per run instead of once per record.
-// The hot producers — the wire decoder delivering a decoded frame, the
-// streaming pipeline delivering a chunk — hand over thousands of
-// records per call, so the batch path is where ingest throughput lives.
-//
-// The slice is only borrowed: the callee must not retain ms (or any
-// subslice) after returning, because callers reuse the backing array
-// for the next batch. An empty batch is a no-op. Interleaving Append
-// and AppendBatch calls is legal and means exactly the concatenated
-// record sequence.
-type BatchSink interface {
-	Sink
-	// AppendBatch consumes ms[0], ms[1], ... in order.
-	AppendBatch(ms []Miss)
-}
-
-// AppendAll delivers ms to s through its AppendBatch fast path when s
-// implements BatchSink, and record by record otherwise. Producers with
-// records already in hand should call this instead of looping over
-// Append themselves.
-func AppendAll(s Sink, ms []Miss) {
-	if b, ok := s.(BatchSink); ok {
-		b.AppendBatch(ms)
-		return
-	}
-	for _, m := range ms {
-		s.Append(m)
-	}
-}
-
-// Trace is the materializing Sink: Append collects records and Finish
-// folds the header into the Instructions/CPUs fields.
-var _ BatchSink = (*Trace)(nil)
-
-// AppendBatch implements BatchSink: one bulk append per batch.
+// AppendBatch implements Sink: one bulk append per chunk.
 func (t *Trace) AppendBatch(ms []Miss) { t.Misses = append(t.Misses, ms...) }
 
-// Finish implements Sink.
+// Finish implements Sink, folding the header into the Instructions and
+// CPUs fields.
 func (t *Trace) Finish(h Header) {
 	t.Instructions = h.Instructions
 	t.CPUs = h.CPUs
 }
 
-// Tee is a Sink combinator that forwards every record (and the final
+// Tee is a Sink combinator that forwards every chunk (and the final
 // header) to each of its elements in order.
 type Tee []Sink
 
-// Append implements Sink.
-func (t Tee) Append(m Miss) {
-	for _, s := range t {
-		s.Append(m)
-	}
-}
-
-// AppendBatch implements BatchSink: each element gets the batch through
-// its own fastest path.
+// AppendBatch implements Sink.
 func (t Tee) AppendBatch(ms []Miss) {
 	for _, s := range t {
-		AppendAll(s, ms)
+		s.AppendBatch(ms)
 	}
 }
 
@@ -112,16 +75,14 @@ func (t Tee) Finish(h Header) {
 // non-nil sink can be pointed at it.
 type Discard struct{}
 
-// Append implements Sink.
-func (Discard) Append(Miss) {}
-
-// AppendBatch implements BatchSink.
+// AppendBatch implements Sink.
 func (Discard) AppendBatch([]Miss) {}
 
 // Finish implements Sink.
 func (Discard) Finish(Header) {}
 
 var (
-	_ BatchSink = Tee(nil)
-	_ BatchSink = Discard{}
+	_ Sink = (*Trace)(nil)
+	_ Sink = Tee(nil)
+	_ Sink = Discard{}
 )

@@ -12,14 +12,14 @@ type recordingSink struct {
 	finished int
 }
 
-func (r *recordingSink) Append(m Miss)   { r.misses = append(r.misses, m) }
-func (r *recordingSink) Finish(h Header) { r.header = h; r.finished++ }
+func (r *recordingSink) AppendBatch(ms []Miss) { r.misses = append(r.misses, ms...) }
+func (r *recordingSink) Finish(h Header)       { r.header = h; r.finished++ }
 
 func TestTraceIsSink(t *testing.T) {
 	var tr Trace
 	var s Sink = &tr
-	s.Append(Miss{Addr: 1 << 6, CPU: 2})
-	s.Append(Miss{Addr: 2 << 6, CPU: 3})
+	s.AppendBatch([]Miss{{Addr: 1 << 6, CPU: 2}})
+	s.AppendBatch([]Miss{{Addr: 2 << 6, CPU: 3}})
 	s.Finish(Header{Misses: 2, Instructions: 5000, CPUs: 4})
 	if tr.Len() != 2 || tr.Instructions != 5000 || tr.CPUs != 4 {
 		t.Errorf("trace after sink feed: len=%d instr=%d cpus=%d", tr.Len(), tr.Instructions, tr.CPUs)
@@ -34,9 +34,8 @@ func TestTeeFansOut(t *testing.T) {
 	var tr Trace
 	tee := Tee{a, b, &tr}
 	want := []Miss{{Addr: 10 << 6}, {Addr: 11 << 6, CPU: 1}, {Addr: 10 << 6, Class: Coherence}}
-	for _, m := range want {
-		tee.Append(m)
-	}
+	tee.AppendBatch(want[:1])
+	tee.AppendBatch(want[1:])
 	h := Header{Misses: len(want), Instructions: 999, CPUs: 2}
 	tee.Finish(h)
 	for i, s := range []*recordingSink{a, b} {
@@ -63,6 +62,6 @@ func TestHeaderMPKI(t *testing.T) {
 
 func TestDiscard(t *testing.T) {
 	var d Discard
-	d.Append(Miss{Addr: 1})
+	d.AppendBatch([]Miss{{Addr: 1}})
 	d.Finish(Header{Misses: 1})
 }

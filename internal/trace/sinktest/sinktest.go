@@ -59,116 +59,69 @@ func Header(n, cpus int) trace.Header {
 	return trace.Header{Misses: n, Instructions: uint64(n) * 250, CPUs: cpus}
 }
 
-// Run drives the conformance sequence into a fresh sink from the factory
-// and checks the Sink contract:
+// Run drives the conformance sequence into fresh sinks from the factory,
+// one drive shape per subtest, and checks the Sink contract after each:
 //
-//   - Append ordering: the observed records are exactly the driven ones,
-//     in trace order;
-//   - exactly-one-Finish: the sink saw one Finish, after all Appends,
-//     carrying the driven header.
+//   - ordering: the observed records are exactly the driven ones, in
+//     trace order, however the stream was split into chunks;
+//   - exactly-one-Finish: the sink saw one Finish, after every chunk,
+//     carrying the driven header;
+//   - borrowing: every chunk is a scratch copy clobbered right after
+//     the call, so a sink that retains the borrowed slice fails loudly.
 //
-// Two drive shapes run: the full sequence, and an empty stream (Finish
-// with no Appends), which streaming producers legitimately emit.
+// The shapes are stream (one record per chunk, the finest split),
+// one-batch (the whole sequence in one chunk), interleave (uneven
+// chunks, single records and empty chunks mixed, so chunk edges drift
+// against any internal chunking the sink does), and two empty streams,
+// both named empty: one with no chunk at all and one with a single
+// empty chunk.
 func Run(t *testing.T, name string, n, cpus int, factory Factory) {
 	t.Helper()
 	misses := Misses(n, cpus)
-	h := Header(n, cpus)
-
-	t.Run(name+"/stream", func(t *testing.T) {
-		sink, observe := factory()
-		for _, m := range misses {
-			sink.Append(m)
+	stream := make([]int, n)
+	for i := range stream {
+		stream[i] = 1
+	}
+	var interleave []int
+	for i, step := 0, 1; i < n; step++ {
+		c := 0 // every fourth chunk is empty
+		switch step % 4 {
+		case 1:
+			c = 1
+		case 2, 3:
+			c = min(step*7+3, n-i)
 		}
-		sink.Finish(h)
-		check(t, observe, misses, h)
-	})
-
-	t.Run(name+"/empty", func(t *testing.T) {
-		sink, observe := factory()
-		sink.Finish(Header(0, cpus))
-		check(t, observe, nil, Header(0, cpus))
-	})
-}
-
-// RunBatch drives the conformance sequence through the BatchSink fast
-// path and checks it is observationally identical to the per-record
-// drive: batches are just runs of Appends, so ordering, content, and
-// exactly-one-Finish must all survive. Three drive shapes run:
-//
-//   - one-batch: the whole sequence in a single AppendBatch;
-//   - interleave: per-record Appends mixed with uneven batches and
-//     empty batches (legal no-ops) in between;
-//   - empty: an empty batch then Finish, the batch analogue of the
-//     empty stream.
-//
-// The factory's sink must implement trace.BatchSink; the drive copies
-// each batch into a scratch buffer that is clobbered afterwards, so a
-// sink that retains the borrowed slice fails loudly here.
-func RunBatch(t *testing.T, name string, n, cpus int, factory Factory) {
-	t.Helper()
-	misses := Misses(n, cpus)
-	h := Header(n, cpus)
-
-	// deliver hands sink a clobber-after-use copy of ms, enforcing the
-	// borrowed-slice half of the AppendBatch contract.
+		interleave = append(interleave, c)
+		i += c
+	}
+	shapes := []struct {
+		name   string
+		chunks []int // chunk lengths in drive order
+	}{
+		{"stream", stream},
+		{"one-batch", []int{n}},
+		{"interleave", interleave},
+		{"empty", nil},
+		{"empty", []int{0}},
+	}
 	scratch := make([]trace.Miss, 0, n)
-	deliver := func(sink trace.BatchSink, ms []trace.Miss) {
-		scratch = append(scratch[:0], ms...)
-		sink.AppendBatch(scratch)
-		for i := range scratch {
-			scratch[i] = trace.Miss{Addr: ^uint64(0)}
-		}
-	}
-
-	asBatch := func(t *testing.T, s trace.Sink) trace.BatchSink {
-		t.Helper()
-		b, ok := s.(trace.BatchSink)
-		if !ok {
-			t.Fatalf("%T does not implement trace.BatchSink", s)
-		}
-		return b
-	}
-
-	t.Run(name+"/one-batch", func(t *testing.T) {
-		sink, observe := factory()
-		b := asBatch(t, sink)
-		deliver(b, misses)
-		b.Finish(h)
-		check(t, observe, misses, h)
-	})
-
-	t.Run(name+"/interleave", func(t *testing.T) {
-		sink, observe := factory()
-		b := asBatch(t, sink)
-		i := 0
-		step := 1
-		for i < len(misses) {
-			switch step % 4 {
-			case 0:
-				b.AppendBatch(nil) // empty batch: a no-op
-			case 1:
-				b.Append(misses[i])
-				i++
-			default:
-				// Uneven batch sizes so batch edges drift against any
-				// internal chunking the sink does.
-				end := min(i+step*7+3, len(misses))
-				deliver(b, misses[i:end])
-				i = end
+	for _, sh := range shapes {
+		t.Run(name+"/"+sh.name, func(t *testing.T) {
+			sink, observe := factory()
+			sent := 0
+			for _, c := range sh.chunks {
+				scratch = append(scratch[:0], misses[sent:sent+c]...)
+				sink.AppendBatch(scratch)
+				for i := range scratch {
+					scratch[i] = trace.Miss{Addr: ^uint64(0)}
+				}
+				sent += c
 			}
-			step++
-		}
-		b.Finish(h)
-		check(t, observe, misses, h)
-	})
-
-	t.Run(name+"/empty", func(t *testing.T) {
-		sink, observe := factory()
-		b := asBatch(t, sink)
-		b.AppendBatch(nil)
-		b.Finish(Header(0, cpus))
-		check(t, observe, nil, Header(0, cpus))
-	})
+			h := Header(sent, cpus)
+			sink.Finish(h)
+			check(t, observe, misses[:sent], h)
+		})
+	}
 }
 
 func check(t *testing.T, observe func() (Observed, bool), misses []trace.Miss, h trace.Header) {

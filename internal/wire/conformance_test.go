@@ -32,8 +32,4 @@ func TestEncoderSinkConformance(t *testing.T) {
 		}
 	}
 	sinktest.Run(t, "wire.Encoder", 9000, cpus, factory)
-	// The batch drive must produce a byte-equivalent stream: AppendBatch
-	// shares the record encoder and frame chunking with Append, so the
-	// decode observes the same records either way.
-	sinktest.RunBatch(t, "wire.Encoder", 9000, cpus, factory)
 }

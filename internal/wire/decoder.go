@@ -21,9 +21,8 @@ import (
 //
 // Memory is O(frame): the decoder holds one frame payload at a time
 // (bounded by maxFramePayload), the decoded records of that one frame
-// (delivered to the sink as a single batch through trace.AppendAll, so
-// batch-capable sinks pay interface dispatch once per frame instead of
-// once per record), and the per-CPU delta chain — never the stream.
+// (delivered to the sink as one chunk), and the per-CPU delta chain —
+// never the stream.
 //
 // For the ingest server's resume protocol, a Decoder exposes its exact
 // progress — data frames fully consumed, records delivered, and the
@@ -226,11 +225,11 @@ func varint(p []byte) (int64, []byte, bool) {
 	return v, p[n:], true
 }
 
-// Run decodes the remainder of the stream, calling sink.Append once per
-// record in stream order and, when the trailer arrives, sink.Finish with
-// the stream's header. It returns the trailer (totals plus any symbol
-// table). On error the sink has received a prefix of the records and no
-// Finish.
+// Run decodes the remainder of the stream, calling sink.AppendBatch once
+// per data frame in stream order and, when the trailer arrives,
+// sink.Finish with the stream's header. It returns the trailer (totals
+// plus any symbol table). On error the sink has received a prefix of the
+// records and no Finish.
 func (d *Decoder) Run(sink trace.Sink) (Trailer, error) {
 	d.ranged = false
 	return d.run(sink)
@@ -324,7 +323,7 @@ func (d *Decoder) run(sink trace.Sink) (Trailer, error) {
 }
 
 // decodeData parses one data frame's records and delivers them to sink
-// as a single batch (trace.AppendAll — the ingest fast path); n is how
+// as a single chunk (the ingest fast path); n is how
 // many were delivered. On a malformed frame the records parsed before
 // the bad byte are still delivered, exactly as the per-record path did,
 // so Run's boundary accounting is unchanged.
@@ -398,7 +397,7 @@ func (d *Decoder) decodeData(p []byte, sink trace.Sink) (n int64, err error) {
 // delivery window.
 func (d *Decoder) deliver(sink trace.Sink, batch []trace.Miss, base int64) {
 	if !d.ranged {
-		trace.AppendAll(sink, batch)
+		sink.AppendBatch(batch)
 		return
 	}
 	lo, hi := int64(0), int64(len(batch))
@@ -411,7 +410,7 @@ func (d *Decoder) deliver(sink trace.Sink, batch []trace.Miss, base int64) {
 	if lo >= hi {
 		return
 	}
-	trace.AppendAll(sink, batch[lo:hi])
+	sink.AppendBatch(batch[lo:hi])
 }
 
 // Symbols returns the symbol table carried by the stream's trailer, for

@@ -17,8 +17,9 @@ var ErrUnfinished = errors.New("wire: stream closed before Finish")
 
 // Encoder serializes a classified miss stream into the wire format. It
 // implements trace.Sink, so it plugs directly into any producer of the
-// streaming data path (workload.RunStream, trace.Tee, ...): Append buffers
-// records and emits a framed chunk every frameRecords records, Finish
+// streaming data path (workload.RunStream, trace.Tee, ...): AppendBatch
+// and Append buffer records and emit a framed chunk every frameRecords
+// records, Finish
 // latches the stream header, and Close writes the trailer and reports the
 // first error encountered.
 //
@@ -47,7 +48,7 @@ type Encoder struct {
 	err      error
 }
 
-var _ trace.BatchSink = (*Encoder)(nil)
+var _ trace.Sink = (*Encoder)(nil)
 
 // NewEncoder starts a wire stream for a cpus-processor miss stream on w,
 // writing the magic and header frame immediately. The encoder does its own
@@ -98,7 +99,8 @@ func (e *Encoder) writeFrame(kind byte, parts ...[]byte) {
 	}
 }
 
-// Append implements trace.Sink.
+// Append encodes one record: the per-record form of AppendBatch, for
+// producers that hold records one at a time.
 func (e *Encoder) Append(m trace.Miss) {
 	if e.err != nil {
 		return
@@ -110,7 +112,7 @@ func (e *Encoder) Append(m trace.Miss) {
 	e.appendOne(m)
 }
 
-// AppendBatch implements trace.BatchSink: the stream-state checks run
+// AppendBatch implements trace.Sink: the stream-state checks run
 // once per batch instead of once per record; the per-record validation
 // (cpu range, class/supplier) stays, because it guards the wire
 // format's invariants, not the call protocol. A record that fails

@@ -81,8 +81,8 @@ type analyzerSink struct {
 	a  *core.Analysis
 }
 
-func (s *analyzerSink) Append(m trace.Miss) { s.an.Feed(m) }
-func (s *analyzerSink) Finish(trace.Header) { s.a = s.an.Finish() }
+func (s *analyzerSink) AppendBatch(ms []trace.Miss) { s.an.FeedAll(ms) }
+func (s *analyzerSink) Finish(trace.Header)         { s.a = s.an.Finish() }
 
 // TestReplayMatchesInProcessAnalysis pins the record/replay acceptance
 // criterion: analyzing a decoded stream incrementally reproduces the

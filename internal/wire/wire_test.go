@@ -146,8 +146,8 @@ type recordingSink struct {
 	finishes []trace.Header
 }
 
-func (r *recordingSink) Append(m trace.Miss)   { r.misses = append(r.misses, m) }
-func (r *recordingSink) Finish(h trace.Header) { r.finishes = append(r.finishes, h) }
+func (r *recordingSink) AppendBatch(ms []trace.Miss) { r.misses = append(r.misses, ms...) }
+func (r *recordingSink) Finish(h trace.Header)       { r.finishes = append(r.finishes, h) }
 
 // TestDecoderTruncation cuts a valid stream at every byte boundary: every
 // prefix must produce an error (never a silent short stream, never a

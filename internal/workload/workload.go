@@ -178,32 +178,6 @@ func (b *builder) addThread(t engine.Thread, name string, cpu int) {
 	b.threads = append(b.threads, pendingThread{t, name, cpu})
 }
 
-// windowGate sits between a machine and the measurement sink: it counts
-// every record the simulation emits (construction, warmup, measurement
-// alike — the engine's stop predicates poll that count as one int load)
-// and forwards records to the downstream sink only once opened at the
-// measurement boundary. The warmup prefix is therefore never materialized
-// anywhere; the batch path's post-hoc window copy is gone.
-type windowGate struct {
-	sink  trace.Sink // nil while the gate is closed
-	total int        // records seen since the start of the simulation
-	kept  int        // records forwarded since the gate opened
-}
-
-// Append implements trace.Sink.
-func (g *windowGate) Append(m trace.Miss) {
-	g.total++
-	if g.sink != nil {
-		g.sink.Append(m)
-		g.kept++
-	}
-}
-
-// Finish implements trace.Sink. The workload runner folds headers into the
-// measurement sinks itself (it owns the warmup-adjusted instruction
-// counts), so a gate never forwards Finish.
-func (g *windowGate) Finish(trace.Header) {}
-
 // Run executes one configuration end to end and returns its traces. It is
 // the batch form of RunStream: the measurement sinks are materializing
 // traces, presized to the measurement window. Run cannot be cancelled;
@@ -318,18 +292,14 @@ func runSinks(ctx context.Context, cfg Config, offSink, intraSink trace.Sink) (*
 	// Route the machine's records through closed gates: construction and
 	// warmup misses are counted for the stop predicates but dropped, so
 	// the multi-megabyte warmup prefix never materializes. Presize the
-	// measurement sinks that are plain traces so the hot Append path never
+	// measurement sinks that are plain traces so the hot append path never
 	// re-doubles mid-run (+slack for stop-predicate overshoot).
-	offGate := &windowGate{}
-	var intraGate *windowGate
+	offGate := &trace.Gate{}
+	var intraGate *trace.Gate
 	if cfg.Machine == SingleChip {
-		intraGate = &windowGate{}
-		mach.SetSinks(offGate, intraGate)
-	} else {
-		// Untyped nil, not a nil *windowGate: SetSinks' "nil restores the
-		// machine-owned trace" contract checks the interface value.
-		mach.SetSinks(offGate, nil)
+		intraGate = &trace.Gate{}
 	}
+	mach.SetGates(offGate, intraGate)
 	if t, ok := offSink.(*trace.Trace); ok && t != nil {
 		t.Grow(cfg.TargetMisses + 4096)
 	}
@@ -355,27 +325,27 @@ func runSinks(ctx context.Context, cfg Config, offSink, intraSink trace.Sink) (*
 	// and cache steady state (the paper warms for 5000+ transactions).
 	// The stop predicates close over the gates hoisted above, so each
 	// per-step poll is one int compare with no interface call.
-	warmTarget := offGate.total + cfg.WarmMisses
-	if err := eng.RunContext(ctx, func() bool { return offGate.total >= warmTarget }); err != nil {
+	warmTarget := offGate.Total() + cfg.WarmMisses
+	if err := eng.RunContext(ctx, func() bool { return offGate.Total() >= warmTarget }); err != nil {
 		return nil, err
 	}
-	warmOff := offGate.total
+	warmOff := offGate.Total()
 	warmInstr := mach.OffChip().Instructions
 	var warmIntra int
 	if intraGate != nil {
-		warmIntra = intraGate.total
+		warmIntra = intraGate.Total()
 	}
 
 	// Measurement: open the gates onto the caller's sinks.
-	offGate.sink = offSink
+	offGate.Open(offSink)
 	total := warmOff + cfg.TargetMisses
 	var err error
 	if intraGate != nil {
-		intraGate.sink = intraSink
+		intraGate.Open(intraSink)
 		intraCap := warmIntra + 40*cfg.TargetMisses
-		err = eng.RunContext(ctx, func() bool { return offGate.total >= total || intraGate.total >= intraCap })
+		err = eng.RunContext(ctx, func() bool { return offGate.Total() >= total || intraGate.Total() >= intraCap })
 	} else {
-		err = eng.RunContext(ctx, func() bool { return offGate.total >= total })
+		err = eng.RunContext(ctx, func() bool { return offGate.Total() >= total })
 	}
 	if err != nil {
 		// Cancelled mid-measurement: the sinks never see Finish, so a
@@ -384,11 +354,9 @@ func runSinks(ctx context.Context, cfg Config, offSink, intraSink trace.Sink) (*
 	}
 
 	instr := mach.OffChip().Instructions
-	if offSink != nil {
-		offSink.Finish(trace.Header{Misses: offGate.kept, Instructions: instr - warmInstr, CPUs: ncpu})
-	}
-	if intraGate != nil && intraSink != nil {
-		intraSink.Finish(trace.Header{Misses: intraGate.kept, Instructions: instr - warmInstr, CPUs: ncpu})
+	offGate.Finish(instr-warmInstr, ncpu)
+	if intraGate != nil {
+		intraGate.Finish(instr-warmInstr, ncpu)
 	}
 
 	return &Result{

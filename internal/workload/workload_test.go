@@ -268,9 +268,9 @@ type cancellingSink struct {
 	finished bool
 }
 
-func (c *cancellingSink) Append(trace.Miss) {
-	c.n++
-	if c.n == c.after {
+func (c *cancellingSink) AppendBatch(ms []trace.Miss) {
+	c.n += len(ms)
+	if c.n >= c.after {
 		c.cancel()
 	}
 }

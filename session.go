@@ -24,13 +24,6 @@ type StreamOptions struct {
 	KeepTraces bool
 }
 
-// streamChunk bounds the Session's batching buffer (misses). Feeding the
-// analyzer in bursts rather than per record keeps the grammar's tables hot
-// across consecutive symbols instead of competing with the simulator's
-// memory traffic on every miss; 32k records is 512 KB — still O(1) per
-// context, far below any analysis window.
-const streamChunk = 32768
-
 // ErrSessionAborted is returned by Session.Close when the session is
 // closed before its stream finished: the consumers' partial state was
 // discarded, so no result was (or can be) produced.
@@ -42,7 +35,7 @@ var ErrSessionAborted = errors.New("tempstream: session closed before its stream
 type sessionState uint8
 
 const (
-	// sessionOpen: accepting Append; Finish has not arrived.
+	// sessionOpen: accepting AppendBatch; Finish has not arrived.
 	sessionOpen sessionState = iota
 	// sessionFinished: the stream ended; Result may be called once.
 	sessionFinished
@@ -52,9 +45,11 @@ const (
 )
 
 // Session is the streaming consumer of one classified miss stream: a
-// trace.Sink that tees each record into a pooled incremental analyzer, an
-// optional prefetcher evaluation, and an optional materializing trace,
-// amortizing the per-record work over bounded chunks. With a prefetcher
+// trace.Sink that tees each chunk into a pooled incremental analyzer, an
+// optional prefetcher evaluation, and an optional materializing trace.
+// Every producer already delivers chunks (the simulator's gate, the wire
+// decoder's frames, the pipeline's ring), so the Session feeds its
+// consumers straight from the borrowed chunk. With a prefetcher
 // attached, each chunk's evaluation runs on its own goroutine alongside
 // the analyzer feed and joins before the chunk returns: the two are
 // independent state machines that each see the chunk in record order,
@@ -68,15 +63,14 @@ const (
 // Peak memory is O(window): once the analyzer's window is full and no
 // other consumer is attached, further records are dropped in O(1) with no
 // allocation. A Session is driven from one goroutine (the Sink contract)
-// through a strict lifecycle: Append zero or more times, Finish exactly
-// once, then Result exactly once to collect the analyses and return the
-// pooled analyzer — or Close at any point to discard a partially-fed
-// session (e.g. a cancelled simulation or a network stream that errored
-// mid-flight). Calls outside that order panic with a "tempstream:"
-// message naming the violation, rather than corrupting or dereferencing
-// the already-returned analyzer.
+// through a strict lifecycle: AppendBatch zero or more times, Finish
+// exactly once, then Result exactly once to collect the analyses and
+// return the pooled analyzer — or Close at any point to discard a
+// partially-fed session (e.g. a cancelled simulation or a network stream
+// that errored mid-flight). Calls outside that order panic with a
+// "tempstream:" message naming the violation, rather than corrupting or
+// dereferencing the already-returned analyzer.
 type Session struct {
-	chunk []trace.Miss
 	// inert is set once every consumer is saturated (analysis window full,
 	// no prefetcher, no kept trace): the remaining records need no work at
 	// all, exactly as a batch analysis' truncation never reads them.
@@ -90,23 +84,20 @@ type Session struct {
 	// reused across chunks, so the fork allocates nothing per chunk. Set
 	// exactly when ev is.
 	evDone chan struct{}
-	// busyNs accrues wall-clock spent inside consume — the session's
+	// busyNs accrues wall-clock spent inside AppendBatch — the session's
 	// analyze time, as distinct from the simulate time of whoever drives
 	// it. Plain field: a Session is single-goroutine by contract, and
 	// readers (BusySeconds) are documented to run after the drive.
 	busyNs int64
 }
 
-var _ trace.BatchSink = (*Session)(nil)
+var _ trace.Sink = (*Session)(nil)
 
 // NewSession prepares the consumers for one miss stream of a
 // cpus-processor machine; expect is the anticipated window length, used
 // purely to presize storage (0 is fine: storage grows on demand).
 func NewSession(cpus, expect int, opts StreamOptions) *Session {
-	s := &Session{
-		chunk: make([]trace.Miss, 0, streamChunk),
-		an:    getAnalyzer(),
-	}
+	s := &Session{an: getAnalyzer()}
 	s.an.Begin(cpus, opts.Analysis)
 	s.an.Grow(expect)
 	if opts.Prefetch != nil {
@@ -120,39 +111,23 @@ func NewSession(cpus, expect int, opts StreamOptions) *Session {
 	return s
 }
 
-// Append implements trace.Sink: one bounds-checked store per record, with
-// the consumers run chunk-at-a-time from flush. Appending to a finished
-// or closed Session panics: the record would feed an analyzer whose
-// result is already sealed (or already back in the pool).
-func (s *Session) Append(m trace.Miss) {
+// AppendBatch implements trace.Sink: every consumer runs over ms in
+// record order. ms is only borrowed (each consumer copies what it
+// keeps). The prefetcher evaluation, when attached, runs on its own
+// goroutine concurrently with the analyzer feed — both read ms, neither
+// writes it — and joins before AppendBatch returns. Appending to a
+// finished or closed Session panics: the records would feed an analyzer
+// whose result is already sealed (or already back in the pool).
+func (s *Session) AppendBatch(ms []trace.Miss) {
 	if s.state != sessionOpen {
-		panic("tempstream: Session.Append after Finish or Close (the Sink contract allows appends only before the single Finish)")
+		panic("tempstream: Session.AppendBatch after Finish or Close (the Sink contract allows appends only before the single Finish)")
 	}
-	if s.inert {
+	if s.inert || len(ms) == 0 {
 		return
 	}
-	s.chunk = append(s.chunk, m)
-	if len(s.chunk) == cap(s.chunk) {
-		s.flush()
-	}
-}
-
-// flush drains the chunk buffer through consume.
-func (s *Session) flush() {
-	s.consume(s.chunk)
-	s.chunk = s.chunk[:0]
-}
-
-// consume runs every consumer over ms in record order — the shared path
-// behind Append's chunk buffer and AppendBatch's direct delivery. ms is
-// only borrowed (each consumer copies what it keeps). The prefetcher
-// evaluation, when attached, runs on its own goroutine concurrently with
-// the analyzer feed — both read ms, neither writes it — and consume
-// joins before returning.
-func (s *Session) consume(ms []trace.Miss) {
 	start := time.Now()
 	defer func() { s.busyNs += int64(time.Since(start)) }()
-	if s.ev != nil && len(ms) > 0 {
+	if s.ev != nil {
 		go func() {
 			for i := range ms {
 				s.ev.Step(ms[i])
@@ -170,47 +145,12 @@ func (s *Session) consume(ms []trace.Miss) {
 	s.inert = s.an.Full() && s.ev == nil && s.tr == nil
 }
 
-// batchDirect is the batch size from which AppendBatch bypasses the
-// chunk buffer: a batch this large already amortizes the per-chunk
-// dispatch, so buffering it again would only add a copy. Matches the
-// wire decoder's frame granularity.
-const batchDirect = 4096
-
-// AppendBatch implements trace.BatchSink: small batches land in the
-// same chunk buffer Append fills (so mixed drives chunk identically);
-// batches of at least batchDirect records flush the buffer and feed the
-// consumers directly, skipping the copy — the decoded-frame fast path
-// of the ingest server. Ordering across mixed Append/AppendBatch calls
-// is exactly delivery order, and the same lifecycle panics apply.
-func (s *Session) AppendBatch(ms []trace.Miss) {
-	if s.state != sessionOpen {
-		panic("tempstream: Session.Append after Finish or Close (the Sink contract allows appends only before the single Finish)")
-	}
-	if s.inert || len(ms) == 0 {
-		return
-	}
-	if len(ms) >= batchDirect {
-		s.flush() // buffered records first: order is delivery order
-		s.consume(ms)
-		return
-	}
-	for len(ms) > 0 && !s.inert {
-		n := min(cap(s.chunk)-len(s.chunk), len(ms))
-		s.chunk = append(s.chunk, ms[:n]...)
-		ms = ms[n:]
-		if len(s.chunk) == cap(s.chunk) {
-			s.flush()
-		}
-	}
-}
-
 // Finish implements trace.Sink, sealing the stream with its header.
 // Finishing twice (or after Close) panics.
 func (s *Session) Finish(h trace.Header) {
 	if s.state != sessionOpen {
 		panic("tempstream: Session.Finish called twice (the Sink contract delivers exactly one Finish)")
 	}
-	s.flush()
 	s.header = h
 	if s.tr != nil {
 		s.tr.Finish(h)

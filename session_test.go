@@ -30,9 +30,9 @@ func mustPanic(t *testing.T, want string, fn func()) {
 func TestSessionAppendAfterFinishPanics(t *testing.T) {
 	s := NewSession(2, 0, StreamOptions{})
 	defer s.Close()
-	s.Append(trace.Miss{Addr: 64})
+	s.AppendBatch([]trace.Miss{{Addr: 64}})
 	s.Finish(trace.Header{Misses: 1, CPUs: 2})
-	mustPanic(t, "Append after Finish", func() { s.Append(trace.Miss{Addr: 128}) })
+	mustPanic(t, "AppendBatch after Finish", func() { s.AppendBatch([]trace.Miss{{Addr: 128}}) })
 }
 
 func TestSessionDoubleFinishPanics(t *testing.T) {
@@ -45,13 +45,13 @@ func TestSessionDoubleFinishPanics(t *testing.T) {
 func TestSessionResultBeforeFinishPanics(t *testing.T) {
 	s := NewSession(2, 0, StreamOptions{})
 	defer s.Close()
-	s.Append(trace.Miss{Addr: 64})
+	s.AppendBatch([]trace.Miss{{Addr: 64}})
 	mustPanic(t, "Result before Finish", func() { s.Result(nil) })
 }
 
 func TestSessionDoubleResultPanics(t *testing.T) {
 	s := NewSession(2, 0, StreamOptions{})
-	s.Append(trace.Miss{Addr: 64})
+	s.AppendBatch([]trace.Miss{{Addr: 64}})
 	s.Finish(trace.Header{Misses: 1, CPUs: 2})
 	if cr := s.Result(nil); cr == nil || len(cr.Analysis.Misses) != 1 {
 		t.Fatalf("first Result = %+v, want one analyzed miss", cr)
@@ -59,7 +59,7 @@ func TestSessionDoubleResultPanics(t *testing.T) {
 	mustPanic(t, "called twice or after Close", func() { s.Result(nil) })
 	// Misuse after the analyzer went back to the pool must also be the
 	// defined panic, not a nil dereference.
-	mustPanic(t, "Append after Finish", func() { s.Append(trace.Miss{}) })
+	mustPanic(t, "AppendBatch after Finish", func() { s.AppendBatch([]trace.Miss{{}}) })
 }
 
 // TestSessionCloseStates pins the error-returning close path: aborting a
@@ -68,7 +68,7 @@ func TestSessionDoubleResultPanics(t *testing.T) {
 func TestSessionCloseStates(t *testing.T) {
 	// Mid-stream: aborted.
 	s := NewSession(2, 0, StreamOptions{})
-	s.Append(trace.Miss{Addr: 64})
+	s.AppendBatch([]trace.Miss{{Addr: 64}})
 	if err := s.Close(); !errors.Is(err, ErrSessionAborted) {
 		t.Errorf("Close mid-stream = %v, want ErrSessionAborted", err)
 	}

@@ -2,8 +2,11 @@ package tempstream
 
 import (
 	"errors"
+	"reflect"
+	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/prefetch"
 	"repro/internal/trace"
 	"repro/internal/trace/sinktest"
@@ -11,28 +14,26 @@ import (
 
 // TestSessionSinkConformance applies the shared Sink harness to the
 // streaming Session (the consumer behind Runner.Run and the ingest
-// server). KeepTraces makes the session observable: the kept trace must
-// be the driven stream verbatim, and the result header the folded Finish.
+// server) with no trace kept: the analyzer's own window must be the
+// driven stream verbatim, and the result header the folded Finish.
 func TestSessionSinkConformance(t *testing.T) {
 	const cpus = 4
 	sinktest.Run(t, "tempstream.Session", 40000, cpus, func() (trace.Sink, func() (sinktest.Observed, bool)) {
-		s := NewSession(cpus, 0, StreamOptions{KeepTraces: true})
+		s := NewSession(cpus, 0, StreamOptions{})
 		return s, func() (sinktest.Observed, bool) {
 			cr := s.Result(nil)
 			return sinktest.Observed{
-				Misses:   cr.Trace.Misses,
+				Misses:   cr.Analysis.Misses,
 				Finishes: []trace.Header{cr.Header},
 			}, true
 		}
 	})
 }
 
-// TestSessionBatchConformance drives the Session through the BatchSink
-// harness, covering both AppendBatch regimes: the interleave shape's
-// small batches land in the chunk buffer, while sizes past batchDirect
-// (the 40000-record one-batch shape) take the direct consume path. A
-// session with a prefetcher forks its evaluator per chunk and must
-// behave identically, so both variants run.
+// TestSessionBatchConformance runs the harness over Sessions that keep
+// their trace, observing the kept trace. A session with a prefetcher
+// forks its evaluator per chunk and must behave identically, so both
+// variants run.
 func TestSessionBatchConformance(t *testing.T) {
 	const cpus = 4
 	for _, tc := range []struct {
@@ -42,7 +43,7 @@ func TestSessionBatchConformance(t *testing.T) {
 		{"tempstream.Session", StreamOptions{KeepTraces: true}},
 		{"tempstream.Session/sharded", StreamOptions{KeepTraces: true, Prefetch: &streamPfCfg}},
 	} {
-		sinktest.RunBatch(t, tc.name, 40000, cpus, func() (trace.Sink, func() (sinktest.Observed, bool)) {
+		sinktest.Run(t, tc.name, 40000, cpus, func() (trace.Sink, func() (sinktest.Observed, bool)) {
 			s := NewSession(cpus, 0, tc.opts)
 			return s, func() (sinktest.Observed, bool) {
 				cr := s.Result(nil)
@@ -55,47 +56,85 @@ func TestSessionBatchConformance(t *testing.T) {
 	}
 }
 
-// TestSessionBatchMatchesAppend pins batch/record equivalence on the
-// full analysis (not just the kept trace): the same stream fed once per
-// record and once in uneven batches must produce identical analyses, and
-// both must carry prefetch.Evaluate's counters over the stream, although
-// each chunk's evaluation ran on its own goroutine.
+// TestSessionBatchMatchesAppend is the Session's split-invariance check
+// on the full analysis (not just the kept trace): the same stream fed
+// record by record, in uneven chunks with empty ones between, and as
+// one whole chunk must each produce core.Analyze's analysis over the
+// stream, and with a prefetcher attached prefetch.Evaluate's counters,
+// although each chunk's evaluation ran on its own goroutine.
 func TestSessionBatchMatchesAppend(t *testing.T) {
 	const cpus, n = 4, 50000
 	misses := sinktest.Misses(n, cpus)
 	h := sinktest.Header(n, cpus)
-	opts := StreamOptions{Prefetch: &streamPfCfg}
-	evaluated := prefetch.Evaluate(&trace.Trace{Misses: misses, CPUs: cpus}, streamPfCfg)
+	whole := &trace.Trace{Misses: misses, CPUs: cpus}
+	analysis := core.Analyze(whole, core.Options{})
+	evaluated := prefetch.Evaluate(whole, streamPfCfg)
 
-	ref := NewSession(cpus, 0, opts)
-	for _, m := range misses {
-		ref.Append(m)
+	records := make([]int, n)
+	for i := range records {
+		records[i] = 1
 	}
-	ref.Finish(h)
-	want := ref.Result(nil)
-	if *want.Prefetch != evaluated {
-		t.Errorf("per-record: prefetch counters %+v, want %+v", *want.Prefetch, evaluated)
+	splits := []struct {
+		name   string
+		chunks []int // chunk lengths in drive order
+	}{
+		{"records", records},
+		{"uneven", []int{100, 0, trace.PipeChunk + 50, 1, 0, 7, 30000, n - trace.PipeChunk - 30158}},
+		{"whole", []int{n}},
 	}
+	for _, sp := range splits {
+		for _, pf := range []*prefetch.Config{nil, &streamPfCfg} {
+			s := NewSession(cpus, 0, StreamOptions{Prefetch: pf})
+			sent := 0
+			for _, c := range sp.chunks {
+				s.AppendBatch(misses[sent : sent+c])
+				sent += c
+			}
+			if sent != n {
+				t.Fatalf("%s: split covers %d records, want %d", sp.name, sent, n)
+			}
+			s.Finish(h)
+			got := s.Result(nil)
+			if got.Header != h {
+				t.Errorf("%s, prefetch %v: header %+v, want %+v", sp.name, pf != nil, got.Header, h)
+			}
+			if !reflect.DeepEqual(got.Analysis, analysis) {
+				t.Errorf("%s, prefetch %v: analysis differs from core.Analyze (%d rules vs %d)",
+					sp.name, pf != nil, got.Analysis.GrammarRules(), analysis.GrammarRules())
+			}
+			if (got.Prefetch != nil) != (pf != nil) {
+				t.Fatalf("%s: prefetch counters present %v, want %v", sp.name, got.Prefetch != nil, pf != nil)
+			}
+			if pf != nil && *got.Prefetch != evaluated {
+				t.Errorf("%s: prefetch counters %+v, want %+v", sp.name, *got.Prefetch, evaluated)
+			}
+		}
+	}
+}
 
-	s := NewSession(cpus, 0, opts)
-	// Batch sizes sweep both regimes: tiny (buffered), then one
-	// straddling batchDirect, then the large remainder (direct).
-	s.AppendBatch(misses[:100])
-	s.AppendBatch(misses[100 : batchDirect+50])
-	s.AppendBatch(misses[batchDirect+50:])
-	s.Finish(h)
-	got := s.Result(nil)
-	if len(got.Analysis.Misses) != len(want.Analysis.Misses) {
-		t.Fatalf("window %d vs %d", len(got.Analysis.Misses), len(want.Analysis.Misses))
+// TestSessionAllocations guards a Session's memory: a warmed session fed
+// 1000 records in one chunk allocates under 512 KiB from NewSession to
+// Result. A per-session staging buffer of 32768 records (512 KiB) alone
+// would break it.
+func TestSessionAllocations(t *testing.T) {
+	const cpus, n, runs = 4, 1000, 5
+	ms := sinktest.Misses(n, cpus)
+	h := sinktest.Header(n, cpus)
+	run := func() {
+		s := NewSession(cpus, n, StreamOptions{})
+		s.AppendBatch(ms)
+		s.Finish(h)
+		s.Result(nil)
 	}
-	if got.Analysis.GrammarRules() != want.Analysis.GrammarRules() {
-		t.Errorf("grammar rules %d vs %d", got.Analysis.GrammarRules(), want.Analysis.GrammarRules())
+	run() // warm the analyzer pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
 	}
-	if got.Header != want.Header {
-		t.Errorf("header %+v vs %+v", got.Header, want.Header)
-	}
-	if *got.Prefetch != evaluated {
-		t.Errorf("batched: prefetch counters %+v, want %+v", *got.Prefetch, evaluated)
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 512<<10 {
+		t.Errorf("a %d-record session allocates %d bytes, want under %d", n, per, 512<<10)
 	}
 }
 
@@ -104,9 +143,7 @@ func TestSessionBatchMatchesAppend(t *testing.T) {
 // reusable.
 func TestSessionAbandon(t *testing.T) {
 	s := NewSession(4, 0, StreamOptions{})
-	for _, m := range sinktest.Misses(10000, 4) {
-		s.Append(m)
-	}
+	s.AppendBatch(sinktest.Misses(10000, 4))
 	if err := s.Close(); !errors.Is(err, ErrSessionAborted) {
 		t.Fatalf("Close of a half-fed session = %v, want ErrSessionAborted", err)
 	}
@@ -114,9 +151,7 @@ func TestSessionAbandon(t *testing.T) {
 	// The pool must hand out working analyzers afterwards.
 	s2 := NewSession(4, 0, StreamOptions{})
 	misses := sinktest.Misses(5000, 4)
-	for _, m := range misses {
-		s2.Append(m)
-	}
+	s2.AppendBatch(misses)
 	s2.Finish(sinktest.Header(len(misses), 4))
 	cr := s2.Result(nil)
 	if len(cr.Analysis.Misses) != len(misses) {
