@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net"
 	"reflect"
@@ -503,18 +504,24 @@ func TestServerSessionBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping memory-growth sweep in short mode")
 	}
-	// Measure on one P: the analyzer pool is a sync.Pool, which caches
-	// per P, so with several Ps a session can miss the warm analyzer
-	// another P returned and build a fresh one (~800 KB) — noise that has
-	// nothing to do with stream length.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	srv := startServer(t, server.Config{})
 	addr := srv.Addr().String()
 	base6k := synthMisses(6000, 4, 5)
 	base24k := synthMisses(4*6000, 4, 5)
 	sessionAllocBytes(t, addr, base6k) // warm pools, buffers, TCP state
-	base := sessionAllocBytes(t, addr, base6k)
-	big := sessionAllocBytes(t, addr, base24k)
+	// Under the race detector sync.Pool drops a quarter of its Puts at
+	// random, so a session can find no idle analyzer and build one
+	// (~810 KB) that has nothing to do with stream length; there each
+	// reading is the least of several sessions.
+	samples := 1
+	if raceEnabled {
+		samples = 5
+	}
+	base, big := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range samples {
+		base = min(base, sessionAllocBytes(t, addr, base6k))
+		big = min(big, sessionAllocBytes(t, addr, base24k))
+	}
 	t.Logf("allocated bytes: base(6k)=%d big(24k)=%d ratio=%.2f", base, big, float64(big)/float64(base))
 	if big > 2*base {
 		t.Errorf("session allocations grew with stream length: %d -> %d bytes (>2x) for a 4x stream", base, big)

@@ -23,9 +23,6 @@ func (r *recorder) observed() (sinktest.Observed, bool) {
 	return sinktest.Observed{Misses: r.misses, Finishes: r.finishes}, true
 }
 
-// TestSinkConformance applies the shared harness to the trace package's
-// own Sink implementations: the materializing *Trace, the Tee combinator
-// (every branch must see the full ordered stream), and the blind Discard.
 // traceObserved reports what a fresh *Trace consumed. A Trace cannot
 // distinguish zero Finishes from one; the header fold is the observable.
 // Misses order is exact.
@@ -34,6 +31,9 @@ func traceObserved(tr *trace.Trace) (sinktest.Observed, bool) {
 	return sinktest.Observed{Misses: tr.Misses, Finishes: finishes}, true
 }
 
+// TestSinkConformance applies the shared harness to the trace package's
+// own Sink implementations: the materializing *Trace, the Tee combinator
+// (every branch must see the full ordered stream), and the blind Discard.
 func TestSinkConformance(t *testing.T) {
 	sinktest.Run(t, "Trace", 5000, 4, func() (trace.Sink, func() (sinktest.Observed, bool)) {
 		tr := &trace.Trace{}

@@ -22,12 +22,7 @@ type Gate struct {
 
 // Open starts forwarding records to s. Opening with a nil s leaves the
 // gate closed.
-func (g *Gate) Open(s Sink) {
-	g.sink = s
-	if s != nil && g.buf == nil {
-		g.buf = make([]Miss, 0, PipeChunk)
-	}
-}
+func (g *Gate) Open(s Sink) { g.sink = s }
 
 // Append counts m and, while the gate is open, buffers it for the sink.
 func (g *Gate) Append(m Miss) {

@@ -2,9 +2,12 @@ package tempstream
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"weak"
 
+	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -110,5 +113,33 @@ func TestSessionCloseBalancesPool(t *testing.T) {
 	resulted.Close()
 	if got := analyzersOut.Load(); got != base {
 		t.Errorf("checked-out analyzers after Close = %d, want %d", got, base)
+	}
+}
+
+// TestIdleAnalyzerLifetime pins the idle list's two lifetime rules: a
+// returned analyzer is handed out again after one collection, to a
+// caller on another goroutine, and one left unclaimed is released by the
+// second collection (so idle analyzers never count as live heap once
+// the process has settled). The test holds the analyzer only weakly
+// across each collection.
+func TestIdleAnalyzerLifetime(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a quarter of its Puts")
+	}
+	an := getAnalyzer()
+	w := weak.Make(an)
+	putAnalyzer(an)
+	an = nil
+	runtime.GC()
+	got := make(chan weak.Pointer[core.Analyzer])
+	go func() { got <- weak.Make(getAnalyzer()) }()
+	if <-got != w {
+		t.Fatalf("a returned analyzer was not reused after one collection")
+	}
+	putAnalyzer(w.Value())
+	runtime.GC()
+	runtime.GC()
+	if w.Value() != nil {
+		t.Errorf("an unclaimed analyzer outlived two collections")
 	}
 }

@@ -59,6 +59,7 @@ package tempstream
 import (
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/prefetch"
@@ -194,23 +195,44 @@ func (e *Experiment) Context(c Context) *ContextResult {
 	return e.Contexts[c]
 }
 
-// analyzerPool recycles core.Analyzer instances (grammar slab, digram
-// index, stride tables, derivation scratch) across contexts, requests, and
-// Runner instances. analyzersOut counts instances currently checked out;
-// the cancellation-hygiene tests assert it returns to zero, so no code
-// path — including a cancelled sweep — can strand an analyzer.
+// Idle core.Analyzer instances (grammar slab, digram index, stride
+// tables, derivation scratch) are recycled across contexts, requests, and
+// Runner instances. idleAnalyzers is a LIFO of weak pointers that a
+// session on any P can claim from; keepAnalyzers, a sync.Pool that is
+// never drained, is what holds them alive, so an unclaimed analyzer is
+// released at the second collection after its return, as a pooled one
+// would be. (A sync.Pool alone parks its first item in a per-P slot that
+// a Get on another P cannot reach, and the session then builds a fresh
+// analyzer.) analyzersOut counts instances currently checked out; the
+// cancellation-hygiene tests assert it returns to zero, so no code path —
+// including a cancelled sweep — can strand an analyzer.
 var (
-	analyzerPool = sync.Pool{New: func() any { return core.NewAnalyzer() }}
-	analyzersOut atomic.Int64
+	idleMu        sync.Mutex
+	idleAnalyzers []weak.Pointer[core.Analyzer]
+	keepAnalyzers sync.Pool
+	analyzersOut  atomic.Int64
 )
 
 func getAnalyzer() *core.Analyzer {
 	analyzersOut.Add(1)
-	return analyzerPool.Get().(*core.Analyzer)
+	idleMu.Lock()
+	for len(idleAnalyzers) > 0 {
+		an := idleAnalyzers[len(idleAnalyzers)-1].Value()
+		idleAnalyzers = idleAnalyzers[:len(idleAnalyzers)-1]
+		if an != nil {
+			idleMu.Unlock()
+			return an
+		}
+	}
+	idleMu.Unlock()
+	return core.NewAnalyzer()
 }
 
 func putAnalyzer(an *core.Analyzer) {
-	analyzerPool.Put(an)
+	keepAnalyzers.Put(an)
+	idleMu.Lock()
+	idleAnalyzers = append(idleAnalyzers, weak.Make(an))
+	idleMu.Unlock()
 	analyzersOut.Add(-1)
 }
 
