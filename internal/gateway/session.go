@@ -357,18 +357,15 @@ func (g *Gateway) backendFailed(sess *gwSession, cause error, msg *proto.Line) *
 	decline := false
 	var termRaw []byte
 	if msg != nil {
-		if msg.Err != nil {
-			cause = msg.Err
-		} else {
-			var resp server.Response
-			if json.Unmarshal(msg.Data, &resp) == nil && resp.Error != "" {
-				switch resp.Code {
-				case server.CodeBusy, server.CodeDraining:
-					decline = true
-					cause = fmt.Errorf("backend shed session: %s", resp.Error)
-				default:
-					termRaw = msg.Data
-				}
+		switch v, text := classifyBackendLine(*msg); v {
+		case lineDeclined:
+			decline = true
+			cause = fmt.Errorf("backend shed session: %s", text)
+		case lineRejected:
+			termRaw = msg.Data
+		default: // a result before the trailer is as unusable as a dead link
+			if msg.Err != nil {
+				cause = msg.Err
 			}
 		}
 	}
@@ -415,6 +412,45 @@ func (g *Gateway) backendFailed(sess *gwSession, cause error, msg *proto.Line) *
 	return nil
 }
 
+// lineVerdict is what one backend response line means to the session.
+type lineVerdict int
+
+const (
+	// lineDead: the link failed, or the line is neither a result nor an
+	// error; the backend is treated as dead.
+	lineDead lineVerdict = iota
+	// lineResult: the session's result, relayed to the client verbatim.
+	lineResult
+	// lineDeclined: a busy or draining shed; the backend is alive, so the
+	// session moves without opening its circuit.
+	lineDeclined
+	// lineRejected: any other error, passed through to the client
+	// verbatim.
+	lineRejected
+)
+
+// classifyBackendLine reads one line from a backend's response channel.
+// text is the backend's error message for lineDeclined and lineRejected.
+func classifyBackendLine(msg proto.Line) (v lineVerdict, text string) {
+	if msg.Err != nil {
+		return lineDead, ""
+	}
+	var resp server.Response
+	if json.Unmarshal(msg.Data, &resp) != nil {
+		return lineDead, ""
+	}
+	switch {
+	case resp.Error == "" && resp.Result != nil:
+		return lineResult, ""
+	case resp.Error == "":
+		return lineDead, ""
+	case resp.Code == server.CodeBusy || resp.Code == server.CodeDraining:
+		return lineDeclined, resp.Error
+	default:
+		return lineRejected, resp.Error
+	}
+}
+
 // awaitResponse waits out the backend's final response after the
 // trailer, rerouting (with full replay, trailer included) if the backend
 // dies or declines while computing it.
@@ -434,11 +470,8 @@ func (g *Gateway) awaitResponse(sess *gwSession) ([]byte, *relayFailure) {
 		select {
 		case msg := <-sess.lines:
 			timer.Stop()
-			if msg.Err == nil {
-				var resp server.Response
-				if json.Unmarshal(msg.Data, &resp) == nil && resp.Error == "" && resp.Result != nil {
-					return msg.Data, nil
-				}
+			if v, _ := classifyBackendLine(msg); v == lineResult {
+				return msg.Data, nil
 			}
 			if fail := g.backendFailed(sess, errors.New("backend response unusable"), &msg); fail != nil {
 				return nil, fail

@@ -172,9 +172,10 @@ func (g *Grammar) CheckInvariants() error {
 		}
 	}
 	// Index consistency: every index entry points at a node whose digram
-	// matches its key and which is still linked into a live rule body.
+	// matches its key, which is still linked into a live rule body, and
+	// which records the entry's slot.
 	var indexErr error
-	g.index.forEach(func(key uint64, n int32) {
+	g.index.forEach(func(i uint32, key uint64, n int32) {
 		if indexErr != nil {
 			return
 		}
@@ -184,10 +185,37 @@ func (g *Grammar) CheckInvariants() error {
 		}
 		if g.digramKey(n) != key {
 			indexErr = fmt.Errorf("index entry %#x points at node with digram %#x", key, g.digramKey(n))
+			return
+		}
+		if g.nodes[n].slot != i+1 {
+			indexErr = fmt.Errorf("index entry %#x in slot %d: node %d records slot %d", key, i, n, int64(g.nodes[n].slot)-1)
 		}
 	})
 	if indexErr != nil {
 		return indexErr
+	}
+	// Back-pointers: every linked node that records a slot is that slot's
+	// node, and no free node records one.
+	for id := range g.rules {
+		guard := g.rules[id].guard
+		if guard < 0 {
+			continue
+		}
+		for n := guard; ; n = g.nodes[n].next {
+			if slot := g.nodes[n].slot; slot != 0 {
+				if int(slot) > len(g.index.slots) || g.index.slots[slot-1].node != n+1 {
+					return fmt.Errorf("node %d of R%d records slot %d, which does not index it", n, id, slot-1)
+				}
+			}
+			if g.nodes[n].next == guard {
+				break
+			}
+		}
+	}
+	for n := g.free; n >= 0; n = g.nodes[n].next {
+		if g.nodes[n].slot != 0 {
+			return fmt.Errorf("free node %d records slot %d", n, g.nodes[n].slot-1)
+		}
 	}
 	// Every rule body holds at least two symbols.
 	for id := range g.rules {

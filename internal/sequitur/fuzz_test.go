@@ -3,6 +3,8 @@ package sequitur
 import (
 	"slices"
 	"testing"
+
+	"repro/internal/sequitur/streamtest"
 )
 
 // maxFuzzSymbols bounds a fuzz input: the incremental check re-verifies
@@ -11,12 +13,16 @@ const maxFuzzSymbols = 1024
 
 // FuzzSequitur checks the grammar engine on arbitrary symbol sequences.
 // Fuzz bytes map onto a four-symbol alphabet, so repeats, runs of equal
-// symbols and rule inlining occur constantly. Parse over the whole input
-// and an incremental Append, checked after every symbol, must both keep
-// every grammar invariant and expand back to exactly the input, and
-// Derive over each finished grammar must agree with the reference walk.
+// symbols and rule inlining occur constantly. Parse over the whole input,
+// an incremental Append checked after every symbol, and Extend over
+// chunks whose lengths the input's own bytes pick (some longer than
+// Extend's interning chunk), checked after every chunk, must all keep
+// every grammar invariant and expand back to exactly the input; Extend
+// must build the grammar Append builds; and Derive over each finished
+// grammar must agree with the reference walk and with the brute-force
+// stream oracle.
 func FuzzSequitur(f *testing.F) {
-	f.Add(junctionOverlapInput)
+	f.Add(streamtest.JunctionOverlapInput)
 	f.Add([]byte{})
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1})
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 1, 2, 3, 0, 1, 2})
@@ -25,10 +31,7 @@ func FuzzSequitur(f *testing.F) {
 		if len(raw) > maxFuzzSymbols {
 			raw = raw[:maxFuzzSymbols]
 		}
-		in := make([]uint64, len(raw))
-		for i, b := range raw {
-			in[i] = uint64(b % 4)
-		}
+		in := streamtest.Mod4(raw)
 		check := func(what string, g *Grammar, want []uint64) {
 			t.Helper()
 			if err := g.CheckInvariants(); err != nil {
@@ -47,5 +50,16 @@ func FuzzSequitur(f *testing.F) {
 			check("Append", g, in[:i+1])
 		}
 		checkDerive(t, g, in)
+
+		ext := New()
+		for pos := 0; pos < len(in); {
+			n := min(1+5*int(raw[pos]>>2), len(in)-pos)
+			ext.Extend(in[pos : pos+n])
+			pos += n
+			check("Extend", ext, in[:pos])
+		}
+		if got, want := ext.String(), g.String(); got != want {
+			t.Fatalf("Extend built\n%s\nAppend built\n%s", got, want)
+		}
 	})
 }

@@ -149,7 +149,10 @@ func TestParseAppendResetEquivalence(t *testing.T) {
 
 // TestSteadyStateAppendAllocs is the zero-allocation guard for the append
 // hot path: once a grammar has been grown over an input, Reset+replay of
-// the same input must not allocate at all.
+// the same input must not allocate at all, symbol by symbol through
+// Append or chunk by chunk through Extend, over random chunk splits on
+// either side of Extend's interning chunk. The chunked replay must build
+// the grammar the per-symbol one does.
 func TestSteadyStateAppendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under the race detector")
@@ -177,6 +180,29 @@ func TestSteadyStateAppendAllocs(t *testing.T) {
 	if avg > 0.5 {
 		t.Errorf("steady-state Reset+Append allocated %.1f times per run, want ~0", avg)
 	}
+	want := g.String()
+
+	var splits []int
+	for n := 0; n < len(in); {
+		k := min(1+rng.Intn(2*internChunk), len(in)-n)
+		splits = append(splits, k)
+		n += k
+	}
+	extend := func() {
+		g.Reset()
+		rest := in
+		for _, k := range splits {
+			g.Extend(rest[:k])
+			rest = rest[k:]
+		}
+	}
+	extend()
+	if got := g.String(); got != want {
+		t.Fatalf("Extend over %d chunks built a different grammar than Append", len(splits))
+	}
+	if avg := testing.AllocsPerRun(3, extend); avg > 0.5 {
+		t.Errorf("steady-state Reset+Extend allocated %.1f times per run, want ~0", avg)
+	}
 }
 
 // TestWalkReuseAllocs guards the derivation side: repeated Derive walks
@@ -198,19 +224,69 @@ func TestWalkReuseAllocs(t *testing.T) {
 	}
 }
 
+// tableRig drives a digramTable the way the grammar does: every entry
+// holds a node of its own, drawn from a slab whose slot fields the table
+// keeps, and ref mirrors the table as a map.
+type tableRig struct {
+	tab   digramTable
+	nodes []node
+	free  []int32
+	ref   map[uint64]int32
+}
+
+func newTableRig() *tableRig {
+	r := &tableRig{ref: make(map[uint64]int32)}
+	r.tab.init()
+	return r
+}
+
+func (r *tableRig) newNode() int32 {
+	if n := len(r.free); n > 0 {
+		i := r.free[n-1]
+		r.free = r.free[:n-1]
+		return i
+	}
+	r.nodes = append(r.nodes, node{})
+	return int32(len(r.nodes) - 1)
+}
+
+// set indexes key under a fresh node, inserting or re-pointing its
+// entry, and returns the node; a re-pointed entry's old node is freed.
+func (r *tableRig) set(key uint64) int32 {
+	n := r.newNode()
+	r.tab.set(r.nodes, key, n)
+	if old, ok := r.ref[key]; ok {
+		r.free = append(r.free, old)
+	}
+	r.ref[key] = n
+	return n
+}
+
 // del removes key's entry, if any, in one probe sequence.
-func (t *digramTable) del(key uint64) {
-	if i, ok := t.find(key); ok {
-		t.remove(i)
+func (r *tableRig) del(key uint64) {
+	if i, ok := r.tab.find(key); ok {
+		r.tab.remove(r.nodes, i)
+		r.free = append(r.free, r.ref[key])
+		delete(r.ref, key)
 	}
 }
 
-// checkDigramTable compares the table with ref: the live count, every
-// entry's node, forEach's coverage, and the linear-probing invariant that
-// makes backward-shift deletion safe — no empty slot between an entry's
-// home slot and the slot it sits in.
-func checkDigramTable(t *testing.T, tab *digramTable, ref map[uint64]int32) {
+// reset empties the table and the slab.
+func (r *tableRig) reset() {
+	r.tab.reset()
+	r.nodes, r.free = r.nodes[:0], r.free[:0]
+	clear(r.ref)
+}
+
+// checkDigramTable compares the rig's table with its map: the live count,
+// every entry's node, forEach's coverage, the back-pointers (each entry's
+// node records the entry's slot, each node recording a slot is that
+// slot's node, free nodes record none), and the linear-probing invariant
+// that makes backward-shift deletion safe — no empty slot between an
+// entry's home slot and the slot it sits in.
+func checkDigramTable(t *testing.T, r *tableRig) {
 	t.Helper()
+	tab, ref := &r.tab, r.ref
 	if tab.live != len(ref) {
 		t.Fatalf("live count %d, want %d", tab.live, len(ref))
 	}
@@ -220,14 +296,27 @@ func checkDigramTable(t *testing.T, tab *digramTable, ref map[uint64]int32) {
 		}
 	}
 	count := 0
-	tab.forEach(func(key uint64, node int32) {
-		if want, ok := ref[key]; !ok || want != node {
-			t.Errorf("forEach: key %#x = %d, want %d,%v", key, node, want, ok)
+	tab.forEach(func(i uint32, key uint64, n int32) {
+		if want, ok := ref[key]; !ok || want != n {
+			t.Errorf("forEach: key %#x = %d, want %d,%v", key, n, want, ok)
+		}
+		if r.nodes[n].slot != i+1 {
+			t.Errorf("forEach: key %#x in slot %d, its node records slot %d", key, i, int64(r.nodes[n].slot)-1)
 		}
 		count++
 	})
 	if count != len(ref) {
 		t.Fatalf("forEach visited %d entries, want %d", count, len(ref))
+	}
+	for n, nd := range r.nodes {
+		if nd.slot != 0 && (int(nd.slot) > len(tab.slots) || tab.slots[nd.slot-1].node != int32(n)+1) {
+			t.Fatalf("node %d records slot %d, which does not index it", n, nd.slot-1)
+		}
+	}
+	for _, n := range r.free {
+		if r.nodes[n].slot != 0 {
+			t.Fatalf("free node %d records slot %d", n, r.nodes[n].slot-1)
+		}
 	}
 	mask := uint32(len(tab.slots) - 1)
 	for j, s := range tab.slots {
@@ -254,52 +343,53 @@ func keysHomedAt(home uint32, size, n int) []uint64 {
 	return keys
 }
 
-// TestDigramTable checks the tombstone-free table against a map:
-// deletion chains that wrap past the last slot, reinsertion after
-// backward shifts, random churn, reset, and growth.
+// TestDigramTable checks the tombstone-free table and its node
+// back-pointers against a map: deletion chains that wrap past the last
+// slot, reinsertion after backward shifts, re-pointing, random churn,
+// reset, and growth.
 func TestDigramTable(t *testing.T) {
-	var tab digramTable
-	tab.init()
+	r := newTableRig()
+	tab := &r.tab
 	size := len(tab.slots)
-	ref := make(map[uint64]int32)
 
 	// A probe run that wraps: keys homed at the last slot spill into slots
 	// 0, 1, 2, and keys homed at slot 0 queue behind them.
 	last := keysHomedAt(uint32(size-1), size, 4)
 	first := keysHomedAt(0, size, 3)
 	chain := append(append([]uint64{}, last...), first...)
-	for i, k := range chain {
-		tab.set(k, int32(i))
-		ref[k] = int32(i)
+	for _, k := range chain {
+		r.set(k)
 	}
-	checkDigramTable(t, &tab, ref)
+	checkDigramTable(t, r)
 	if tab.slots[size-1].key() != last[0] || tab.slots[3].key() != first[0] {
 		t.Fatalf("wrapped run not laid out as expected")
 	}
 	// Delete from the front of the run, one key at a time: every later
-	// key shifts back across the wrap, and stays findable.
+	// key shifts back across the wrap, stays findable, and its node
+	// follows it.
 	for i, k := range chain {
-		tab.del(k)
-		delete(ref, k)
-		checkDigramTable(t, &tab, ref)
+		r.del(k)
+		checkDigramTable(t, r)
 		// Reinsert every other deleted key: it lands behind the shifted
 		// entries, and the run stays intact.
 		if i%2 == 0 {
-			tab.set(k, int32(100+i))
-			ref[k] = int32(100 + i)
-			checkDigramTable(t, &tab, ref)
+			r.set(k)
+			checkDigramTable(t, r)
 		}
 	}
-	// Re-pointing an entry keeps its slot.
-	for k := range ref {
+	// Re-pointing an entry keeps its slot, hands the slot to the new
+	// node, and clears the old node's.
+	for k, old := range r.ref {
 		i, _ := tab.find(k)
-		tab.set(k, 7)
-		ref[k] = 7
+		n := r.set(k)
 		if j, _ := tab.find(k); j != i {
 			t.Fatalf("re-pointing %#x moved it from slot %d to %d", k, i, j)
 		}
+		if r.nodes[n].slot != i+1 || r.nodes[old].slot != 0 {
+			t.Fatalf("re-pointing %#x in slot %d: new node records %d, old node %d", k, i, r.nodes[n].slot, r.nodes[old].slot)
+		}
 	}
-	checkDigramTable(t, &tab, ref)
+	checkDigramTable(t, r)
 
 	// Random churn over a small key space: long runs form and dissolve.
 	rng := rand.New(rand.NewSource(5))
@@ -307,50 +397,46 @@ func TestDigramTable(t *testing.T) {
 		key := rng.Uint64() % 512
 		switch rng.Intn(3) {
 		case 0:
-			val := int32(rng.Intn(1 << 20))
-			tab.set(key, val)
-			ref[key] = val
+			r.set(key)
 		case 1:
-			tab.del(key)
-			delete(ref, key)
+			r.del(key)
 		default:
 			got, ok := tab.get(key)
-			want, wok := ref[key]
+			want, wok := r.ref[key]
 			if ok != wok || (ok && got != want) {
 				t.Fatalf("step %d: get(%d) = %d,%v want %d,%v", i, key, got, ok, want, wok)
 			}
 		}
 		if i%10000 == 0 {
-			checkDigramTable(t, &tab, ref)
+			checkDigramTable(t, r)
 		}
 	}
-	checkDigramTable(t, &tab, ref)
+	checkDigramTable(t, r)
 
 	// Reset empties the table and keeps its storage.
 	grown := len(tab.slots)
-	tab.reset()
-	clear(ref)
-	checkDigramTable(t, &tab, ref)
+	r.reset()
+	checkDigramTable(t, r)
 	if len(tab.slots) != grown {
 		t.Fatalf("reset resized the table from %d to %d slots", grown, len(tab.slots))
 	}
 
 	// Growth: the table doubles exactly when an insert would pass half
-	// load, and every entry survives the rehash.
+	// load, and every entry survives the rehash with its node following
+	// it.
 	for i := 0; i < 5*grown; i++ {
 		key := rng.Uint64()
 		before := len(tab.slots)
-		tab.set(key, int32(i))
-		ref[key] = int32(i)
+		r.set(key)
 		want := before
-		if 2*len(ref) > before {
+		if 2*len(r.ref) > before {
 			want = 2 * before
 		}
 		if len(tab.slots) != want {
-			t.Fatalf("insert %d: %d slots, want %d (live %d)", i, len(tab.slots), want, len(ref))
+			t.Fatalf("insert %d: %d slots, want %d (live %d)", i, len(tab.slots), want, len(r.ref))
 		}
 	}
-	checkDigramTable(t, &tab, ref)
+	checkDigramTable(t, r)
 }
 
 // TestTermTable checks the terminal interning table against a map: ids are

@@ -28,6 +28,12 @@
 // and a digram becomes one uint64 key in a second flat open-addressed
 // table. Reset rewinds the grammar for reuse, keeping the slab, the
 // interning table, and the digram index's storage.
+//
+// Each indexed node also records which digram-table slot indexes it, so
+// dropping a node's digram from the index reads the node instead of
+// hashing and probing the table. Extend appends a whole chunk of input:
+// it interns every terminal of the chunk before any grammar update, so
+// the interning table's probes do not wait on one another.
 package sequitur
 
 import "math/bits"
@@ -49,10 +55,13 @@ const (
 
 // node is one symbol occurrence in a rule body: a terminal, a reference to
 // another rule, or a rule's guard sentinel. Nodes are index-linked into the
-// grammar's slab; a free node's next field threads the free list.
+// grammar's slab; a free node's next field threads the free list. slot is
+// the digram-table slot that indexes the digram starting here, plus one;
+// 0 means the digram is not indexed at this node.
 type node struct {
 	prev, next int32
 	sym        uint32
+	slot       uint32
 }
 
 // ruleMeta is one production rule. The guard node's next/prev delimit the
@@ -74,6 +83,9 @@ type Grammar struct {
 	index  digramTable
 	length int
 
+	// Extend's interned ids for one chunk of input.
+	ids [internChunk]uint32
+
 	// Derive scratch (rule expansion lengths), reused across calls.
 	lenBuf []int32
 }
@@ -90,9 +102,7 @@ func New() *Grammar {
 // Parse builds a grammar over the whole input.
 func Parse(input []uint64) *Grammar {
 	g := New()
-	for _, v := range input {
-		g.Append(v)
-	}
+	g.Extend(input)
 	return g
 }
 
@@ -167,10 +177,35 @@ func (g *Grammar) newRule() int32 {
 	return id
 }
 
+// internChunk bounds the terminals Extend interns ahead of the grammar.
+const internChunk = 256
+
 // Append extends the input by one terminal symbol, restoring both grammar
 // invariants. Steady-state appends (terminal already interned, storage
 // already grown) perform no heap allocation.
-func (g *Grammar) Append(v uint64) {
+func (g *Grammar) Append(v uint64) { g.appendTerm(g.internTerm(v)) }
+
+// Extend appends every value of vs in order, building exactly the grammar
+// that calling Append on each would. It interns a chunk of terminals at a
+// time before appending any of them, so the chunk's interning-table
+// probes are independent loads rather than one after each grammar update.
+// Like Append, it allocates nothing in the steady state.
+func (g *Grammar) Extend(vs []uint64) {
+	for len(vs) > 0 {
+		ids := g.ids[:min(len(vs), internChunk)]
+		for i := range ids {
+			ids[i] = g.internTerm(vs[i])
+		}
+		for _, id := range ids {
+			g.appendTerm(id)
+		}
+		vs = vs[len(ids):]
+	}
+}
+
+// internTerm returns v's dense terminal id, issuing the next one on first
+// sight.
+func (g *Grammar) internTerm(v uint64) uint32 {
 	id, added := g.intern.intern(v, uint32(len(g.terms)))
 	if added {
 		if len(g.terms) > maxID {
@@ -178,6 +213,12 @@ func (g *Grammar) Append(v uint64) {
 		}
 		g.terms = append(g.terms, v)
 	}
+	return id
+}
+
+// appendTerm appends the terminal with dense id id: the per-symbol body
+// that Append and Extend share.
+func (g *Grammar) appendTerm(id uint32) {
 	n := g.newNode(id<<kindBits | kindTerm)
 	g.insertAfter(g.last(0), n)
 	g.length++
@@ -185,34 +226,30 @@ func (g *Grammar) Append(v uint64) {
 }
 
 // deleteDigram removes the index entry for the digram starting at s, if the
-// index currently points at s. Runs of equal symbols ("aaa") hold several
+// index currently points at s: the node records that entry's slot, so no
+// lookup is needed. Runs of equal symbols ("aaa") hold several
 // overlapping copies of one digram but only the first is indexed; when that
 // first copy disappears, the index is re-pointed at the surviving
 // overlapping copy so that later repetitions are still detected.
 func (g *Grammar) deleteDigram(s int32) {
+	slot := g.nodes[s].slot
+	if slot == 0 {
+		return
+	}
+	i := slot - 1
 	sn := g.nodes[s].next
-	if g.isGuard(s) || sn < 0 || g.isGuard(sn) {
-		return
-	}
-	key := g.digramKey(s)
-	i, ok := g.index.find(key)
-	if !ok || g.index.at(i) != s {
-		return
-	}
 	tn := g.nodes[sn].next
-	if tn >= 0 && !g.isGuard(tn) && g.digramKey(sn) == key {
-		g.index.put(i, sn)
+	if tn >= 0 && !g.isGuard(tn) && g.nodes[sn].sym == g.nodes[s].sym && g.nodes[tn].sym == g.nodes[sn].sym {
+		g.index.put(g.nodes, i, sn)
 	} else {
-		g.index.remove(i)
+		g.index.remove(g.nodes, i)
 	}
 }
 
 // join links left -> right, first dropping any index entry for the digram
 // that previously started at left.
 func (g *Grammar) join(left, right int32) {
-	if g.nodes[left].next >= 0 {
-		g.deleteDigram(left)
-	}
+	g.deleteDigram(left)
 	g.nodes[left].next = right
 	g.nodes[right].prev = left
 }
@@ -246,7 +283,7 @@ func (g *Grammar) check(s int32) bool {
 	key := g.digramKey(s)
 	i, ok := g.index.find(key)
 	if !ok {
-		g.index.insert(i, key, s)
+		g.index.insert(g.nodes, i, key, s)
 		return false
 	}
 	if m := g.index.at(i); g.nodes[m].next != s { // overlapping occurrences (e.g. "aaa") are left alone
@@ -271,7 +308,7 @@ func (g *Grammar) match(s, m int32) {
 		g.insertAfter(g.last(r), g.copySym(g.nodes[s].next))
 		g.substitute(m, r)
 		g.substitute(s, r)
-		g.index.set(g.digramKey(g.first(r)), g.first(r))
+		g.index.set(g.nodes, g.digramKey(g.first(r)), g.first(r))
 	}
 	// Rule utility: if the rule's first symbol references a rule that is now
 	// used only once, inline that rule.
@@ -330,9 +367,9 @@ func (g *Grammar) expand(ref int32) {
 		// present in the original pointer implementation).
 		key := g.digramKey(l)
 		if i, ok := g.index.find(key); !ok {
-			g.index.insert(i, key, l)
+			g.index.insert(g.nodes, i, key, l)
 		} else if g.nodes[g.index.at(i)].next != l {
-			g.index.put(i, l)
+			g.index.put(g.nodes, i, l)
 		}
 	}
 	g.freeNode(ref)
@@ -345,9 +382,14 @@ func (g *Grammar) expand(ref int32) {
 // backward-shift deletion, so no tombstones accumulate and every lookup
 // stops at the first empty slot. find returns the slot's index, so each
 // index operation of the grammar — look up then insert, look up then
-// delete or re-point — is one probe sequence. The table stays at most
-// half full, which keeps probe runs, and so the shifts a deletion makes,
-// short. It allocates only when it grows.
+// re-point — is one probe sequence. The table stays at most half full,
+// which keeps probe runs, and so the shifts a deletion makes, short. It
+// allocates only when it grows.
+//
+// The table keeps each indexed node's slot field exact: every operation
+// that places, moves or drops an entry takes the grammar's node slab and
+// records the entry's new slot in its node (0 once it is dropped). So a
+// node can be removed from the index by its slot alone, with no probe.
 type digramTable struct {
 	slots []digramSlot
 	live  int
@@ -402,14 +444,18 @@ func (t *digramTable) find(key uint64) (uint32, bool) {
 func (t *digramTable) at(i uint32) int32 { return t.slots[i].node - 1 }
 
 // put re-points the occupied slot i at node.
-func (t *digramTable) put(i uint32, node int32) { t.slots[i].node = node + 1 }
+func (t *digramTable) put(nodes []node, i uint32, node int32) {
+	nodes[t.slots[i].node-1].slot = 0
+	t.slots[i].node = node + 1
+	nodes[node].slot = i + 1
+}
 
 // set indexes key under node, inserting or re-pointing its entry.
-func (t *digramTable) set(key uint64, node int32) {
+func (t *digramTable) set(nodes []node, key uint64, node int32) {
 	if i, ok := t.find(key); ok {
-		t.put(i, node)
+		t.put(nodes, i, node)
 	} else {
-		t.insert(i, key, node)
+		t.insert(nodes, i, key, node)
 	}
 }
 
@@ -421,19 +467,21 @@ func (t *digramTable) get(key uint64) (int32, bool) {
 
 // insert fills the empty slot i, which find returned for key, with node.
 // Above half load the table first doubles, and the slot is found again.
-func (t *digramTable) insert(i uint32, key uint64, node int32) {
+func (t *digramTable) insert(nodes []node, i uint32, key uint64, node int32) {
 	if 2*(t.live+1) > len(t.slots) {
-		t.grow()
+		t.grow(nodes)
 		i, _ = t.find(key)
 	}
 	t.slots[i] = digramSlot{hi: uint32(key >> 32), lo: uint32(key), node: node + 1}
+	nodes[node].slot = i + 1
 	t.live++
 }
 
 // remove empties the occupied slot i by backward shift: each later entry
 // of the probe run that may legally sit in the hole moves into it, and
 // the run's last hole becomes empty, so lookups never need tombstones.
-func (t *digramTable) remove(i uint32) {
+func (t *digramTable) remove(nodes []node, i uint32) {
+	nodes[t.slots[i].node-1].slot = 0
 	mask := uint32(len(t.slots) - 1)
 	hole := i
 	for j := (hole + 1) & mask; t.slots[j].node != 0; j = (j + 1) & mask {
@@ -442,6 +490,7 @@ func (t *digramTable) remove(i uint32) {
 		h := fibSlot(t.slots[j].key(), len(t.slots))
 		if (j-h)&mask >= (j-hole)&mask {
 			t.slots[hole] = t.slots[j]
+			nodes[t.slots[hole].node-1].slot = hole + 1
 			hole = j
 		}
 	}
@@ -450,7 +499,7 @@ func (t *digramTable) remove(i uint32) {
 }
 
 // grow rehashes into a table of twice the size.
-func (t *digramTable) grow() {
+func (t *digramTable) grow(nodes []node) {
 	old := t.slots
 	t.slots = make([]digramSlot, 2*len(old))
 	mask := uint32(len(t.slots) - 1)
@@ -463,14 +512,15 @@ func (t *digramTable) grow() {
 			i = (i + 1) & mask
 		}
 		t.slots[i] = s
+		nodes[s.node-1].slot = i + 1
 	}
 }
 
-// forEach visits every live entry.
-func (t *digramTable) forEach(fn func(key uint64, node int32)) {
-	for _, s := range t.slots {
+// forEach visits every live entry with its slot index.
+func (t *digramTable) forEach(fn func(i uint32, key uint64, node int32)) {
+	for i, s := range t.slots {
 		if s.node != 0 {
-			fn(s.key(), s.node-1)
+			fn(uint32(i), s.key(), s.node-1)
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"repro/internal/sequitur/streamtest"
 )
 
 // The reference derivation walk: a per-terminal parse-tree traversal
@@ -100,11 +102,11 @@ func walkReference(g *Grammar, v derivationVisitor) {
 
 // Per-position classes of the derivation, as the stream analyses name
 // them: hanging off the root, inside first occurrences only, or inside
-// some later occurrence.
+// some later occurrence (numbered as streamtest numbers them).
 const (
-	posRoot = iota
-	posFirst
-	posLater
+	posRoot  = streamtest.NonRepetitive
+	posFirst = streamtest.NewStream
+	posLater = streamtest.Recurring
 )
 
 // refDerivation is what the reference walk says Derive must report.
@@ -164,7 +166,9 @@ func refDerive(g *Grammar) refDerivation {
 
 // checkDerive compares Derive on g against the reference walk: the top
 // instances, their per-rule numbering and first-occurrence flags, the
-// maximal later occurrences, and the per-position classes the two imply.
+// maximal later occurrences, and the per-position classes the two imply;
+// and it holds those classes to the input itself with the brute-force
+// stream oracle.
 func checkDerive(t testing.TB, g *Grammar, input []uint64) {
 	t.Helper()
 	want := refDerive(g)
@@ -188,7 +192,20 @@ func checkDerive(t testing.TB, g *Grammar, input []uint64) {
 			t.Fatalf("top instance %d (%v): first occurrence %v, want %v", i, in, first, want.firsts[i])
 		}
 	}
-	classes := make([]int, len(input))
+	classes := classesOf(top, repeats, len(input))
+	if len(input) > 0 && !reflect.DeepEqual(classes, want.classes) {
+		t.Fatalf("position classes %v, want %v (input %v)", classes, want.classes, input)
+	}
+	if err := streamtest.Check(input, classes); err != nil {
+		t.Fatalf("stream oracle: %v (input %v)\n%s", err, input, g)
+	}
+}
+
+// classesOf marks the positions Derive's instances cover, as the stream
+// analysis does: inside a top instance posFirst, inside a repeat
+// posLater, elsewhere posRoot.
+func classesOf(top, repeats []Instance, n int) []int {
+	classes := make([]int, n)
 	for _, in := range top {
 		for p := in.Pos; p < in.Pos+in.Len; p++ {
 			classes[p] = posFirst
@@ -199,9 +216,7 @@ func checkDerive(t testing.TB, g *Grammar, input []uint64) {
 			classes[p] = posLater
 		}
 	}
-	if len(input) > 0 && !reflect.DeepEqual(classes, want.classes) {
-		t.Fatalf("position classes %v, want %v (input %v)", classes, want.classes, input)
-	}
+	return classes
 }
 
 // TestDeriveMatchesReference property-tests Derive against the reference
@@ -209,10 +224,7 @@ func checkDerive(t testing.TB, g *Grammar, input []uint64) {
 // runs of equal symbols (the digram-overlap path), and the expand-junction
 // regression input.
 func TestDeriveMatchesReference(t *testing.T) {
-	in := make([]uint64, len(junctionOverlapInput))
-	for i, b := range junctionOverlapInput {
-		in[i] = uint64(b % 4)
-	}
+	in := streamtest.Mod4(streamtest.JunctionOverlapInput)
 	checkDerive(t, Parse(in), in)
 	for n := 1; n <= 40; n++ {
 		run := make([]uint64, n)

@@ -38,7 +38,8 @@ func goldenResultsKey(app tempstream.App, ctx tempstream.Context) string {
 }
 
 // runGoldenResults runs app's fixed request and returns its three
-// contexts' results, keyed like the fixture.
+// contexts' results, keyed like the fixture, after checking each against
+// the separate-pass ResultOf reference.
 func runGoldenResults(t *testing.T, app tempstream.App) map[string]*server.SessionResult {
 	t.Helper()
 	exp, err := tempstream.NewRunner().Run(context.Background(), goldenRequest(app))
@@ -47,6 +48,7 @@ func runGoldenResults(t *testing.T, app tempstream.App) map[string]*server.Sessi
 	}
 	out := map[string]*server.SessionResult{}
 	for _, ctx := range tempstream.Contexts() {
+		checkResultOf(t, goldenResultsKey(app, ctx), exp.Context(ctx))
 		out[goldenResultsKey(app, ctx)] = server.ResultOf(exp.Context(ctx))
 	}
 	return out

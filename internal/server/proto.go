@@ -10,8 +10,6 @@
 package server
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math"
 
 	tempstream "repro"
@@ -192,62 +190,76 @@ type SessionResult struct {
 // the single definition of "the session's result" — the server builds its
 // response with it, and equivalence tests apply it to an in-process
 // Runner.Run result to prove the wire path changes nothing.
+//
+// The per-miss arrays are read in one pass: for each window record it
+// advances the window digest (the record's address, func id, CPU, class
+// and supplier, 13 bytes little-endian) and the state digest (its stream
+// state and stride flag, 2 bytes) as two inlined FNV-1a chains side by
+// side, and counts the record's state and stride flag; the stream
+// fraction comes from those counts. The instance and reuse digests hash
+// their short lists the same way, 16 bytes per entry.
 func ResultOf(cr *tempstream.ContextResult) *SessionResult {
 	a := cr.Analysis
-	states := a.StateCounts()
 	r := &SessionResult{
 		Header:          cr.Header,
 		Window:          len(a.Misses),
-		States:          states,
-		Strided:         a.StridedCount(),
 		Instances:       len(a.Instances),
 		GrammarRules:    a.GrammarRules(),
 		MedianStreamLen: a.MedianStreamLength(),
-		StreamFrac:      a.StreamFraction(),
 		MPKI:            cr.Header.MPKI(),
 		Prefetch:        cr.Prefetch,
 	}
 
-	h := fnv.New64a()
-	var buf [16]byte
+	// State and Strided run parallel to the window (core.Analysis).
+	states, strided := a.State[:len(a.Misses)], a.Strided[:len(a.Misses)]
+	win, st := uint64(fnvOffset), uint64(fnvOffset)
 	for i := range a.Misses {
 		m := &a.Misses[i]
-		binary.LittleEndian.PutUint64(buf[:8], m.Addr)
-		binary.LittleEndian.PutUint16(buf[8:10], uint16(m.Func))
-		buf[10] = m.CPU
-		buf[11] = byte(m.Class)
-		buf[12] = byte(m.Supplier)
-		h.Write(buf[:13])
-	}
-	r.WindowDigest = h.Sum64()
-
-	h.Reset()
-	for i := range a.State {
-		buf[0] = byte(a.State[i])
-		buf[1] = 0
-		if a.Strided[i] {
-			buf[1] = 1
+		win = fnvWord(win, m.Addr, 8)
+		win = fnvWord(win, uint64(m.Func), 2)
+		win = fnvWord(win, uint64(m.CPU)|uint64(m.Class)<<8|uint64(m.Supplier)<<16, 3)
+		var s uint64
+		if strided[i] {
+			s = 1
+			r.Strided++
 		}
-		h.Write(buf[:2])
+		r.States[states[i]]++
+		st = fnvWord(st, uint64(states[i])|s<<8, 2)
 	}
-	r.StateDigest = h.Sum64()
+	r.WindowDigest, r.StateDigest = win, st
+	if n := float64(len(a.State)); n > 0 {
+		r.StreamFrac = float64(r.States[core.NewStream])/n + float64(r.States[core.Recurring])/n
+	}
 
-	h.Reset()
+	h := uint64(fnvOffset)
 	for _, inst := range a.Instances {
-		binary.LittleEndian.PutUint32(buf[0:4], uint32(inst.RuleID))
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(inst.Occurrence))
-		binary.LittleEndian.PutUint32(buf[8:12], uint32(inst.Pos))
-		binary.LittleEndian.PutUint32(buf[12:16], uint32(inst.Len))
-		h.Write(buf[:16])
+		h = fnvWord(h, uint64(uint32(inst.RuleID))|uint64(uint32(inst.Occurrence))<<32, 8)
+		h = fnvWord(h, uint64(uint32(inst.Pos))|uint64(uint32(inst.Len))<<32, 8)
 	}
-	r.InstanceDigest = h.Sum64()
+	r.InstanceDigest = h
 
-	h.Reset()
+	h = fnvOffset
 	for _, b := range a.ReuseDist.Buckets() {
-		binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(b.Lo))
-		binary.LittleEndian.PutUint64(buf[8:16], math.Float64bits(b.Weight))
-		h.Write(buf[:16])
+		h = fnvWord(h, math.Float64bits(b.Lo), 8)
+		h = fnvWord(h, math.Float64bits(b.Weight), 8)
 	}
-	r.ReuseDigest = h.Sum64()
+	r.ReuseDigest = h
 	return r
+}
+
+// FNV-1a, 64-bit (hash/fnv's New64a).
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvWord advances the FNV-1a hash h over the low n bytes of w, least
+// significant first: the bytes hash/fnv would hash for w written
+// little-endian.
+func fnvWord(h, w uint64, n int) uint64 {
+	for ; n > 0; n-- {
+		h = (h ^ w&0xff) * fnvPrime
+		w >>= 8
+	}
+	return h
 }

@@ -138,11 +138,9 @@ func (d *Decoder) readFrame() (byte, []byte, error) {
 	if size > maxFramePayload {
 		return 0, nil, d.fail(ErrCorrupt, "frame %c payload %d exceeds limit", kind, size)
 	}
-	if uint64(cap(d.payload)) < size {
-		d.payload = make([]byte, size)
-	}
-	p := d.payload[:size]
-	if _, err := io.ReadFull(d.r, p); err != nil {
+	p, err := readBounded(d.r, d.payload[:0], int(size))
+	d.payload = p[:0]
+	if err != nil {
 		return 0, nil, d.fail(ErrTruncated, "frame %c payload: %v", kind, noEOF(err))
 	}
 	var crcBuf [4]byte
@@ -327,6 +325,10 @@ func (d *Decoder) run(sink trace.Sink) (Trailer, error) {
 // many were delivered. On a malformed frame the records parsed before
 // the bad byte are still delivered, exactly as the per-record path did,
 // so Run's boundary accounting is unchanged.
+//
+// Each record's three varints are decoded inline when they take one or
+// two bytes, as nearly all do (see short); every other form goes through
+// uvarint and varint, so the records and errors are the same either way.
 func (d *Decoder) decodeData(p []byte, sink trace.Sink) (n int64, err error) {
 	count, p, ok := uvarint(p)
 	if !ok {
@@ -341,43 +343,56 @@ func (d *Decoder) decodeData(p []byte, sink trace.Sink) (n int64, err error) {
 	// allocation; it stays sized to the largest real frame seen.
 	//
 	// base is the stream position of the frame's first record: RunRange
-	// intersects [base, base+len) with its delivery window at flush.
+	// intersects [base, base+len) with its delivery window in deliver.
 	base := d.records
 	batch := d.batch[:0]
-	flush := func() int64 {
-		d.deliver(sink, batch, base)
-		d.batch = batch[:0] // keep the grown capacity
-		return int64(len(batch))
-	}
+	prev := d.prev
 	for i := uint64(0); i < count; i++ {
 		var key, fn uint64
 		var delta int64
-		if key, p, ok = uvarint(p); !ok {
-			return flush(), d.fail(ErrCorrupt, "record %d key", i)
+		if v, n := short(p); n > 0 {
+			key, p = v, p[n:]
+		} else if key, p, ok = uvarint(p); !ok {
+			err = d.fail(ErrCorrupt, "record %d key", i)
+			break
 		}
 		cpu := key >> 4
 		class := trace.MissClass(key >> 2 & 3)
 		supplier := trace.Supplier(key & 3)
-		if cpu >= uint64(d.meta.CPUs) {
-			return flush(), d.fail(ErrCorrupt, "record cpu %d out of range (%d cpus)", cpu, d.meta.CPUs)
+		if cpu >= uint64(len(prev)) { // len(prev) == d.meta.CPUs; prev[cpu] needs no bounds check below
+			err = d.fail(ErrCorrupt, "record cpu %d out of range (%d cpus)", cpu, d.meta.CPUs)
+			break
 		}
 		if class >= trace.NumMissClasses || supplier >= trace.NumSuppliers {
-			return flush(), d.fail(ErrCorrupt, "record class/supplier %d/%d invalid", class, supplier)
+			err = d.fail(ErrCorrupt, "record class/supplier %d/%d invalid", class, supplier)
+			break
 		}
-		if fn, p, ok = uvarint(p); !ok {
-			return flush(), d.fail(ErrCorrupt, "record %d func", i)
+		if v, n := short(p); n > 0 {
+			fn, p = v, p[n:]
+		} else if fn, p, ok = uvarint(p); !ok {
+			err = d.fail(ErrCorrupt, "record %d func", i)
+			break
 		}
 		if fn >= maxFuncs {
-			return flush(), d.fail(ErrCorrupt, "record func id %d out of range", fn)
+			err = d.fail(ErrCorrupt, "record func id %d out of range", fn)
+			break
 		}
-		if delta, p, ok = varint(p); !ok {
-			return flush(), d.fail(ErrCorrupt, "record %d addr delta", i)
+		if v, n := short(p); n > 0 {
+			// Zig-zag decoding, as binary.Varint does it.
+			delta, p = int64(v>>1), p[n:]
+			if v&1 != 0 {
+				delta = ^delta
+			}
+		} else if delta, p, ok = varint(p); !ok {
+			err = d.fail(ErrCorrupt, "record %d addr delta", i)
+			break
 		}
-		block := int64(d.prev[cpu]) + delta
+		block := int64(prev[cpu]) + delta
 		if block < 0 || block >= 1<<58 {
-			return flush(), d.fail(ErrCorrupt, "record %d block %d out of range", i, block)
+			err = d.fail(ErrCorrupt, "record %d block %d out of range", i, block)
+			break
 		}
-		d.prev[cpu] = uint64(block)
+		prev[cpu] = uint64(block)
 		batch = append(batch, trace.Miss{
 			Addr:     uint64(block) << 6,
 			Func:     trace.FuncID(fn),
@@ -386,10 +401,28 @@ func (d *Decoder) decodeData(p []byte, sink trace.Sink) (n int64, err error) {
 			Supplier: supplier,
 		})
 	}
-	if len(p) != 0 {
-		return flush(), d.fail(ErrCorrupt, "trailing bytes in data frame")
+	if err == nil && len(p) != 0 {
+		err = d.fail(ErrCorrupt, "trailing bytes in data frame")
 	}
-	return flush(), nil
+	d.deliver(sink, batch, base)
+	d.batch = batch[:0] // keep the grown capacity
+	return int64(len(batch)), err
+}
+
+// short decodes the uvarint at the head of p when it takes one or two
+// bytes, non-minimal forms included (as binary.Uvarint accepts them), and
+// returns its length; n is 0 for every other form, which the caller
+// hands to uvarint or varint. A record's key, func id and zig-zag
+// address delta each take at most two bytes for CPUs below 1024, func
+// ids below 16384 and deltas from -8192 to 8191 blocks.
+func short(p []byte) (v uint64, n int) {
+	if len(p) > 0 && p[0] < 0x80 {
+		return uint64(p[0]), 1
+	}
+	if len(p) > 1 && p[1] < 0x80 {
+		return uint64(p[0]&0x7f) | uint64(p[1])<<7, 2
+	}
+	return 0, 0
 }
 
 // deliver hands a decoded frame (whose first record sits at stream

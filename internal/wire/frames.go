@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Raw frame access for relays. A gateway routing sessions across backends
@@ -87,15 +88,8 @@ func ReadRawFrame(br *bufio.Reader, buf []byte) (byte, []byte, error) {
 		return 0, nil, fmt.Errorf("wire: frame %c payload %d exceeds limit: %w", kind, size, ErrCorrupt)
 	}
 	start := len(buf)
-	need := start + int(size) + 4
-	if cap(buf) < need {
-		grown := make([]byte, need)
-		copy(grown, buf)
-		buf = grown
-	} else {
-		buf = buf[:need]
-	}
-	if _, err := io.ReadFull(br, buf[start:]); err != nil {
+	buf, err = readBounded(br, buf, int(size)+4)
+	if err != nil {
 		return 0, nil, fmt.Errorf("wire: frame %c payload: %v: %w", kind, noEOF(err), ErrTruncated)
 	}
 	payload := buf[start : len(buf)-4]
@@ -104,4 +98,33 @@ func ReadRawFrame(br *bufio.Reader, buf []byte) (byte, []byte, error) {
 		return 0, nil, fmt.Errorf("wire: frame %c crc mismatch: %w", kind, ErrCorrupt)
 	}
 	return kind, buf, nil
+}
+
+// readStep bounds how far a frame read grows its buffer ahead of the
+// bytes that have arrived.
+const readStep = 64 << 10
+
+// readBounded appends n bytes read from r to buf and returns the grown
+// buffer. It reads in steps of at most readStep bytes and grows buf only
+// by the step at hand, so a frame header claiming more bytes than follow
+// costs an allocation in proportion to what did arrive (one step at
+// least), never the claim.
+// Errors are io.ReadFull's: io.EOF when no byte of the n arrived,
+// io.ErrUnexpectedEOF when some did.
+func readBounded(r io.Reader, buf []byte, n int) ([]byte, error) {
+	got := 0
+	for got < n {
+		step := min(n-got, readStep)
+		buf = slices.Grow(buf, step)
+		m, err := io.ReadFull(r, buf[len(buf):len(buf)+step])
+		buf = buf[:len(buf)+m]
+		got += m
+		if err != nil {
+			if err == io.EOF && got > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, err
+		}
+	}
+	return buf, nil
 }
