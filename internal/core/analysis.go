@@ -165,9 +165,13 @@ func (an *Analyzer) Analyze(tr *trace.Trace, opts Options) *Analysis {
 	a := an.cur
 	a.Misses = misses
 	if len(misses) > 0 { // nil for empty input, as the incremental path yields
-		a.Strided = make([]bool, 0, len(misses))
+		a.Strided = make([]bool, len(misses))
 	}
-	an.observe(misses, 0)
+	for i := range misses {
+		a.Strided[i] = an.det.Observe(int(misses[i].CPU), misses[i].Addr)
+		an.cpuPos[misses[i].CPU] = append(an.cpuPos[misses[i].CPU], int32(i))
+		an.g.Append(misses[i].Addr)
+	}
 	return an.Finish()
 }
 
@@ -234,9 +238,8 @@ func (an *Analyzer) Feed(m trace.Miss) {
 
 // FeedAll consumes a batch of consecutive stream records, equivalent to
 // (but cheaper than) calling Feed on each: the window append is one bulk
-// copy, the per-record dispatch disappears, and the grammar takes the
-// batch's addresses in chunks through sequitur's Extend, which is what
-// chunked producers (tempstream's streaming sinks) drive.
+// copy and the per-record dispatch disappears, which is what chunked
+// producers (tempstream's streaming sinks) drive.
 func (an *Analyzer) FeedAll(ms []trace.Miss) {
 	a := an.cur
 	if rem := an.opts.MaxMisses - len(a.Misses); len(ms) > rem {
@@ -247,30 +250,10 @@ func (an *Analyzer) FeedAll(ms []trace.Miss) {
 	}
 	base := int32(len(a.Misses))
 	a.Misses = append(a.Misses, ms...)
-	an.observe(ms, base)
-}
-
-// observeChunk bounds the records observe hands the grammar at once.
-const observeChunk = 256
-
-// observe runs the online passes over ms, the window's records from
-// position base on: stride classification and per-CPU position
-// accounting per record, then the SEQUITUR append of each chunk's
-// addresses in one Extend call.
-func (an *Analyzer) observe(ms []trace.Miss, base int32) {
-	a := an.cur
-	var addrs [observeChunk]uint64
-	for len(ms) > 0 {
-		chunk := ms[:min(len(ms), observeChunk)]
-		for i := range chunk {
-			m := &chunk[i]
-			a.Strided = append(a.Strided, an.det.Observe(int(m.CPU), m.Addr))
-			an.cpuPos[m.CPU] = append(an.cpuPos[m.CPU], base+int32(i))
-			addrs[i] = m.Addr
-		}
-		an.g.Extend(addrs[:len(chunk)])
-		base += int32(len(chunk))
-		ms = ms[len(chunk):]
+	for i := range ms {
+		a.Strided = append(a.Strided, an.det.Observe(int(ms[i].CPU), ms[i].Addr))
+		an.cpuPos[ms[i].CPU] = append(an.cpuPos[ms[i].CPU], base+int32(i))
+		an.g.Append(ms[i].Addr)
 	}
 }
 

@@ -13,14 +13,11 @@ const maxFuzzSymbols = 1024
 
 // FuzzSequitur checks the grammar engine on arbitrary symbol sequences.
 // Fuzz bytes map onto a four-symbol alphabet, so repeats, runs of equal
-// symbols and rule inlining occur constantly. Parse over the whole input,
-// an incremental Append checked after every symbol, and Extend over
-// chunks whose lengths the input's own bytes pick (some longer than
-// Extend's interning chunk), checked after every chunk, must all keep
-// every grammar invariant and expand back to exactly the input; Extend
-// must build the grammar Append builds; and Derive over each finished
-// grammar must agree with the reference walk and with the brute-force
-// stream oracle.
+// symbols and rule inlining occur constantly. Parse over the whole input
+// and an incremental Append, checked after every symbol, must both keep
+// every grammar invariant and expand back to exactly the input, and
+// Derive over each finished grammar must agree with the reference walk
+// and with the brute-force stream oracle.
 func FuzzSequitur(f *testing.F) {
 	f.Add(streamtest.JunctionOverlapInput)
 	f.Add([]byte{})
@@ -50,16 +47,5 @@ func FuzzSequitur(f *testing.F) {
 			check("Append", g, in[:i+1])
 		}
 		checkDerive(t, g, in)
-
-		ext := New()
-		for pos := 0; pos < len(in); {
-			n := min(1+5*int(raw[pos]>>2), len(in)-pos)
-			ext.Extend(in[pos : pos+n])
-			pos += n
-			check("Extend", ext, in[:pos])
-		}
-		if got, want := ext.String(), g.String(); got != want {
-			t.Fatalf("Extend built\n%s\nAppend built\n%s", got, want)
-		}
 	})
 }

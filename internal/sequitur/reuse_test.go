@@ -149,10 +149,7 @@ func TestParseAppendResetEquivalence(t *testing.T) {
 
 // TestSteadyStateAppendAllocs is the zero-allocation guard for the append
 // hot path: once a grammar has been grown over an input, Reset+replay of
-// the same input must not allocate at all, symbol by symbol through
-// Append or chunk by chunk through Extend, over random chunk splits on
-// either side of Extend's interning chunk. The chunked replay must build
-// the grammar the per-symbol one does.
+// the same input must not allocate at all.
 func TestSteadyStateAppendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under the race detector")
@@ -179,29 +176,6 @@ func TestSteadyStateAppendAllocs(t *testing.T) {
 	})
 	if avg > 0.5 {
 		t.Errorf("steady-state Reset+Append allocated %.1f times per run, want ~0", avg)
-	}
-	want := g.String()
-
-	var splits []int
-	for n := 0; n < len(in); {
-		k := min(1+rng.Intn(2*internChunk), len(in)-n)
-		splits = append(splits, k)
-		n += k
-	}
-	extend := func() {
-		g.Reset()
-		rest := in
-		for _, k := range splits {
-			g.Extend(rest[:k])
-			rest = rest[k:]
-		}
-	}
-	extend()
-	if got := g.String(); got != want {
-		t.Fatalf("Extend over %d chunks built a different grammar than Append", len(splits))
-	}
-	if avg := testing.AllocsPerRun(3, extend); avg > 0.5 {
-		t.Errorf("steady-state Reset+Extend allocated %.1f times per run, want ~0", avg)
 	}
 }
 

@@ -31,9 +31,7 @@
 //
 // Each indexed node also records which digram-table slot indexes it, so
 // dropping a node's digram from the index reads the node instead of
-// hashing and probing the table. Extend appends a whole chunk of input:
-// it interns every terminal of the chunk before any grammar update, so
-// the interning table's probes do not wait on one another.
+// hashing and probing the table.
 package sequitur
 
 import "math/bits"
@@ -83,9 +81,6 @@ type Grammar struct {
 	index  digramTable
 	length int
 
-	// Extend's interned ids for one chunk of input.
-	ids [internChunk]uint32
-
 	// Derive scratch (rule expansion lengths), reused across calls.
 	lenBuf []int32
 }
@@ -102,7 +97,9 @@ func New() *Grammar {
 // Parse builds a grammar over the whole input.
 func Parse(input []uint64) *Grammar {
 	g := New()
-	g.Extend(input)
+	for _, v := range input {
+		g.Append(v)
+	}
 	return g
 }
 
@@ -177,35 +174,10 @@ func (g *Grammar) newRule() int32 {
 	return id
 }
 
-// internChunk bounds the terminals Extend interns ahead of the grammar.
-const internChunk = 256
-
 // Append extends the input by one terminal symbol, restoring both grammar
 // invariants. Steady-state appends (terminal already interned, storage
 // already grown) perform no heap allocation.
-func (g *Grammar) Append(v uint64) { g.appendTerm(g.internTerm(v)) }
-
-// Extend appends every value of vs in order, building exactly the grammar
-// that calling Append on each would. It interns a chunk of terminals at a
-// time before appending any of them, so the chunk's interning-table
-// probes are independent loads rather than one after each grammar update.
-// Like Append, it allocates nothing in the steady state.
-func (g *Grammar) Extend(vs []uint64) {
-	for len(vs) > 0 {
-		ids := g.ids[:min(len(vs), internChunk)]
-		for i := range ids {
-			ids[i] = g.internTerm(vs[i])
-		}
-		for _, id := range ids {
-			g.appendTerm(id)
-		}
-		vs = vs[len(ids):]
-	}
-}
-
-// internTerm returns v's dense terminal id, issuing the next one on first
-// sight.
-func (g *Grammar) internTerm(v uint64) uint32 {
+func (g *Grammar) Append(v uint64) {
 	id, added := g.intern.intern(v, uint32(len(g.terms)))
 	if added {
 		if len(g.terms) > maxID {
@@ -213,12 +185,6 @@ func (g *Grammar) internTerm(v uint64) uint32 {
 		}
 		g.terms = append(g.terms, v)
 	}
-	return id
-}
-
-// appendTerm appends the terminal with dense id id: the per-symbol body
-// that Append and Extend share.
-func (g *Grammar) appendTerm(id uint32) {
 	n := g.newNode(id<<kindBits | kindTerm)
 	g.insertAfter(g.last(0), n)
 	g.length++

@@ -327,8 +327,11 @@ func (d *Decoder) run(sink trace.Sink) (Trailer, error) {
 // so Run's boundary accounting is unchanged.
 //
 // Each record's three varints are decoded inline when they take one or
-// two bytes, as nearly all do (see short); every other form goes through
-// uvarint and varint, so the records and errors are the same either way.
+// two bytes (see short); every other form goes through uvarint and
+// varint, so the records and errors are the same either way. Keys always
+// fit; func ids and address deltas mostly do on simulated traces, but a
+// delta of 8192 blocks or more takes the fallback (DESIGN.md, "Inline
+// varints", has the measured shares and what a miss costs).
 func (d *Decoder) decodeData(p []byte, sink trace.Sink) (n int64, err error) {
 	count, p, ok := uvarint(p)
 	if !ok {
