@@ -123,7 +123,7 @@ func main() {
 	defer stop()
 
 	if *replay != "" {
-		if err := replayFile(*replay, *stream, *window, *n); err != nil {
+		if err := replayFile(os.Stdout, *replay, *stream, *window, *n); err != nil {
 			fatal(err)
 		}
 		return
@@ -178,7 +178,7 @@ func main() {
 		if len(machines) != 1 {
 			fatal(fmt.Errorf("-stream requires a single machine (-machine multi or single)"))
 		}
-		if err := streamRun(ctx, app, machines[0], scale, *seed, *target, *window, *intra); err != nil {
+		if err := streamRun(ctx, os.Stdout, app, machines[0], scale, *seed, *target, *window, *intra); err != nil {
 			interrupted()
 		}
 		return
@@ -322,15 +322,15 @@ func recordStore(ctx context.Context, dir string, app workload.App, machine work
 }
 
 // replayFile drives the dump or streaming-analysis sinks from a wire
-// archive instead of a simulation.
-func replayFile(path string, stream bool, window, n int) error {
+// archive instead of a simulation, writing to out.
+func replayFile(out io.Writer, path string, stream bool, window, n int) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 
-	w := bufio.NewWriter(os.Stdout)
+	w := bufio.NewWriter(out)
 	defer w.Flush()
 
 	if stream {
@@ -355,40 +355,44 @@ func replayFile(path string, stream bool, window, n int) error {
 	return nil
 }
 
-// windowSink is the -stream consumer: an incremental analyzer recycled
-// every window misses, printing one statistics line per completed window
-// while the simulation keeps running.
+// windowSink is the -stream consumer: an analyzer recycled every window
+// misses, printing one statistics line per completed window while the
+// simulation keeps running.
 type windowSink struct {
 	w      *bufio.Writer
 	an     *core.Analyzer
 	cpus   int
 	window int
 
+	// misses holds the current window's records. Its storage is reused:
+	// each window's analysis is printed and dropped before the next
+	// window overwrites it.
+	misses []trace.Miss
+
 	idx      int // windows completed
-	inWindow int
 	total    int
 	inStream int
 }
 
 // AppendBatch implements trace.Sink, cutting the chunk at window
-// boundaries.
+// boundaries: the analyzer's window is -window records, so Observe takes
+// at most what the current window has left.
 func (s *windowSink) AppendBatch(ms []trace.Miss) {
 	for len(ms) > 0 {
-		if s.inWindow == 0 {
+		if len(s.misses) == 0 {
 			s.an.Begin(s.cpus, core.Options{MaxMisses: s.window})
 		}
-		n := min(s.window-s.inWindow, len(ms))
-		s.an.FeedAll(ms[:n])
-		s.inWindow += n
+		n := s.an.Observe(ms)
+		s.misses = append(s.misses, ms[:n]...)
 		ms = ms[n:]
-		if s.inWindow == s.window {
+		if len(s.misses) == s.window {
 			s.flush()
 		}
 	}
 }
 
 func (s *windowSink) flush() {
-	a := s.an.Finish()
+	a := s.an.Finish(s.misses)
 	_, ns, rc := a.Fractions()
 	counts := a.StateCounts()
 	s.inStream += counts[core.NewStream] + counts[core.Recurring]
@@ -397,25 +401,26 @@ func (s *windowSink) flush() {
 		s.idx, len(a.Misses), 100*(ns+rc), 100*ns, 100*rc, a.GrammarRules(), a.MedianStreamLength())
 	s.w.Flush() // live output: the simulation keeps running after this line
 	s.idx++
-	s.inWindow = 0
+	s.misses = s.misses[:0]
 }
 
 // Finish implements trace.Sink.
 func (s *windowSink) Finish(h trace.Header) {
-	if s.inWindow > 0 {
+	if len(s.misses) > 0 {
 		s.flush()
 	}
 	fmt.Fprintf(s.w, "# done: windows=%d misses=%d in_streams=%.1f%% instructions=%d mpki=%.3f\n",
 		s.idx, s.total, 100*float64(s.inStream)/float64(max(s.total, 1)), h.Instructions, h.MPKI())
 }
 
-// streamRun drives one configuration through the streaming data path:
-// the window analysis runs on its own goroutine behind an SPSC ring,
-// overlapping the simulator. On cancellation the already-printed windows
-// stand (they were live output) and the error is returned.
-func streamRun(ctx context.Context, app workload.App, machine workload.MachineKind, scale workload.Scale,
+// streamRun drives one configuration through the streaming data path,
+// writing to out: the window analysis runs on its own goroutine behind an
+// SPSC ring, overlapping the simulator. On cancellation the
+// already-printed windows stand (they were live output) and the error is
+// returned.
+func streamRun(ctx context.Context, out io.Writer, app workload.App, machine workload.MachineKind, scale workload.Scale,
 	seed int64, target, window int, intra bool) error {
-	w := bufio.NewWriter(os.Stdout)
+	w := bufio.NewWriter(out)
 	defer w.Flush()
 	fmt.Fprintf(w, "# app=%v machine=%v scale=%v target=%d window=%d stream=%s\n",
 		app, machine, scale, target, window, map[bool]string{false: "off-chip", true: "intra-chip"}[intra])

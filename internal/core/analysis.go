@@ -6,6 +6,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/sequitur"
@@ -79,6 +80,11 @@ func (o Options) withDefaults() Options {
 
 // Analysis is the full temporal-stream analysis of one miss trace.
 type Analysis struct {
+	// Misses is the analysis window: the records the analysis read, in
+	// order. It may share storage with the analyzed trace (or a
+	// tempstream Session's kept trace, of which it is a prefix), so it
+	// is read-only; its capacity equals its length, so an append to it
+	// copies instead of overwriting the trace's later records.
 	Misses []trace.Miss
 	CPUs   int
 
@@ -109,21 +115,21 @@ type Analysis struct {
 // safe for concurrent use (give each goroutine its own, e.g. via a
 // sync.Pool).
 //
-// An Analyzer runs in one of two equivalent modes:
-//
-//   - batch: Analyze(tr, opts) over a materialized trace;
-//   - incremental: Begin, then Feed per miss as a producer emits it, then
-//     Finish — the streaming pipeline's form, with peak memory bounded by
-//     the analysis window (Options.MaxMisses) rather than the trace.
-//
-// The stride, per-CPU-position, and grammar passes run online during Feed;
-// the derivation walk (per-miss stream states, instances, length
-// distribution) and the reuse-distance pass need the complete grammar and
-// run at Finish.
+// An Analyzer has one way in: Begin, then Observe per chunk of the stream
+// as a producer emits it, then Finish. Observe runs the online passes —
+// stride classification, per-CPU position accounting and the SEQUITUR
+// append — over the records that fit the analysis window
+// (Options.MaxMisses) and keeps no reference to them; the caller keeps
+// the records Observe took and hands exactly those to Finish, which runs
+// the passes that need the complete grammar (the derivation walk and the
+// reuse-distance sweep). So each record lives in one place, the caller's:
+// batch Analyze passes a prefix of the trace it was given, and a
+// streaming consumer the window (or trace) it keeps anyway.
 type Analyzer struct {
 	g *sequitur.Grammar
 
-	// Incremental state between Begin and Finish.
+	// State of the run between Begin and Finish. cur.Strided holds one
+	// flag per record Observe took, so its length is the window's.
 	cur  *Analysis
 	opts Options
 	det  *stride.Detector
@@ -134,7 +140,7 @@ type Analyzer struct {
 	topOcc       []int32
 
 	// Reuse-distance scratch: per-CPU miss positions accumulated online
-	// during Feed, and the last top-level instance index per rule id.
+	// during Observe, and the last top-level instance index per rule id.
 	cpuPos  [][]int32
 	lastIdx []int32
 }
@@ -150,33 +156,18 @@ func Analyze(tr *trace.Trace, opts Options) *Analysis {
 }
 
 // Analyze runs the complete stream analysis over tr, reusing the
-// Analyzer's internal storage. The returned Analysis owns all of its
-// fields and stays valid across later Analyze calls.
-//
-// Analyze is the batch form of Begin/Feed/Finish: it aliases the (already
-// materialized) trace window instead of accumulating a copy, then runs the
-// same online passes and the same finish-time passes.
+// Analyzer's internal storage: Begin, one Observe over the whole trace,
+// and Finish over the prefix it took, so the window is a prefix of
+// tr.Misses and is not copied. The returned Analysis stays valid across
+// later Analyze calls.
 func (an *Analyzer) Analyze(tr *trace.Trace, opts Options) *Analysis {
 	an.Begin(tr.CPUs, opts)
-	misses := tr.Misses
-	if len(misses) > an.opts.MaxMisses {
-		misses = misses[:an.opts.MaxMisses]
-	}
-	a := an.cur
-	a.Misses = misses
-	if len(misses) > 0 { // nil for empty input, as the incremental path yields
-		a.Strided = make([]bool, len(misses))
-	}
-	for i := range misses {
-		a.Strided[i] = an.det.Observe(int(misses[i].CPU), misses[i].Addr)
-		an.cpuPos[misses[i].CPU] = append(an.cpuPos[misses[i].CPU], int32(i))
-		an.g.Append(misses[i].Addr)
-	}
-	return an.Finish()
+	an.Grow(len(tr.Misses))
+	return an.Finish(tr.Misses[:an.Observe(tr.Misses)])
 }
 
-// Begin starts an incremental analysis over a cpus-processor miss stream,
-// resetting the grammar, stride, and scratch state from any previous run.
+// Begin starts an analysis of a cpus-processor miss stream, resetting the
+// grammar, stride, and scratch state from any previous run.
 func (an *Analyzer) Begin(cpus int, opts Options) {
 	an.opts = opts.withDefaults()
 	an.cur = &Analysis{
@@ -199,72 +190,52 @@ func (an *Analyzer) Begin(cpus int, opts Options) {
 	an.g.Reset()
 }
 
-// Grow pre-sizes the incremental window's storage for n further misses
-// (clamped to the analysis window), so a producer with a known target
-// avoids append re-doubling on the Feed path. Call after Begin.
-func (an *Analyzer) Grow(n int) {
-	a := an.cur
-	if rem := an.opts.MaxMisses - len(a.Misses); n > rem {
-		n = rem
-	}
-	if n <= 0 {
-		return
-	}
-	a.Misses = slices.Grow(a.Misses, n)
-	a.Strided = slices.Grow(a.Strided, n)
+// Grow presizes the run's per-record storage for n further records,
+// clamped to what the analysis window has left, so a producer with a
+// known target avoids append re-doubling on the Observe path. It returns
+// the clamped count, by which a caller presizes the window it keeps.
+// Call after Begin.
+func (an *Analyzer) Grow(n int) int {
+	n = max(0, min(n, an.opts.MaxMisses-len(an.cur.Strided)))
+	an.cur.Strided = slices.Grow(an.cur.Strided, n)
+	return n
 }
 
-// Full reports whether the incremental window has reached the analysis
-// bound (Options.MaxMisses): further Feed calls are no-ops, so producers
-// may stop forwarding.
-func (an *Analyzer) Full() bool { return len(an.cur.Misses) >= an.opts.MaxMisses }
-
-// Feed consumes the next miss of the stream, running the online passes
-// (stride classification, per-CPU position accounting, SEQUITUR append).
-// Misses beyond the analysis window (Options.MaxMisses) are dropped, so a
-// producer may keep feeding an already-full analyzer at negligible cost —
-// this is what bounds streaming memory to O(window).
-func (an *Analyzer) Feed(m trace.Miss) {
+// Observe runs the online passes (stride classification, per-CPU position
+// accounting, SEQUITUR append) over the leading records of ms that fit the
+// analysis window (Options.MaxMisses) and returns how many it took. A
+// return short of len(ms) means the window is full: later calls take
+// nothing and allocate nothing, so a producer may keep streaming past the
+// window at negligible cost, which bounds streaming memory to O(window).
+// Observe keeps no reference to ms; the caller keeps the records taken, in
+// order, for Finish.
+func (an *Analyzer) Observe(ms []trace.Miss) int {
 	a := an.cur
-	if len(a.Misses) >= an.opts.MaxMisses {
-		return
-	}
-	pos := int32(len(a.Misses))
-	a.Misses = append(a.Misses, m)
-	a.Strided = append(a.Strided, an.det.Observe(int(m.CPU), m.Addr))
-	an.cpuPos[m.CPU] = append(an.cpuPos[m.CPU], pos)
-	an.g.Append(m.Addr)
-}
-
-// FeedAll consumes a batch of consecutive stream records, equivalent to
-// (but cheaper than) calling Feed on each: the window append is one bulk
-// copy and the per-record dispatch disappears, which is what chunked
-// producers (tempstream's streaming sinks) drive.
-func (an *Analyzer) FeedAll(ms []trace.Miss) {
-	a := an.cur
-	if rem := an.opts.MaxMisses - len(a.Misses); len(ms) > rem {
-		if rem <= 0 {
-			return
-		}
-		ms = ms[:rem]
-	}
-	base := int32(len(a.Misses))
-	a.Misses = append(a.Misses, ms...)
+	base := len(a.Strided)
+	ms = ms[:min(len(ms), an.opts.MaxMisses-base)]
 	for i := range ms {
 		a.Strided = append(a.Strided, an.det.Observe(int(ms[i].CPU), ms[i].Addr))
-		an.cpuPos[ms[i].CPU] = append(an.cpuPos[ms[i].CPU], base+int32(i))
+		an.cpuPos[ms[i].CPU] = append(an.cpuPos[ms[i].CPU], int32(base+i))
 		an.g.Append(ms[i].Addr)
 	}
+	return len(ms)
 }
 
-// Finish completes the analysis begun by Begin: the derivation walk (per-
-// miss stream states, top-level instances, length distribution) and the
-// reuse-distance pass run here, over the grammar the online passes built.
-// The returned Analysis owns all of its fields and stays valid across
+// Finish completes the analysis begun by Begin. window must hold exactly
+// the records Observe took, in order; it becomes Analysis.Misses (with
+// its capacity cut to its length) without being copied, and Finish
+// panics if its length differs from the count Observe took. The
+// derivation walk (per-miss stream states, top-level instances, length
+// distribution) and the reuse-distance pass run here, over the grammar
+// the online passes built. The returned Analysis stays valid across
 // later Begin/Analyze calls.
-func (an *Analyzer) Finish() *Analysis {
+func (an *Analyzer) Finish(window []trace.Miss) *Analysis {
 	a := an.cur
+	if len(window) != len(a.Strided) {
+		panic(fmt.Sprintf("core: Analyzer.Finish given %d records, but Observe took %d", len(window), len(a.Strided)))
+	}
 	an.cur = nil
+	a.Misses = window[:len(window):len(window)]
 	a.State = make([]StreamState, len(a.Misses))
 	if len(a.Misses) == 0 {
 		return a

@@ -231,9 +231,10 @@ func TestAnalyzerReuseMatchesFresh(t *testing.T) {
 }
 
 // TestIncrementalMatchesBatch is the core streaming≡batch guard at the
-// analyzer level: Begin/Feed/Finish over a stream must reproduce Analyze
-// over the materialized trace field for field, including truncation and
-// analyzer reuse across runs.
+// analyzer level: Begin, Observe over the stream's chunks, and Finish over
+// the records Observe took must reproduce Analyze over the materialized
+// trace field for field, including truncation and analyzer reuse across
+// runs.
 func TestIncrementalMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	mk := func(n, mod, cpus int) *trace.Trace {
@@ -262,19 +263,18 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 	an := NewAnalyzer()
 	for i, c := range cases {
 		an.Begin(c.tr.CPUs, c.opts)
-		// Alternate per-record Feed and randomly-sized FeedAll chunks, as a
-		// chunked producer would.
+		// Alternate one-record and randomly-sized chunks, as a chunked
+		// producer would, keeping the records Observe takes.
+		var window []trace.Miss
 		for rest := c.tr.Misses; len(rest) > 0; {
+			n := 1
 			if rng.Intn(2) == 0 {
-				an.Feed(rest[0])
-				rest = rest[1:]
-			} else {
-				n := 1 + rng.Intn(len(rest))
-				an.FeedAll(rest[:n])
-				rest = rest[n:]
+				n += rng.Intn(len(rest))
 			}
+			window = append(window, rest[:an.Observe(rest[:n])]...)
+			rest = rest[n:]
 		}
-		got := an.Finish()
+		got := an.Finish(window)
 		want := Analyze(c.tr, c.opts)
 		if !reflect.DeepEqual(got.State, want.State) ||
 			!reflect.DeepEqual(got.Instances, want.Instances) ||
@@ -299,23 +299,40 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestFeedBeyondWindowAllocatesNothing pins the O(window) memory bound:
-// once the analysis window is full, further Feed calls are free — the
-// producer can keep streaming an arbitrarily long trace without growing
-// the analyzer.
-func TestFeedBeyondWindowAllocatesNothing(t *testing.T) {
+// TestObserveBeyondWindowAllocatesNothing pins the O(window) memory
+// bound: once the analysis window is full, further Observe calls take no
+// record and are free — the producer can keep streaming an arbitrarily
+// long trace without growing the analyzer. Finish then refuses any window
+// but the records Observe took.
+func TestObserveBeyondWindowAllocatesNothing(t *testing.T) {
 	an := NewAnalyzer()
 	an.Begin(2, Options{MaxMisses: 500})
-	for i := 0; i < 500; i++ {
-		an.Feed(trace.Miss{Addr: uint64(i%37) << 6, CPU: uint8(i % 2)})
+	window := make([]trace.Miss, 500)
+	for i := range window {
+		window[i] = trace.Miss{Addr: uint64(i%37) << 6, CPU: uint8(i % 2)}
+		if n := an.Observe(window[i : i+1]); n != 1 {
+			t.Fatalf("Observe took %d of record %d inside the window, want 1", n, i)
+		}
 	}
-	m := trace.Miss{Addr: 99 << 6, CPU: 1}
-	if n := testing.AllocsPerRun(200, func() { an.Feed(m) }); n != 0 {
-		t.Errorf("Feed beyond the window allocated %v objects/op, want 0", n)
+	ms := []trace.Miss{{Addr: 99 << 6, CPU: 1}}
+	if n := testing.AllocsPerRun(200, func() {
+		if an.Observe(ms) != 0 {
+			t.Fatal("Observe took a record beyond the window")
+		}
+	}); n != 0 {
+		t.Errorf("Observe beyond the window allocated %v objects/op, want 0", n)
 	}
-	a := an.Finish()
-	if len(a.Misses) != 500 {
-		t.Errorf("window holds %d misses, want 500", len(a.Misses))
+	func() {
+		defer func() {
+			if r := recover(); r == nil {
+				t.Error("Finish accepted a window one record longer than Observe took")
+			}
+		}()
+		an.Finish(append(window, ms...))
+	}()
+	a := an.Finish(window)
+	if len(a.Misses) != 500 || &a.Misses[0] != &window[0] || cap(a.Misses) != 500 {
+		t.Errorf("window holds %d misses in capacity %d, want the caller's 500 records in place", len(a.Misses), cap(a.Misses))
 	}
 }
 

@@ -9,20 +9,20 @@ import (
 	"repro/internal/trace/sinktest"
 )
 
-// runSplit drives ms into a fresh incremental analysis as FeedAll
-// batches cut at the given boundaries (splits are record indices;
-// consecutive equal indices produce empty batches, which must be
-// no-ops) and returns the finished analysis.
+// runSplit drives ms into a fresh analysis as Observe chunks cut at the
+// given boundaries (splits are record indices; consecutive equal indices
+// produce empty chunks, which must be no-ops), keeps the records each
+// call takes, and returns the analysis Finish makes of them.
 func runSplit(cpus int, opts Options, ms []trace.Miss, splits []int) *Analysis {
 	an := NewAnalyzer()
 	an.Begin(cpus, opts)
+	var window []trace.Miss
 	prev := 0
-	for _, s := range splits {
-		an.FeedAll(ms[prev:s])
+	for _, s := range append(splits, len(ms)) {
+		window = append(window, ms[prev:prev+an.Observe(ms[prev:s])]...)
 		prev = s
 	}
-	an.FeedAll(ms[prev:])
-	return an.Finish()
+	return an.Finish(window)
 }
 
 // checkAnalysisEqual compares every externally-observable field of two
@@ -49,32 +49,31 @@ func checkAnalysisEqual(t *testing.T, label string, got, want *Analysis) {
 	}
 }
 
-// TestFeedAllSplitInvariance is the chunk-boundary property test: an
-// incremental analysis must be invariant to how the stream is cut into
-// FeedAll batches — per-record Feed, one whole-stream batch, and many
-// random splits (including empty batches and batches straddling the
-// window cap) all produce the same Analysis. This is the property the
-// streaming Session, the pipeline's chunking, and the wire decoder's
-// frame batching all lean on.
-func TestFeedAllSplitInvariance(t *testing.T) {
+// TestObserveSplitInvariance is the chunk-boundary property test: an
+// analysis must be invariant to how the stream is cut into Observe
+// chunks — one-record chunks, one whole-stream chunk, and many random
+// splits (including empty chunks and chunks straddling the window cap)
+// all produce the same Analysis. This is the property the streaming
+// Session, the pipeline's chunking, and the wire decoder's frame batching
+// all lean on.
+func TestObserveSplitInvariance(t *testing.T) {
 	const cpus = 4
 	const n = 20000
 	ms := sinktest.Misses(n, cpus)
 
 	for _, opts := range []Options{
 		{},                                     // default window: the whole stream fits
-		{MaxMisses: n / 3},                     // cap mid-stream: batches straddle Full()
+		{MaxMisses: n / 3},                     // cap mid-stream: chunks straddle it
 		{MaxMisses: n / 3, ReuseTruncate: 100}, // and with reuse truncation in play
 	} {
-		// Reference: strict per-record Feed.
-		ref := NewAnalyzer()
-		ref.Begin(cpus, opts)
-		for _, m := range ms {
-			ref.Feed(m)
+		// Reference: one-record chunks.
+		records := make([]int, n-1)
+		for i := range records {
+			records[i] = i + 1
 		}
-		want := ref.Finish()
+		want := runSplit(cpus, opts, ms, records)
 
-		checkAnalysisEqual(t, "one-batch", runSplit(cpus, opts, ms, nil), want)
+		checkAnalysisEqual(t, "one-chunk", runSplit(cpus, opts, ms, nil), want)
 
 		rng := rand.New(rand.NewSource(0x5eed))
 		for round := 0; round < 8; round++ {
@@ -83,7 +82,7 @@ func TestFeedAllSplitInvariance(t *testing.T) {
 			for i := range splits {
 				splits[i] = rng.Intn(n + 1)
 			}
-			// Sorted boundaries; duplicates yield empty batches.
+			// Sorted boundaries; duplicates yield empty chunks.
 			for i := 1; i < len(splits); i++ {
 				for j := i; j > 0 && splits[j] < splits[j-1]; j-- {
 					splits[j], splits[j-1] = splits[j-1], splits[j]

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/memmap"
 )
@@ -103,13 +102,3 @@ func (st *SymbolTable) CategoryOf(id FuncID) Category { return st.Func(id).Categ
 
 // Len returns the number of registered functions, including "<unknown>".
 func (st *SymbolTable) Len() int { return len(st.funcs) }
-
-// Names returns all registered names sorted alphabetically (diagnostics).
-func (st *SymbolTable) Names() []string {
-	names := make([]string, 0, len(st.funcs))
-	for _, f := range st.funcs {
-		names = append(names, f.Name)
-	}
-	sort.Strings(names)
-	return names
-}

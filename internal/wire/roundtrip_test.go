@@ -74,15 +74,18 @@ func roundTrip(t *testing.T, name string, tr *trace.Trace, st *trace.SymbolTable
 	}
 }
 
-// analyzerSink drives an incremental core.Analyzer from a decoder — the
-// exact shape `tstrace -replay` uses.
+// analyzerSink drives a core.Analyzer from a decoder, keeping the records
+// Observe takes for Finish — the shape `tstrace -replay -stream` uses.
 type analyzerSink struct {
-	an *core.Analyzer
-	a  *core.Analysis
+	an     *core.Analyzer
+	window []trace.Miss
+	a      *core.Analysis
 }
 
-func (s *analyzerSink) AppendBatch(ms []trace.Miss) { s.an.FeedAll(ms) }
-func (s *analyzerSink) Finish(trace.Header)         { s.a = s.an.Finish() }
+func (s *analyzerSink) AppendBatch(ms []trace.Miss) {
+	s.window = append(s.window, ms[:s.an.Observe(ms)]...)
+}
+func (s *analyzerSink) Finish(trace.Header) { s.a = s.an.Finish(s.window) }
 
 // TestReplayMatchesInProcessAnalysis pins the record/replay acceptance
 // criterion: analyzing a decoded stream incrementally reproduces the

@@ -19,7 +19,8 @@ type StreamOptions struct {
 	// counters land in ContextResult.Prefetch.
 	Prefetch *prefetch.Config
 	// KeepTraces materializes the per-context traces, costing O(trace)
-	// memory again. Off by default: streaming results carry only headers
+	// memory again (the analysis window is the kept trace's prefix, not a
+	// second copy). Off by default: streaming results carry only headers
 	// and analyses.
 	KeepTraces bool
 }
@@ -45,8 +46,10 @@ const (
 )
 
 // Session is the streaming consumer of one classified miss stream: a
-// trace.Sink that tees each chunk into a pooled incremental analyzer, an
-// optional prefetcher evaluation, and an optional materializing trace.
+// trace.Sink that runs each chunk through a pooled analyzer's online
+// passes and an optional prefetcher evaluation, and holds the stream's
+// one copy of its records: the analysis window, or with KeepTraces the
+// whole stream, whose prefix is the window.
 // Every producer already delivers chunks (the simulator's gate, the wire
 // decoder's frames, the pipeline's ring), so the Session feeds its
 // consumers straight from the borrowed chunk. With a prefetcher
@@ -74,11 +77,16 @@ type Session struct {
 	// inert is set once every consumer is saturated (analysis window full,
 	// no prefetcher, no kept trace): the remaining records need no work at
 	// all, exactly as a batch analysis' truncation never reads them.
-	inert  bool
-	state  sessionState
-	an     *core.Analyzer
-	ev     *prefetch.Evaluator
+	inert bool
+	keep  bool
+	state sessionState
+	an    *core.Analyzer
+	ev    *prefetch.Evaluator
+	// tr holds the stream's only copy of its records: its first window
+	// misses are the ones the analyzer took, and with keep the rest of the
+	// stream follows. It is handed out as the kept trace only with keep.
 	tr     *trace.Trace
+	window int
 	header trace.Header
 	// evDone joins the evaluator's per-chunk goroutine: capacity 1 and
 	// reused across chunks, so the fork allocates nothing per chunk. Set
@@ -94,19 +102,19 @@ type Session struct {
 var _ trace.Sink = (*Session)(nil)
 
 // NewSession prepares the consumers for one miss stream of a
-// cpus-processor machine; expect is the anticipated window length, used
-// purely to presize storage (0 is fine: storage grows on demand).
+// cpus-processor machine; expect is the anticipated stream length, used
+// purely to presize storage (clamped to the analysis window unless the
+// trace is kept; 0 is fine: storage grows on demand).
 func NewSession(cpus, expect int, opts StreamOptions) *Session {
-	s := &Session{an: getAnalyzer()}
+	s := &Session{an: getAnalyzer(), keep: opts.KeepTraces, tr: &trace.Trace{}}
 	s.an.Begin(cpus, opts.Analysis)
-	s.an.Grow(expect)
+	if n := s.an.Grow(expect); !s.keep {
+		expect = n
+	}
+	s.tr.Grow(expect)
 	if opts.Prefetch != nil {
 		s.ev = prefetch.NewEvaluator(*opts.Prefetch)
 		s.evDone = make(chan struct{}, 1)
-	}
-	if opts.KeepTraces {
-		s.tr = &trace.Trace{}
-		s.tr.Grow(expect)
 	}
 	return s
 }
@@ -127,6 +135,7 @@ func (s *Session) AppendBatch(ms []trace.Miss) {
 	}
 	start := time.Now()
 	defer func() { s.busyNs += int64(time.Since(start)) }()
+	var n int
 	if s.ev != nil {
 		go func() {
 			for i := range ms {
@@ -134,15 +143,17 @@ func (s *Session) AppendBatch(ms []trace.Miss) {
 			}
 			s.evDone <- struct{}{}
 		}()
-		s.an.FeedAll(ms)
+		n = s.an.Observe(ms)
 		<-s.evDone
 	} else {
-		s.an.FeedAll(ms)
+		n = s.an.Observe(ms)
 	}
-	if s.tr != nil {
-		s.tr.Misses = append(s.tr.Misses, ms...)
+	s.window += n
+	if !s.keep {
+		s.inert = n < len(ms) && s.ev == nil
+		ms = ms[:n]
 	}
-	s.inert = s.an.Full() && s.ev == nil && s.tr == nil
+	s.tr.AppendBatch(ms)
 }
 
 // Finish implements trace.Sink, sealing the stream with its header.
@@ -152,9 +163,7 @@ func (s *Session) Finish(h trace.Header) {
 		panic("tempstream: Session.Finish called twice (the Sink contract delivers exactly one Finish)")
 	}
 	s.header = h
-	if s.tr != nil {
-		s.tr.Finish(h)
-	}
+	s.tr.Finish(h)
 	s.state = sessionFinished
 }
 
@@ -163,7 +172,8 @@ func (s *Session) Finish(h trace.Header) {
 // be nil when no symbol table accompanies the stream (network sessions);
 // category attribution is then unavailable on the result. Result must be
 // called exactly once, after Finish; calling it early, twice, or after
-// Close panics.
+// Close panics. With KeepTraces the result's analysis window is a prefix
+// of its Trace; the Session keeps a reference to neither.
 func (s *Session) Result(st *trace.SymbolTable) *ContextResult {
 	switch s.state {
 	case sessionOpen:
@@ -172,11 +182,14 @@ func (s *Session) Result(st *trace.SymbolTable) *ContextResult {
 		panic("tempstream: Session.Result called twice or after Close (the pooled analyzer is already returned)")
 	}
 	cr := &ContextResult{
-		Trace:    s.tr,
 		Header:   s.header,
-		Analysis: s.an.Finish(),
+		Analysis: s.an.Finish(s.tr.Misses[:s.window]),
 		SymTab:   st,
 	}
+	if s.keep {
+		cr.Trace = s.tr
+	}
+	s.tr = nil
 	putAnalyzer(s.an)
 	s.an = nil
 	s.state = sessionClosed

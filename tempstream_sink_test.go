@@ -115,26 +115,36 @@ func TestSessionBatchMatchesAppend(t *testing.T) {
 // TestSessionAllocations guards a Session's memory: a warmed session fed
 // 1000 records in one chunk allocates under 512 KiB from NewSession to
 // Result. A per-session staging buffer of 32768 records (512 KiB) alone
-// would break it.
+// would break it. Keeping the trace adds almost nothing, because the
+// analysis window is the kept trace's prefix: a second copy of the
+// records would add 16 KB.
 func TestSessionAllocations(t *testing.T) {
 	const cpus, n, runs = 4, 1000, 5
 	ms := sinktest.Misses(n, cpus)
 	h := sinktest.Header(n, cpus)
-	run := func() {
-		s := NewSession(cpus, n, StreamOptions{})
-		s.AppendBatch(ms)
-		s.Finish(h)
-		s.Result(nil)
+	perSession := func(opts StreamOptions) uint64 {
+		run := func() {
+			s := NewSession(cpus, n, opts)
+			s.AppendBatch(ms)
+			s.Finish(h)
+			s.Result(nil)
+		}
+		run() // warm the analyzer pool
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
 	}
-	run() // warm the analyzer pool
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		run()
+	plain, kept := perSession(StreamOptions{}), perSession(StreamOptions{KeepTraces: true})
+	t.Logf("bytes per %d-record session: %d, %d keeping the trace", n, plain, kept)
+	if plain >= 512<<10 {
+		t.Errorf("a %d-record session allocates %d bytes, want under %d", n, plain, 512<<10)
 	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 512<<10 {
-		t.Errorf("a %d-record session allocates %d bytes, want under %d", n, per, 512<<10)
+	if kept > plain+(4<<10) {
+		t.Errorf("a %d-record session keeping its trace allocates %d bytes, want within 4 KiB of the %d without", n, kept, plain)
 	}
 }
 

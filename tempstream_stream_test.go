@@ -42,7 +42,9 @@ func TestStreamingMatchesBatchAllApps(t *testing.T) {
 // TestStreamingKeepTraces checks that KeepTraces keeps the whole stream
 // even when the analysis window is far shorter: the traces must be the
 // serial reference's, record for record, although the analyzer stopped
-// reading after the window filled.
+// reading after the window filled. The window is no second copy: it is
+// the kept trace's prefix in storage, with no capacity past its end, so
+// an append to the window cannot overwrite the trace.
 func TestStreamingKeepTraces(t *testing.T) {
 	const window = 4000
 	req := equivRequest(Apache)
@@ -57,8 +59,10 @@ func TestStreamingKeepTraces(t *testing.T) {
 		if s.Trace == nil {
 			t.Fatalf("%v: KeepTraces produced no trace", ctx)
 		}
-		if len(s.Analysis.Misses) != window {
-			t.Errorf("%v: analysis window %d misses, want %d", ctx, len(s.Analysis.Misses), window)
+		if a := s.Analysis.Misses; len(a) != window {
+			t.Errorf("%v: analysis window %d misses, want %d", ctx, len(a), window)
+		} else if &a[0] != &s.Trace.Misses[0] || cap(a) != len(a) {
+			t.Errorf("%v: analysis window (capacity %d) is not the kept trace's prefix", ctx, cap(a))
 		}
 		if !reflect.DeepEqual(s.Trace.Misses, b.Trace.Misses) {
 			t.Errorf("%v: materialized streaming trace differs from the serial reference", ctx)
