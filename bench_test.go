@@ -355,24 +355,20 @@ func runCollect(b *testing.B, keepTraces bool, each func(*Experiment)) {
 // (runCollect without kept traces). Besides misses/sec it reports the
 // allocated bytes per run — which stay flat as the target grows (the
 // O(window) claim; see TestStreamingBoundedMemory) — and the run-stage
-// trace per iteration: ring stalls on either side, chunks handed over,
-// and analyze seconds, so BENCH_<n>.json records which side of the
-// pipeline waited. Runs in short mode so the CI bench-smoke artifact
-// tracks the streaming trajectory.
+// trace per iteration: pipeline stalls on either side, chunks handed
+// over, and the consumers' analyze seconds, so BENCH_<n>.json records
+// which side of the pipeline waited. Runs in short mode so the CI
+// bench-smoke artifact tracks the streaming trajectory.
 func BenchmarkStreamingCollect(b *testing.B) {
 	var pipe trace.PipeStats
-	var analyze float64
 	runCollect(b, false, func(exp *Experiment) {
 		pipe.Add(exp.Stages.PipelineTotal())
-		for _, s := range exp.Stages.AnalyzeSeconds {
-			analyze += s
-		}
 	})
 	n := float64(b.N)
 	b.ReportMetric(float64(pipe.ProducerStalls)/n, "prod-stalls/op")
 	b.ReportMetric(float64(pipe.ConsumerStalls)/n, "cons-stalls/op")
 	b.ReportMetric(float64(pipe.Chunks)/n, "chunks/op")
-	b.ReportMetric(analyze/n, "analyze-sec/op")
+	b.ReportMetric(pipe.ConsumerBusySeconds/n, "analyze-sec/op")
 }
 
 // BenchmarkBatchCollect is BenchmarkStreamingCollect's A/B twin with the

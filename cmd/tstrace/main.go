@@ -17,11 +17,11 @@
 // concurrently and dumps both traces, multi-chip first.
 //
 // -stream switches to the streaming data path: instead of materializing
-// the trace, the simulator pushes each measurement-window miss through an
-// SPSC ring (trace.Pipelined) into an incremental analyzer sink on its
-// own goroutine, and one line of temporal-stream statistics is printed
-// per -window misses as the simulation runs. Peak memory is bounded by
-// the window regardless of -target.
+// the trace, the simulator pushes each measurement-window miss through a
+// buffered channel of record chunks (trace.Pipelined) into an incremental
+// analyzer sink on its own goroutine, and one line of temporal-stream
+// statistics is printed per -window misses as the simulation runs. Peak
+// memory is bounded by the window regardless of -target.
 //
 // -record FILE streams the selected trace into a wire-format archive
 // (internal/wire: framed, delta-encoded, CRC-protected, with the symbol
@@ -414,8 +414,8 @@ func (s *windowSink) Finish(h trace.Header) {
 }
 
 // streamRun drives one configuration through the streaming data path,
-// writing to out: the window analysis runs on its own goroutine behind an
-// SPSC ring, overlapping the simulator. On cancellation the
+// writing to out: the window analysis runs on its own goroutine behind a
+// trace.Pipelined channel, overlapping the simulator. On cancellation the
 // already-printed windows stand (they were live output) and the error is
 // returned.
 func streamRun(ctx context.Context, out io.Writer, app workload.App, machine workload.MachineKind, scale workload.Scale,

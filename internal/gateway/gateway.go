@@ -33,6 +33,16 @@ import (
 // ErrGatewayClosed is returned by Serve after Shutdown or Close.
 var ErrGatewayClosed = errors.New("gateway: closed")
 
+const (
+	// backendWriteTimeout bounds each backend write; it must comfortably
+	// exceed the backends' queue wait (admission backpressure is an unread
+	// socket).
+	backendWriteTimeout = 2 * time.Minute
+	// backendResponseTimeout bounds the wait for a backend's final
+	// response after the trailer.
+	backendResponseTimeout = 5 * time.Minute
+)
+
 // Config tunes a Gateway.
 type Config struct {
 	// Name identifies this gateway: it is the Via label stamped on
@@ -40,8 +50,6 @@ type Config struct {
 	Name string
 	// Backends is the initial backend list (ingest addresses).
 	Backends []string
-	// Replicas is the number of virtual ring points per backend. 0 means 64.
-	Replicas int
 	// LoadFactor bounds per-backend load: a backend is skipped when its
 	// active sessions reach ceil(LoadFactor * (total+1) / healthy). Values
 	// below 1 route like 1 (the bound never starves an empty fleet).
@@ -72,13 +80,6 @@ type Config struct {
 	IdleTimeout time.Duration
 	// DialTimeout bounds each backend dial. 0 means 5s.
 	DialTimeout time.Duration
-	// WriteTimeout bounds each backend write; it must comfortably exceed
-	// the backends' queue wait (admission backpressure is an unread
-	// socket). 0 means 2m.
-	WriteTimeout time.Duration
-	// ResponseTimeout bounds the wait for a backend's final response
-	// after the trailer. 0 means 5m.
-	ResponseTimeout time.Duration
 	// Probe overrides the health-check client (tests inject failures
 	// here). nil means server.Probe.
 	Probe func(addr string, timeout time.Duration) (*server.Stats, error)
@@ -92,9 +93,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Name == "" {
 		c.Name = "tsgate"
-	}
-	if c.Replicas == 0 {
-		c.Replicas = 64
 	}
 	if c.LoadFactor == 0 {
 		c.LoadFactor = 1.25
@@ -125,12 +123,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DialTimeout == 0 {
 		c.DialTimeout = 5 * time.Second
-	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = 2 * time.Minute
-	}
-	if c.ResponseTimeout == 0 {
-		c.ResponseTimeout = 5 * time.Minute
 	}
 	if c.Probe == nil {
 		c.Probe = server.Probe
@@ -226,7 +218,7 @@ func New(ln net.Listener, cfg Config) *Gateway {
 		cfg:      cfg,
 		ln:       ln,
 		backends: make(map[string]*backend),
-		ring:     buildRing(nil, cfg.Replicas),
+		ring:     buildRing(nil),
 		log:      cfg.Logger,
 		start:    time.Now(),
 	}
@@ -411,7 +403,7 @@ func (g *Gateway) rebuildRingLocked() {
 			live = append(live, b)
 		}
 	}
-	g.ring = buildRing(live, g.cfg.Replicas)
+	g.ring = buildRing(live)
 }
 
 // probeLoop is one backend's health checker: a probe per ProbeInterval

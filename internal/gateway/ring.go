@@ -6,8 +6,11 @@ import (
 	"strconv"
 )
 
+// ringReplicas is the number of virtual ring points per backend.
+const ringReplicas = 64
+
 // hashRing is a consistent-hash ring over the current backend set. Each
-// backend owns Replicas virtual points, so keys spread evenly and a
+// backend owns ringReplicas virtual points, so keys spread evenly and a
 // membership change only remaps the keys adjacent to the changed
 // backend's points. The ring is immutable once built — membership edits
 // build a new one under the gateway's lock — while health and load are
@@ -38,10 +41,10 @@ func hashKey(key string) uint64 {
 	return x
 }
 
-func buildRing(backends []*backend, replicas int) *hashRing {
-	r := &hashRing{points: make([]ringPoint, 0, len(backends)*replicas)}
+func buildRing(backends []*backend) *hashRing {
+	r := &hashRing{points: make([]ringPoint, 0, len(backends)*ringReplicas)}
 	for _, b := range backends {
-		for i := 0; i < replicas; i++ {
+		for i := 0; i < ringReplicas; i++ {
 			r.points = append(r.points, ringPoint{hash: hashKey(b.addr + "#" + strconv.Itoa(i)), b: b})
 		}
 	}

@@ -300,7 +300,7 @@ func (g *Gateway) attach(sess *gwSession) *relayFailure {
 			continue
 		}
 		sess.be = b
-		sess.bconn = &proto.DeadlineConn{Conn: conn, WriteTimeout: g.cfg.WriteTimeout}
+		sess.bconn = &proto.DeadlineConn{Conn: conn, WriteTimeout: backendWriteTimeout}
 		sess.done = make(chan struct{})
 		sess.lines = proto.ReadLines(conn, sess.done)
 		return g.replay(sess)
@@ -455,11 +455,11 @@ func classifyBackendLine(msg proto.Line) (v lineVerdict, text string) {
 // trailer, rerouting (with full replay, trailer included) if the backend
 // dies or declines while computing it.
 func (g *Gateway) awaitResponse(sess *gwSession) ([]byte, *relayFailure) {
-	deadline := time.Now().Add(g.cfg.ResponseTimeout)
+	deadline := time.Now().Add(backendResponseTimeout)
 	for {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			err := fmt.Errorf("no backend response within %v", g.cfg.ResponseTimeout)
+			err := fmt.Errorf("no backend response within %v", backendResponseTimeout)
 			if b := sess.be; b != nil {
 				b.br.fail(err, time.Now())
 			}

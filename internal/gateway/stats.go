@@ -135,29 +135,18 @@ func (g *Gateway) AggregateStats() server.Stats {
 	return st
 }
 
-// Handler serves the fleet's admin surface:
-//
-//	GET  /stats    — the FleetStats snapshot as JSON.
-//	GET  /backends — the current membership, one address per line.
-//	POST /backends — replace the membership; body is addresses separated
-//	                 by commas or newlines. Removed backends drain, added
-//	                 ones warm in. Responds with the resulting diff.
-func (g *Gateway) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/stats", g.StatsHandler())
-	mux.Handle("/backends", g.BackendsHandler())
-	return mux
-}
-
-// StatsHandler serves the FleetStats snapshot as JSON — the /stats leg
-// of Handler, exposed separately so daemons can mount it on a shared
-// scrape mux (obs.NewMux).
+// StatsHandler serves the FleetStats snapshot as JSON at /stats;
+// daemons mount it on a shared scrape mux (obs.NewMux).
 func (g *Gateway) StatsHandler() http.Handler {
 	return obs.JSONHandler(func() any { return g.Stats() })
 }
 
-// BackendsHandler serves the membership admin endpoint — the /backends
-// leg of Handler, exposed separately for shared-mux mounting.
+// BackendsHandler serves the membership admin endpoint at /backends:
+//
+//	GET  — the current membership, one address per line.
+//	POST — replace the membership; body is addresses separated by commas
+//	       or newlines. Removed backends drain, added ones warm in.
+//	       Responds with the resulting diff.
 func (g *Gateway) BackendsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {

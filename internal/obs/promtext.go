@@ -301,9 +301,9 @@ func ValidLabelName(name string) bool {
 }
 
 // LintNames checks the repository's naming conventions over a parsed
-// exposition (or a Registry's Names): snake_case with a known
-// subsystem prefix, counters ending in _total, and unit suffixes drawn
-// from the allowed set. It returns one message per violation.
+// exposition: snake_case with a known subsystem prefix, counters ending
+// in _total, and unit suffixes drawn from the allowed set. It returns one
+// message per violation.
 func LintNames(fams []*Family) []string {
 	var problems []string
 	for _, f := range fams {
@@ -314,7 +314,7 @@ func LintNames(fams []*Family) []string {
 }
 
 // allowedPrefixes are the subsystem namespaces the fleet exports.
-var allowedPrefixes = []string{"tsserved_", "tsgate_", "tspipe_", "store_", "go_", "process_"}
+var allowedPrefixes = []string{"tsserved_", "tsgate_", "store_", "go_", "process_"}
 
 func lintName(name, typ string) []string {
 	var problems []string

@@ -22,7 +22,6 @@ package obs
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -221,20 +220,12 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 // CounterVec is a counter family with labels; obtain children with With.
 type CounterVec struct{ f *family }
 
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct{ f *family }
 
 // CounterVec registers a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{r.register(&family{name: name, help: help, kind: KindCounter, labels: labels})}
-}
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.register(&family{name: name, help: help, kind: KindGauge, labels: labels})}
 }
 
 // HistogramVec registers a labeled histogram family.
@@ -250,11 +241,6 @@ func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...s
 // itself takes the family's mutex.
 func (v *CounterVec) With(labelValues ...string) *Counter {
 	return v.f.childFor(labelValues).c
-}
-
-// With returns the gauge for one label-value combination.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	return v.f.childFor(labelValues).g
 }
 
 // With returns the histogram for one label-value combination.
@@ -327,19 +313,6 @@ func (f *family) childFor(labelValues []string) *child {
 	f.children[key] = c
 	f.order = append(f.order, c)
 	return c
-}
-
-// Names returns every registered family name, sorted — the naming lint
-// test walks this.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.order))
-	for _, f := range r.families {
-		names = append(names, f.name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // KindOf returns the registered kind of name (and whether it exists).

@@ -32,6 +32,20 @@ var (
 	errNoConn = errors.New("resilient: no active connection")
 )
 
+const (
+	// helloTimeout bounds the wait for admission (the server's hello
+	// arrives only once the session holds an analyzer slot) and, ring
+	// full, the wait for the next ack. It exceeds the server's default
+	// QueueTimeout so an overloaded server answers busy before the client
+	// gives up on it.
+	helloTimeout = 45 * time.Second
+	// ioTimeout bounds each stream write.
+	ioTimeout = time.Minute
+	// responseTimeout bounds Result's total wait for the final response,
+	// across reconnects.
+	responseTimeout = 5 * time.Minute
+)
+
 // RetryPolicy tunes a ResilientSession's recovery behavior. The zero
 // value selects the documented defaults.
 type RetryPolicy struct {
@@ -50,17 +64,6 @@ type RetryPolicy struct {
 	MaxDelay  time.Duration
 	// DialTimeout bounds each reconnect dial. 0 means 5s.
 	DialTimeout time.Duration
-	// HelloTimeout bounds the wait for admission (the server's hello
-	// arrives only once the session holds an analyzer slot) and, ring
-	// full, the wait for the next ack. It should exceed the server's
-	// QueueTimeout so an overloaded server answers busy before the client
-	// gives up on it. 0 means 45s.
-	HelloTimeout time.Duration
-	// IOTimeout bounds each stream write. 0 means 1m.
-	IOTimeout time.Duration
-	// ResponseTimeout bounds Result's total wait for the final response,
-	// across reconnects. 0 means 5m.
-	ResponseTimeout time.Duration
 	// RingFrames bounds the replay ring (unacknowledged frames kept for
 	// retransmission, ~16 KB each at the encoder's frame size). When the
 	// ring is full the producer blocks awaiting acks — the same
@@ -91,15 +94,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.DialTimeout == 0 {
 		p.DialTimeout = 5 * time.Second
-	}
-	if p.HelloTimeout == 0 {
-		p.HelloTimeout = 45 * time.Second
-	}
-	if p.IOTimeout == 0 {
-		p.IOTimeout = time.Minute
-	}
-	if p.ResponseTimeout == 0 {
-		p.ResponseTimeout = 5 * time.Minute
 	}
 	if p.RingFrames == 0 {
 		p.RingFrames = 256
@@ -297,14 +291,14 @@ func (s *ResilientSession) Result() (*SessionResult, error) {
 			s.err = err
 		}
 	}
-	deadline := time.Now().Add(s.pol.ResponseTimeout)
+	deadline := time.Now().Add(responseTimeout)
 	for s.resp == nil && s.err == nil {
 		if s.epoch == nil {
 			s.recover(errNoConn)
 			continue
 		}
 		if remaining := time.Until(deadline); remaining <= 0 || !s.await(remaining) {
-			s.err = fmt.Errorf("resilient: no response within %v", s.pol.ResponseTimeout)
+			s.err = fmt.Errorf("resilient: no response within %v", responseTimeout)
 		}
 	}
 	s.dropEpoch()
@@ -358,8 +352,8 @@ func (s *ResilientSession) enqueue(p []byte) {
 func (s *ResilientSession) awaitAck() {
 	if s.epoch == nil {
 		s.recover(errNoConn)
-	} else if !s.await(s.pol.HelloTimeout) {
-		s.end(s.transport(fmt.Errorf("resilient: no ack within %v with replay ring full", s.pol.HelloTimeout)))
+	} else if !s.await(helloTimeout) {
+		s.end(s.transport(fmt.Errorf("resilient: no ack within %v with replay ring full", helloTimeout)))
 	}
 }
 
@@ -600,7 +594,7 @@ func (s *ResilientSession) attempt() error {
 	}
 	done := make(chan struct{})
 	ep := &connEpoch{
-		conn:  proto.DeadlineConn{Conn: conn, WriteTimeout: s.pol.IOTimeout},
+		conn:  proto.DeadlineConn{Conn: conn, WriteTimeout: ioTimeout},
 		lines: proto.ReadLines(conn, done),
 		done:  done,
 	}
@@ -621,7 +615,7 @@ func (s *ResilientSession) handshake(ep *connEpoch, reqLine []byte) error {
 	// The hello arrives once the server admits the session (it may queue
 	// first); an error line here instead is a shed or a resume failure.
 	var hello controlLine
-	t := time.NewTimer(s.pol.HelloTimeout)
+	t := time.NewTimer(helloTimeout)
 	defer t.Stop()
 	select {
 	case msg := <-ep.lines:
@@ -632,7 +626,7 @@ func (s *ResilientSession) handshake(ep *connEpoch, reqLine []byte) error {
 			return s.transport(fmt.Errorf("resilient: parsing server line: %w", err))
 		}
 	case <-t.C:
-		return s.transport(fmt.Errorf("resilient: no hello within %v", s.pol.HelloTimeout))
+		return s.transport(fmt.Errorf("resilient: no hello within %v", helloTimeout))
 	}
 	if hello.Error != "" {
 		return s.classifyServerError(hello)

@@ -3,25 +3,22 @@ package trace
 import (
 	"sync/atomic"
 	"time"
-
-	"repro/internal/par"
 )
 
 // PipeChunk is the Pipelined adapter's records-per-chunk granularity:
-// large enough that the per-chunk handoff (one ring slot, at worst one
-// park/unpark pair) is noise against the ~milliseconds of simulation or
-// analysis a chunk represents, small enough that a chunk is a few tens
-// of KB and the consumer's lag behind the producer stays bounded and
-// fine-grained.
+// large enough that the per-chunk handoff (one channel send and one
+// receive) is noise against the ~milliseconds of simulation or analysis
+// a chunk represents, small enough that a chunk is a few tens of KB and
+// the consumer's lag behind the producer stays bounded and fine-grained.
 const PipeChunk = 4096
 
-// DefaultPipeDepth is every Pipelined's ring bound in chunks: enough
-// in-flight chunks to ride out consumer scheduling hiccups, at O(100 KB)
-// of buffered records.
+// DefaultPipeDepth is every Pipelined's channel capacity in chunks:
+// enough in-flight chunks to ride out consumer scheduling hiccups, at
+// O(100 KB) of buffered records.
 const DefaultPipeDepth = 8
 
-// pipeItem is one ring entry: a chunk of records, or the end-of-stream
-// header.
+// pipeItem is one channel entry: a chunk of records, or the
+// end-of-stream header.
 type pipeItem struct {
 	ms  []Miss
 	fin bool
@@ -30,7 +27,7 @@ type pipeItem struct {
 
 // Pipelined is a Sink adapter that moves a stream's consumption onto
 // its own goroutine: AppendBatch copies records into bounded chunks and
-// hands full chunks to the consumer over an SPSC ring (par.SPSC), so the
+// hands full chunks to the consumer over a buffered channel, so the
 // producer — a simulator's emission path — overlaps
 // the downstream sink's work — an analysis session's SEQUITUR append —
 // on another core. The wrapped sink sees exactly the stream the
@@ -38,61 +35,60 @@ type pipeItem struct {
 // byte-identical to driving it inline, because the pipeline reorders
 // nothing and the downstream sink still runs single-goroutine.
 //
-// Memory is bounded by DefaultPipeDepth chunks in the ring plus one
+// Memory is bounded by DefaultPipeDepth chunks in the channel plus one
 // being filled and one being consumed; a slow consumer backpressures the
-// producer through a blocking ring push. Consumed chunks recycle through
+// producer through a blocking send. Consumed chunks recycle through
 // a free list, so a steady-state pipeline allocates nothing per chunk.
 //
 // Lifecycle: drive AppendBatch/Finish as usual from one producer
 // goroutine, then call Close exactly once — after Finish for
 // a completed stream, or in place of it to tear down a cancelled one —
 // and the call returns when the consumer goroutine has drained the
-// ring and exited. Only after Close returns may the wrapped sink's
-// results be collected (e.g. tempstream.Session.Result).
+// channel and exited. Only after Close returns may the wrapped sink's
+// results be collected (e.g. tempstream.Session.Result). Appending after
+// Finish or Close breaks the Sink contract and panics at the next chunk
+// handoff (a send on the closed channel); no caller does so.
 //
 // The consumer is a plain goroutine, deliberately not a worker-pool
-// task: the producer blocks in Push while the ring is full, so parking
-// the consumer behind a pool slot the producer's own task occupies
-// would deadlock a one-worker pool.
+// task: the producer blocks in its send while the channel is full, so
+// parking the consumer behind a pool slot the producer's own task
+// occupies would deadlock a one-worker pool.
 type Pipelined struct {
 	dst   Sink
-	ring  *par.SPSC[pipeItem]
+	ch    chan pipeItem
 	free  chan []Miss
 	chunk []Miss
 	done  chan struct{}
+	// sealed is set once ch is closed, by Finish or by Close.
+	sealed bool
 
-	finished bool
-	closed   bool
-
-	chunks         atomic.Uint64 // chunks pushed through the ring
-	freelistMiss   atomic.Uint64 // newChunk allocations (free list empty)
+	chunks         atomic.Uint64 // chunks sent to the consumer
+	prodStalls     atomic.Uint64 // sends that found the channel full
+	consStalls     atomic.Uint64 // receives that found the channel empty
 	consumerBusyNs atomic.Int64  // time the consumer spent inside dst
 }
 
 // PipeStats is one pipeline's tracing snapshot: where its wall-clock
-// slack went. ProducerStalls counts parks on a full ring (the consumer
-// — analysis — was the bottleneck); ConsumerStalls counts parks on an
-// empty ring (the producer — simulation — was). Chunks and
-// FreelistMisses size the traffic and the recycling hit rate;
-// ConsumerBusySeconds is time actually spent inside the wrapped sink,
-// the denominator that turns stall counts into utilization.
+// slack went. ProducerStalls counts sends that found the channel full
+// and waited (the consumer — analysis — was the bottleneck);
+// ConsumerStalls counts receives that found it empty and waited (the
+// producer — simulation — was). Each wait counts once. Chunks sizes the
+// traffic; ConsumerBusySeconds is time actually spent inside the wrapped
+// sink, the denominator that turns stall counts into utilization.
 type PipeStats struct {
 	ProducerStalls      uint64  `json:"producer_stalls"`
 	ConsumerStalls      uint64  `json:"consumer_stalls"`
 	Chunks              uint64  `json:"chunks"`
-	FreelistMisses      uint64  `json:"freelist_misses"`
 	ConsumerBusySeconds float64 `json:"consumer_busy_seconds"`
 }
 
 // Stats returns the pipeline's counters so far. Safe to call from any
 // goroutine at any time; for a quiesced final value call after Close.
 func (p *Pipelined) Stats() PipeStats {
-	prod, cons := p.ring.Stalls()
 	return PipeStats{
-		ProducerStalls:      prod,
-		ConsumerStalls:      cons,
+		ProducerStalls:      p.prodStalls.Load(),
+		ConsumerStalls:      p.consStalls.Load(),
 		Chunks:              p.chunks.Load(),
-		FreelistMisses:      p.freelistMiss.Load(),
 		ConsumerBusySeconds: float64(p.consumerBusyNs.Load()) / 1e9,
 	}
 }
@@ -102,20 +98,19 @@ func (s *PipeStats) Add(other PipeStats) {
 	s.ProducerStalls += other.ProducerStalls
 	s.ConsumerStalls += other.ConsumerStalls
 	s.Chunks += other.Chunks
-	s.FreelistMisses += other.FreelistMisses
 	s.ConsumerBusySeconds += other.ConsumerBusySeconds
 }
 
 var _ Sink = (*Pipelined)(nil)
 
-// NewPipelined starts a pipeline in front of dst with a ring bound of
+// NewPipelined starts a pipeline in front of dst with a channel of
 // DefaultPipeDepth chunks and spawns its consumer goroutine. dst must
 // not be driven by anyone else until Close returns.
 func NewPipelined(dst Sink) *Pipelined {
 	p := &Pipelined{
-		dst:  dst,
-		ring: par.NewSPSC[pipeItem](DefaultPipeDepth),
-		// Ring slots + the chunk being filled + the one being consumed
+		dst: dst,
+		ch:  make(chan pipeItem, DefaultPipeDepth),
+		// Channel slots + the chunk being filled + the one being consumed
 		// can all hold distinct buffers; capacity for all of them keeps
 		// the steady state allocation-free.
 		free: make(chan []Miss, DefaultPipeDepth+2),
@@ -126,11 +121,19 @@ func NewPipelined(dst Sink) *Pipelined {
 	return p
 }
 
-// consume drains the ring into dst until the ring closes.
+// consume drains the channel into dst until it closes. A receive that
+// finds the channel empty counts one consumer stall, then waits.
 func (p *Pipelined) consume() {
 	defer close(p.done)
 	for {
-		it, ok := p.ring.Pop()
+		var it pipeItem
+		var ok bool
+		select {
+		case it, ok = <-p.ch:
+		default:
+			p.consStalls.Add(1)
+			it, ok = <-p.ch
+		}
 		if !ok {
 			return
 		}
@@ -155,8 +158,18 @@ func (p *Pipelined) newChunk() []Miss {
 	case c := <-p.free:
 		return c
 	default:
-		p.freelistMiss.Add(1)
 		return make([]Miss, 0, PipeChunk)
+	}
+}
+
+// send hands an item to the consumer. A send that finds the channel full
+// counts one producer stall, then waits.
+func (p *Pipelined) send(it pipeItem) {
+	select {
+	case p.ch <- it:
+	default:
+		p.prodStalls.Add(1)
+		p.ch <- it
 	}
 }
 
@@ -165,14 +178,14 @@ func (p *Pipelined) push() {
 	if len(p.chunk) == 0 {
 		return
 	}
-	p.ring.Push(pipeItem{ms: p.chunk})
+	p.send(pipeItem{ms: p.chunk})
 	p.chunks.Add(1)
 	p.chunk = p.newChunk()
 }
 
 // AppendBatch implements Sink: the records are copied into the
 // pipeline's own chunks (the Sink contract lets the caller reuse ms
-// after return), with a ring handoff every PipeChunk records.
+// after return), with a channel handoff every PipeChunk records.
 func (p *Pipelined) AppendBatch(ms []Miss) {
 	for len(ms) > 0 {
 		n := min(cap(p.chunk)-len(p.chunk), len(ms))
@@ -184,32 +197,33 @@ func (p *Pipelined) AppendBatch(ms []Miss) {
 	}
 }
 
-// Finish implements Sink: the remaining records and the header travel
-// through the ring, so the wrapped sink's Finish runs on the consumer
-// goroutine after every record — then the ring closes. Call Close to
-// wait for the drain.
+// Finish implements Sink: the remaining records and then the header
+// travel through the channel, so the wrapped sink's Finish runs on the
+// consumer goroutine after every record — then the channel closes. Call
+// Close to wait for the drain.
 func (p *Pipelined) Finish(h Header) {
-	if p.finished {
+	if p.sealed {
 		return
 	}
-	p.finished = true
 	p.push()
-	p.ring.Push(pipeItem{fin: true, h: h})
-	p.ring.Close()
+	p.send(pipeItem{fin: true, h: h})
+	p.sealed = true
+	close(p.ch)
 }
 
 // Close tears the pipeline down and waits for the consumer goroutine
 // to exit. After a Finish, every record and the header have reached the
 // wrapped sink when Close returns; without one (a cancelled stream),
-// the records pushed so far are drained and the sink sees no Finish —
+// the chunks sent so far are drained and the sink sees no Finish —
 // exactly the contract a cancelled RunStreamContext has with its sinks.
-// Close is idempotent; the error return is always nil (it exists so
-// teardown paths can defer it like an io.Closer).
+// Close runs on the producer goroutine, so it never races a send. It is
+// idempotent; the error return is always nil (it exists so teardown
+// paths can defer it like an io.Closer).
 func (p *Pipelined) Close() error {
-	if !p.closed {
-		p.closed = true
-		p.ring.Close()
-		<-p.done
+	if !p.sealed {
+		p.sealed = true
+		close(p.ch)
 	}
+	<-p.done
 	return nil
 }

@@ -24,7 +24,7 @@ func (h Header) MPKI() float64 {
 // trace order, then Finish exactly once at end of stream with the
 // stream's header. Every producer delivers chunks: the simulator through
 // its Gate (PipeChunk records a chunk), the wire decoder one decoded
-// frame a chunk, the Pipelined adapter one ring chunk a chunk. Sinks are
+// frame a chunk, the Pipelined adapter one channel chunk a chunk. Sinks are
 // the composition point of the streaming data path: a *Trace is the
 // materializing Sink, analysis sessions are incremental Sinks, and Tee
 // fans one stream out to several consumers.

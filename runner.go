@@ -91,7 +91,7 @@ func (r *Runner) Workers() int { return r.pool.Workers() }
 // per-context Session sinks (incremental analyzer + optional prefetcher
 // + optional kept trace), so peak memory is bounded by the analysis
 // window unless traces are kept. Each context's Session sits behind a
-// trace.Pipelined ring, so the simulator's emission overlaps the
+// trace.Pipelined channel, so the simulator's emission overlaps the
 // analyses on another core; the pipeline reorders nothing, so results
 // are those of feeding each Session inline.
 //
@@ -116,12 +116,11 @@ func (r *Runner) Run(ctx context.Context, req Request) (*Experiment, error) {
 		s := NewSession(workload.MultiChip.CPUCount(), expect, opts)
 		p := trace.NewPipelined(s)
 		res, err := workload.RunStreamContext(ctx, req.config(workload.MultiChip), p, nil)
-		// Drain the ring before touching the session: after this the
+		// Drain the pipeline before touching the session: after this the
 		// session has seen every record (and, on success, the Finish).
 		p.Close()
 		exp.Stages.Pipeline[MultiChipCtx] = p.Stats()
 		exp.Stages.MultiChipSimSeconds = time.Since(start).Seconds()
-		exp.Stages.AnalyzeSeconds[MultiChipCtx] = s.BusySeconds()
 		if err != nil {
 			mcErr = err
 			s.Close()
@@ -149,8 +148,6 @@ func (r *Runner) Run(ctx context.Context, req Request) (*Experiment, error) {
 		exp.Stages.Pipeline[SingleChipCtx] = offP.Stats()
 		exp.Stages.Pipeline[IntraChipCtx] = intraP.Stats()
 		exp.Stages.SingleChipSimSeconds = time.Since(start).Seconds()
-		exp.Stages.AnalyzeSeconds[SingleChipCtx] = off.BusySeconds()
-		exp.Stages.AnalyzeSeconds[IntraChipCtx] = intra.BusySeconds()
 		if err != nil {
 			scErr = err
 			off.Close()

@@ -2,7 +2,6 @@ package tempstream
 
 import (
 	"errors"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/prefetch"
@@ -51,7 +50,7 @@ const (
 // one copy of its records: the analysis window, or with KeepTraces the
 // whole stream, whose prefix is the window.
 // Every producer already delivers chunks (the simulator's gate, the wire
-// decoder's frames, the pipeline's ring), so the Session feeds its
+// decoder's frames, the pipeline's channel), so the Session feeds its
 // consumers straight from the borrowed chunk. With a prefetcher
 // attached, each chunk's evaluation runs on its own goroutine alongside
 // the analyzer feed and joins before the chunk returns: the two are
@@ -92,11 +91,6 @@ type Session struct {
 	// reused across chunks, so the fork allocates nothing per chunk. Set
 	// exactly when ev is.
 	evDone chan struct{}
-	// busyNs accrues wall-clock spent inside AppendBatch — the session's
-	// analyze time, as distinct from the simulate time of whoever drives
-	// it. Plain field: a Session is single-goroutine by contract, and
-	// readers (BusySeconds) are documented to run after the drive.
-	busyNs int64
 }
 
 var _ trace.Sink = (*Session)(nil)
@@ -133,8 +127,6 @@ func (s *Session) AppendBatch(ms []trace.Miss) {
 	if s.inert || len(ms) == 0 {
 		return
 	}
-	start := time.Now()
-	defer func() { s.busyNs += int64(time.Since(start)) }()
 	var n int
 	if s.ev != nil {
 		go func() {
@@ -220,10 +212,3 @@ func (s *Session) Close() error {
 	}
 	return nil
 }
-
-// BusySeconds reports wall-clock spent inside the session's consumers
-// (analyzer feed, prefetcher, trace materialization) so far — the
-// "analyze" side of a run's simulate/analyze split. Read it from the
-// driving goroutine, or after the drive has quiesced (after Finish, or
-// after a wrapping Pipelined's Close).
-func (s *Session) BusySeconds() float64 { return float64(s.busyNs) / 1e9 }

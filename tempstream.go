@@ -157,7 +157,7 @@ type Experiment struct {
 }
 
 // StageStats is one run's stage-level trace: the simulate/analyze
-// wall-clock split and the SPSC ring counters that say which side
+// wall-clock split and the pipeline counters that say which side
 // stalled. It answers "where did this run's time go"
 // without a profiler — tsbench folds the counters into BENCH artifacts,
 // and the /metrics totals on long-running processes aggregate the same
@@ -168,11 +168,9 @@ type StageStats struct {
 	// two tasks run concurrently, so they overlap rather than sum.
 	MultiChipSimSeconds  float64 `json:"multi_chip_sim_seconds"`
 	SingleChipSimSeconds float64 `json:"single_chip_sim_seconds"`
-	// AnalyzeSeconds is wall-clock inside each context's Session
-	// consumers (indexed by Context), spent on the pipeline's consumer
-	// goroutine, overlapped with simulation.
-	AnalyzeSeconds [NumContexts]float64 `json:"analyze_seconds"`
-	// Pipeline holds each context's ring counters (indexed by Context).
+	// Pipeline holds each context's pipeline counters (indexed by
+	// Context); ConsumerBusySeconds is the context's analyze time, spent
+	// on the pipeline's consumer goroutine, overlapped with simulation.
 	Pipeline [NumContexts]trace.PipeStats `json:"pipeline"`
 }
 

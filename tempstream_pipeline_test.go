@@ -35,11 +35,11 @@ func pipelineDigest(c *ContextResult) uint64 {
 
 // TestPipelinedMatchesSerialAllApps is the kept-trace equivalence
 // guard: Runner.Run with KeepTraces, without and with a prefetcher
-// (simulation decoupled from analysis over the SPSC ring, prefetch
-// evaluation forked per chunk), must reproduce the serial reference
-// field for field — traces, raw results, analyses and prefetch
-// counters — for every application. Run under -race in CI, this is
-// also the data-race proof for the ring handoff and the forked
+// (simulation decoupled from analysis over the pipeline's channel,
+// prefetch evaluation forked per chunk), must reproduce the serial
+// reference field for field — traces, raw results, analyses and
+// prefetch counters — for every application. Run under -race in CI,
+// this is also the data-race proof for the chunk handoff and the forked
 // evaluator.
 func TestPipelinedMatchesSerialAllApps(t *testing.T) {
 	apps := Apps()
@@ -61,7 +61,7 @@ func TestPipelinedMatchesSerialAllApps(t *testing.T) {
 }
 
 // TestPipelinedKeepTraces checks the kept traces of the shared
-// experiment cache, which crossed the ring at the default warm-up, per
+// experiment cache, which crossed the pipeline at the default warm-up, per
 // position against the serial reference's — the strictest "pipeline
 // reorders nothing" check at the configuration every figure test reads.
 func TestPipelinedKeepTraces(t *testing.T) {
