@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -42,7 +43,6 @@ import (
 	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/trace"
-	"repro/internal/wire"
 )
 
 func main() {
@@ -53,13 +53,13 @@ func main() {
 	var err error
 	switch os.Args[1] {
 	case "list":
-		err = cmdList(os.Args[2:])
+		err = cmdList(os.Args[2:], os.Stdout)
 	case "show":
-		err = cmdShow(os.Args[2:])
+		err = cmdShow(os.Args[2:], os.Stdout)
 	case "analyze":
-		err = cmdAnalyze(os.Args[2:])
+		err = cmdAnalyze(os.Args[2:], os.Stdout)
 	case "prune":
-		err = cmdPrune(os.Args[2:])
+		err = cmdPrune(os.Args[2:], os.Stdout)
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -159,7 +159,7 @@ func openStore(dir string) (*store.Store, error) {
 	return s, nil
 }
 
-func cmdList(args []string) error {
+func cmdList(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("tsquery list", flag.ExitOnError)
 	dir := storeFlags(fs)
 	buildQuery := selectionFlags(fs)
@@ -175,7 +175,7 @@ func cmdList(args []string) error {
 	}
 	entries := s.Select(q)
 	if *jsonOut {
-		return json.NewEncoder(os.Stdout).Encode(entries)
+		return json.NewEncoder(w).Encode(entries)
 	}
 	rep, err := s.Check()
 	if err == nil {
@@ -186,17 +186,17 @@ func cmdList(args []string) error {
 			fmt.Fprintf(os.Stderr, "tsquery: warning: leftover temp %s (crashed writer; prune -orphans reclaims it)\n", tmp)
 		}
 	}
-	fmt.Printf("%-40s %-8s %-12s %-7s %6s %5s %10s %12s  %s\n",
+	fmt.Fprintf(w, "%-40s %-8s %-12s %-7s %6s %5s %10s %12s  %s\n",
 		"ID", "APP", "MACHINE", "SCALE", "SEED", "CPUS", "RECORDS", "BYTES", "START")
 	var bytes, records int64
 	for _, e := range entries {
-		fmt.Printf("%-40s %-8s %-12s %-7s %6d %5d %10d %12d  %s\n",
+		fmt.Fprintf(w, "%-40s %-8s %-12s %-7s %6d %5d %10d %12d  %s\n",
 			e.ID, orDash(e.App), orDash(e.Machine), orDash(e.Scale), e.Seed, e.CPUs,
 			e.Records, e.Bytes, e.Start.Format(time.RFC3339))
 		bytes += e.Bytes
 		records += e.Records
 	}
-	fmt.Printf("# %d archives, %d records, %d bytes\n", len(entries), records, bytes)
+	fmt.Fprintf(w, "# %d archives, %d records, %d bytes\n", len(entries), records, bytes)
 	return nil
 }
 
@@ -207,7 +207,7 @@ func orDash(s string) string {
 	return s
 }
 
-func cmdShow(args []string) error {
+func cmdShow(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("tsquery show", flag.ExitOnError)
 	dir := storeFlags(fs)
 	id := fs.String("id", "", "archive ID to show (required; see tsquery list)")
@@ -232,22 +232,14 @@ func cmdShow(args []string) error {
 		return fmt.Errorf("show: no archive %q in %s", *id, s.Dir())
 	}
 
-	// One decode pass captures the preview; the decoder's Symbols
-	// accessor then attributes it without re-deriving the table from the
-	// trailer by hand.
-	f, err := os.Open(s.Dir() + string(os.PathSeparator) + e.File())
+	// One decode pass through the store captures the preview; the
+	// trailer it returns carries the symbol table that attributes it.
+	preview := headSink{limit: *head}
+	tr, err := s.Stream(e, &preview, store.Query{})
 	if err != nil {
-		return err
+		return fmt.Errorf("show: %w", err)
 	}
-	defer f.Close()
-	dec := wire.NewDecoder(f)
-	var preview headSink
-	preview.limit = *head
-	tr, err := dec.Run(&preview)
-	if err != nil {
-		return fmt.Errorf("show: %w (archive is corrupt or truncated)", err)
-	}
-	st := dec.Symbols()
+	st := tr.SymbolTable()
 
 	if *jsonOut {
 		type funcLine struct {
@@ -263,17 +255,17 @@ func cmdShow(args []string) error {
 		for _, fn := range st.Funcs() {
 			out.Funcs = append(out.Funcs, funcLine{ID: int(fn.ID), Name: fn.Name, Category: fn.Category.String()})
 		}
-		return json.NewEncoder(os.Stdout).Encode(out)
+		return json.NewEncoder(w).Encode(out)
 	}
 
-	fmt.Printf("archive   %s\n", e.ID)
-	fmt.Printf("workload  app=%s machine=%s scale=%s seed=%d label=%s\n",
+	fmt.Fprintf(w, "archive   %s\n", e.ID)
+	fmt.Fprintf(w, "workload  app=%s machine=%s scale=%s seed=%d label=%s\n",
 		orDash(e.App), orDash(e.Machine), orDash(e.Scale), e.Seed, orDash(e.Label))
-	fmt.Printf("stream    cpus=%d records=%d instructions=%d mpki=%.3f\n",
+	fmt.Fprintf(w, "stream    cpus=%d records=%d instructions=%d mpki=%.3f\n",
 		e.CPUs, e.Records, tr.Header.Instructions, tr.Header.MPKI())
-	fmt.Printf("storage   bytes=%d digest=%s recorded=[%s, %s]\n",
+	fmt.Fprintf(w, "storage   bytes=%d digest=%s recorded=[%s, %s]\n",
 		e.Bytes, e.Digest, e.Start.Format(time.RFC3339), e.End.Format(time.RFC3339))
-	fmt.Printf("symbols   %d functions\n", st.Len())
+	fmt.Fprintf(w, "symbols   %d functions\n", st.Len())
 	cats := map[string]int{}
 	for _, fn := range st.Funcs() {
 		cats[fn.Category.String()]++
@@ -284,13 +276,13 @@ func cmdShow(args []string) error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fmt.Printf("          %3d  %s\n", cats[name], name)
+		fmt.Fprintf(w, "          %3d  %s\n", cats[name], name)
 	}
 	if *head > 0 {
-		fmt.Printf("# %-8s %-4s %-14s %-14s %-24s %s\n", "pos", "cpu", "block", "class", "function", "category")
+		fmt.Fprintf(w, "# %-8s %-4s %-14s %-14s %-24s %s\n", "pos", "cpu", "block", "class", "function", "category")
 		for i, m := range preview.ms {
 			fn := st.Func(m.Func)
-			fmt.Printf("%-10d %-4d %#-14x %-14s %-24s %s\n", i, m.CPU, m.Addr, m.Class, fn.Name, fn.Category)
+			fmt.Fprintf(w, "%-10d %-4d %#-14x %-14s %-24s %s\n", i, m.CPU, m.Addr, m.Class, fn.Name, fn.Category)
 		}
 	}
 	return nil
@@ -347,7 +339,7 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-func cmdAnalyze(args []string) error {
+func cmdAnalyze(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("tsquery analyze", flag.ExitOnError)
 	dir := storeFlags(fs)
 	buildQuery := selectionFlags(fs)
@@ -407,17 +399,17 @@ func cmdAnalyze(args []string) error {
 		for _, r := range results {
 			out = append(out, line{Entry: r.Entry, Result: server.ResultOf(r.Context)})
 		}
-		if err := json.NewEncoder(os.Stdout).Encode(out); err != nil {
+		if err := json.NewEncoder(w).Encode(out); err != nil {
 			return err
 		}
 	} else {
 		for _, r := range results {
 			sr := server.ResultOf(r.Context)
-			fmt.Printf("%-40s records=%-9d window=%-7d streams=%5.1f%% rules=%-6d median_len=%-5.0f mpki=%7.3f digest=%016x\n",
+			fmt.Fprintf(w, "%-40s records=%-9d window=%-7d streams=%5.1f%% rules=%-6d median_len=%-5.0f mpki=%7.3f digest=%016x\n",
 				r.Entry.ID, sr.Header.Misses, sr.Window, 100*sr.StreamFrac,
 				sr.GrammarRules, sr.MedianStreamLen, sr.MPKI, sr.WindowDigest)
 		}
-		fmt.Printf("# %d archives analyzed, %d skipped\n", len(results), len(errs))
+		fmt.Fprintf(w, "# %d archives analyzed, %d skipped\n", len(results), len(errs))
 	}
 	if len(results) == 0 && len(errs) > 0 {
 		return errAllSkipped
@@ -425,7 +417,7 @@ func cmdAnalyze(args []string) error {
 	return nil
 }
 
-func cmdPrune(args []string) error {
+func cmdPrune(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("tsquery prune", flag.ExitOnError)
 	dir := storeFlags(fs)
 	maxBytes := fs.Int64("max-bytes", 0, "retention byte budget (0 = no size cap)")
@@ -454,11 +446,11 @@ func cmdPrune(args []string) error {
 		if out.Removed == nil {
 			out.Removed = []store.Entry{}
 		}
-		return json.NewEncoder(os.Stdout).Encode(out)
+		return json.NewEncoder(w).Encode(out)
 	}
 	for _, e := range removed {
-		fmt.Printf("pruned %s (%d bytes, recorded %s)\n", e.ID, e.Bytes, e.Start.Format(time.RFC3339))
+		fmt.Fprintf(w, "pruned %s (%d bytes, recorded %s)\n", e.ID, e.Bytes, e.Start.Format(time.RFC3339))
 	}
-	fmt.Printf("# %d archives pruned; %d remain, %d bytes\n", len(removed), s.Archives(), s.Bytes())
+	fmt.Fprintf(w, "# %d archives pruned; %d remain, %d bytes\n", len(removed), s.Archives(), s.Bytes())
 	return nil
 }

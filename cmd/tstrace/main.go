@@ -333,25 +333,27 @@ func replayFile(out io.Writer, path string, stream bool, window, n int) error {
 	w := bufio.NewWriter(out)
 	defer w.Flush()
 
-	if stream {
-		dec := wire.NewDecoder(f)
-		meta, err := dec.Meta()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "# replay=%s cpus=%d window=%d\n", path, meta.CPUs, window)
-		sink := &windowSink{w: w, an: core.NewAnalyzer(), cpus: meta.CPUs, window: window}
-		if _, err := dec.Run(sink); err != nil {
-			return err
-		}
-		return dec.ExpectEOF()
-	}
-
-	tr, trailer, err := wire.ReadAll(f)
+	dec := wire.NewDecoder(f)
+	meta, err := dec.Meta()
 	if err != nil {
 		return err
 	}
-	dump(w, fmt.Sprintf("# replay=%s", path), trailer.SymbolTable(), tr, n)
+	tr := &trace.Trace{}
+	var sink trace.Sink = tr
+	if stream {
+		fmt.Fprintf(w, "# replay=%s cpus=%d window=%d\n", path, meta.CPUs, window)
+		sink = &windowSink{w: w, an: core.NewAnalyzer(), cpus: meta.CPUs, window: window}
+	}
+	trailer, err := dec.Run(sink)
+	if err != nil {
+		return err
+	}
+	if err := dec.ExpectEOF(); err != nil {
+		return err
+	}
+	if !stream {
+		dump(w, fmt.Sprintf("# replay=%s", path), trailer.SymbolTable(), tr, n)
+	}
 	return nil
 }
 

@@ -50,8 +50,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			switch f.kind {
 			case KindCounter:
 				fmt.Fprintf(bw, "%s%s %s\n", f.name, labelSet(f.labels, c.values, ""), formatValue(c.c.Value()))
-			case KindGauge:
-				fmt.Fprintf(bw, "%s%s %s\n", f.name, labelSet(f.labels, c.values, ""), formatValue(c.g.Value()))
 			case KindHistogram:
 				writeHistogram(bw, f, c)
 			}

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -15,9 +16,8 @@ func testRegistry() *Registry {
 	r := NewRegistry()
 	c := r.Counter("tsserved_records_total", "Records ingested.")
 	c.Add(12345)
-	g := r.Gauge("tsserved_sessions_active", "Sessions currently receiving.")
-	g.Set(3)
-	h := r.Histogram("tsserved_session_seconds", "Session wall-clock at close.", nil)
+	r.GaugeFunc("tsserved_sessions_active", "Sessions currently receiving.", func() float64 { return 3 })
+	h := r.HistogramVec("tsserved_session_seconds", "Session wall-clock at close.", nil, "outcome").With("done")
 	h.Observe(0.004)
 	h.Observe(0.2)
 	h.Observe(999)
@@ -104,7 +104,7 @@ func TestExpositionParses(t *testing.T) {
 // TestHistogramBuckets pins cumulative bucket semantics.
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("tsserved_session_seconds", "x", []float64{1, 2, 4})
+	h := r.HistogramVec("tsserved_session_seconds", "x", []float64{1, 2, 4}, "outcome").With("done")
 	for _, v := range []float64{0.5, 1, 1.5, 3, 100} {
 		h.Observe(v)
 	}
@@ -179,8 +179,9 @@ func TestParserRejectsMalformed(t *testing.T) {
 func TestConcurrentScrapeUnderLoad(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("tsserved_records_total", "x")
-	g := r.Gauge("tsserved_sessions_active", "x")
-	h := r.Histogram("tsserved_session_seconds", "x", nil)
+	var active atomic.Int64
+	r.GaugeFunc("tsserved_sessions_active", "x", func() float64 { return float64(active.Load()) })
+	h := r.HistogramVec("tsserved_session_seconds", "x", nil, "outcome").With("done")
 	cv := r.CounterVec("tsserved_sessions_failed_total", "x", "code")
 	const workers, iters = 4, 5000
 	var wg sync.WaitGroup
@@ -192,7 +193,7 @@ func TestConcurrentScrapeUnderLoad(t *testing.T) {
 			code := fmt.Sprintf("code%d", w)
 			for i := 0; i < iters; i++ {
 				c.Inc()
-				g.Set(float64(i % 10))
+				active.Store(int64(i % 10))
 				h.Observe(float64(i%1000) / 100)
 				cv.With(code).Inc()
 			}
@@ -287,7 +288,7 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 			t.Error("duplicate registration did not panic")
 		}
 	}()
-	r.Gauge("tsserved_x_total", "x")
+	r.GaugeFunc("tsserved_x_total", "x", func() float64 { return 0 })
 }
 
 // TestFormatValue pins special-value rendering.

@@ -8,10 +8,10 @@
 // Prometheus data model the ingest tier needs — counters, gauges,
 // histograms, fixed label sets — with no external dependencies. Hot
 // paths (a counter add, a histogram observe) are one or two atomic
-// operations; registration and exposition take a mutex. Metrics whose
-// truth lives elsewhere (a queue's length, a breaker's state) register
-// as read-only funcs sampled at scrape time, so instrumented code never
-// mirrors state it already has.
+// operations; registration and exposition take a mutex. Gauges, and
+// other metrics whose truth lives elsewhere (a queue's length, a
+// breaker's state), register as read-only funcs sampled at scrape time,
+// so instrumented code never mirrors state it already has.
 //
 // Naming follows the Prometheus conventions the lint test pins:
 // snake_case metric names with a subsystem prefix, counters ending in
@@ -45,7 +45,7 @@ type Counter struct {
 func (c *Counter) Inc() { c.v.add(1) }
 
 // Add adds v; negative deltas panic (a counter only goes up — use a
-// Gauge for anything that can fall).
+// GaugeFunc for anything that can fall).
 func (c *Counter) Add(v float64) {
 	if v < 0 {
 		panic("obs: Counter.Add with negative delta")
@@ -56,29 +56,14 @@ func (c *Counter) Add(v float64) {
 // Value returns the current count.
 func (c *Counter) Value() float64 { return c.v.load() }
 
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	v atomicFloat
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.v.store(v) }
-
-// Add adds v (may be negative).
-func (g *Gauge) Add(v float64) { g.v.add(v) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v.load() }
-
-// atomicFloat is a float64 with atomic load/store/add, encoded in a
+// atomicFloat is a float64 with atomic load/add, encoded in a
 // uint64. add is a CAS loop; contention on any one metric is far below
 // the level where that matters (one add per session, frame, or chunk).
 type atomicFloat struct {
 	bits atomic.Uint64
 }
 
-func (a *atomicFloat) load() float64   { return math.Float64frombits(a.bits.Load()) }
-func (a *atomicFloat) store(v float64) { a.bits.Store(math.Float64bits(v)) }
+func (a *atomicFloat) load() float64 { return math.Float64frombits(a.bits.Load()) }
 func (a *atomicFloat) add(v float64) {
 	for {
 		old := a.bits.Load()
@@ -125,8 +110,8 @@ func DefBuckets() []float64 {
 }
 
 // family is one registered metric family: fixed name/help/kind/labels,
-// plus either owned children (counter/gauge/histogram instances per
-// label combination) or a collect func sampled at scrape time.
+// plus either owned children (counter or histogram instances per label
+// combination) or a collect func sampled at scrape time.
 type family struct {
 	name   string
 	help   string
@@ -147,7 +132,6 @@ type family struct {
 type child struct {
 	values []string
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 }
 
@@ -199,22 +183,6 @@ func (r *Registry) register(f *family) *family {
 func (r *Registry) Counter(name, help string) *Counter {
 	f := r.register(&family{name: name, help: help, kind: KindCounter})
 	return f.childFor(nil).c
-}
-
-// Gauge registers an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(&family{name: name, help: help, kind: KindGauge})
-	return f.childFor(nil).g
-}
-
-// Histogram registers an unlabeled histogram with the given ascending
-// upper bounds (nil selects DefBuckets).
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	if bounds == nil {
-		bounds = DefBuckets()
-	}
-	f := r.register(&family{name: name, help: help, kind: KindHistogram, bounds: bounds})
-	return f.childFor(nil).h
 }
 
 // CounterVec is a counter family with labels; obtain children with With.
@@ -305,8 +273,6 @@ func (f *family) childFor(labelValues []string) *child {
 	switch f.kind {
 	case KindCounter:
 		c.c = &Counter{}
-	case KindGauge:
-		c.g = &Gauge{}
 	case KindHistogram:
 		c.h = &Histogram{bounds: f.bounds, counts: make([]atomic.Uint64, len(f.bounds)+1)}
 	}

@@ -458,22 +458,6 @@ func (p *parkedSession) discard() {
 	}
 }
 
-// countingSink forwards to the session's analysis sink while counting
-// records for the stats endpoint.
-type countingSink struct {
-	inner trace.Sink
-	n     *atomic.Int64
-}
-
-// AppendBatch implements trace.Sink: one count update per decoded
-// frame.
-func (c *countingSink) AppendBatch(ms []trace.Miss) {
-	c.n.Add(int64(len(ms)))
-	c.inner.AppendBatch(ms)
-}
-
-func (c *countingSink) Finish(h trace.Header) { c.inner.Finish(h) }
-
 // register adds a session to the stats table, pruning stale finished
 // entries so the table stays bounded even if nobody scrapes stats.
 func (s *Server) register(sess *session) {
@@ -751,10 +735,16 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 			}
 			return nil, nil, &sessionFailure{code: CodeStream, err: fmt.Errorf("writing hello: %w", err), parked: parked != nil}
 		}
-		dec.SetFrameHook(func(frames, records int64) error {
-			return cw.WriteJSON(Ack{Ack: frames})
-		})
 	}
+	// The hook keeps the stats row's record count current, one update
+	// per frame; resumable sessions also acknowledge each frame from it.
+	dec.SetFrameHook(func(frames, records int64) error {
+		sess.records.Store(records)
+		if !resumable {
+			return nil
+		}
+		return cw.WriteJSON(Ack{Ack: frames})
+	})
 
 	meta, err := dec.Meta()
 	if err != nil {
@@ -805,27 +795,20 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 		}
 	}
 
-	var sink trace.Sink = &countingSink{inner: ts, n: &sess.records}
+	var sink trace.Sink = ts
 	if aw != nil {
-		sink = trace.Tee{sink, aw}
+		sink = trace.Tee{ts, aw}
 	}
-	if tr, err := dec.Run(sink); err == nil {
-		if aw != nil {
-			aw.SetSymbols(tr.Funcs)
-			if entry, commitErr := aw.Commit(); commitErr != nil {
-				s.log.Warn("archive commit failed; session not archived",
-					"label", sess.label, "error", commitErr)
-			} else {
-				s.log.Info("session archived",
-					"label", sess.label, "archive", entry.ID, "records", entry.Records, "bytes", entry.Bytes)
-			}
-		}
-	} else {
+	tr, err := dec.Run(sink)
+	// Progress counts every record the sink received, a partly
+	// delivered frame's included.
+	chain, frames, records := dec.Progress()
+	sess.records.Store(records)
+	if err != nil {
 		// A resumable stream that died at a clean frame boundary parks
 		// its analyzer state for the grace window; anything else (partial
 		// frame delivered, totals mismatch, plain session) discards it.
 		if resumable && dec.Resumable() {
-			chain, frames, records := dec.Progress()
 			s.totalParked.Add(1)
 			s.parked.Park(token, &parkedSession{
 				token:   token,
@@ -845,13 +828,22 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 		}
 		return nil, nil, &sessionFailure{code: CodeStream, err: err}
 	}
-	s.totalRecords.Add(sess.records.Load())
+	if aw != nil {
+		aw.SetSymbols(tr.Funcs)
+		if entry, commitErr := aw.Commit(); commitErr != nil {
+			s.log.Warn("archive commit failed; session not archived",
+				"label", sess.label, "error", commitErr)
+		} else {
+			s.log.Info("session archived",
+				"label", sess.label, "archive", entry.ID, "records", entry.Records, "bytes", entry.Bytes)
+		}
+	}
+	s.totalRecords.Add(records)
 	res := ResultOf(ts.Result(nil))
 	if resumable {
 		// Park the completed result too: if the response line is lost to
 		// a reset, the client resumes and collects it from the park table
 		// instead of failing with resume_unknown.
-		_, frames, _ := dec.Progress()
 		s.parked.Park(token, &parkedSession{token: token, label: sess.label, frames: frames, done: res})
 	}
 	return res, nil, nil

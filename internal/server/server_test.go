@@ -3,7 +3,9 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"net"
@@ -245,6 +247,63 @@ func TestServerSessionMultiplexing(t *testing.T) {
 	}
 	if wantRecords := int64(len(misses)) * (n + 1); st.TotalRecords != wantRecords {
 		t.Errorf("total records %d, want %d", st.TotalRecords, wantRecords)
+	}
+}
+
+// rawFrame frames payload as a wire frame of the given kind: length,
+// payload, CRC-32C.
+func rawFrame(kind byte, payload []byte) []byte {
+	f := binary.AppendUvarint([]byte{kind}, uint64(len(payload)))
+	f = append(f, payload...)
+	return binary.LittleEndian.AppendUint32(f, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// TestServerStatsCountsDeliveredRecords pins the stats rows' record
+// counts to what each session's analysis received: a whole stream, and
+// a stream whose only data frame fails at its fourth record after three
+// records reached the session.
+func TestServerStatsCountsDeliveredRecords(t *testing.T) {
+	srv := startServer(t, server.Config{})
+	addr := srv.Addr().String()
+	misses := synthMisses(10000, 4, 5)
+	feedSession(t, addr, server.Request{Label: "whole"}, misses, 4)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	data := []byte{5, 0x00, 0, 2, 0x10, 0, 2, 0x20, 0, 2} // five records claimed, three valid (cpu 0-2, +1 block)
+	data = binary.AppendUvarint(data, 200<<4)             // cpu 200 of 4
+	data = append(data, 0, 2, 0x00, 0, 2)
+	stream := append([]byte(`{"label":"partial"}`+"\n"), wire.MagicBytes()...)
+	stream = append(stream, rawFrame(wire.KindHeader, []byte{1, 4})...)
+	stream = append(stream, rawFrame(wire.KindData, data)...)
+	conn.Write(stream)
+	conn.(*net.TCPConn).CloseWrite()
+	var resp server.Response
+	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
+		t.Fatalf("reading response: %v", err)
+	}
+	if resp.Code != server.CodeStream {
+		t.Fatalf("partial frame: response %+v, want code %s", resp, server.CodeStream)
+	}
+
+	want := map[string]int64{"whole": int64(len(misses)), "partial": 3}
+	st := srv.Stats()
+	for _, row := range st.Sessions {
+		if n, ok := want[row.Label]; ok {
+			if row.Records != n {
+				t.Errorf("session %q: stats row reads %d records, want %d", row.Label, row.Records, n)
+			}
+			delete(want, row.Label)
+		}
+	}
+	if len(want) != 0 {
+		t.Errorf("no stats rows for %v", want)
+	}
+	if st.TotalRecords != int64(len(misses)) {
+		t.Errorf("total records %d, want %d (failed sessions do not count)", st.TotalRecords, len(misses))
 	}
 }
 

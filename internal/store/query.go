@@ -27,7 +27,8 @@ type Query struct {
 	ID       string // exact archive ID
 
 	// Record range within each selected archive: stream positions
-	// [From, To). To <= 0 means "to end of stream".
+	// [From, To). To <= 0 means "to end of stream"; a negative From
+	// reads as 0.
 	From, To int64
 
 	// Decoded-stream filters; nil means "any".
@@ -82,11 +83,6 @@ func (q Query) deliverable(e Entry) int {
 	return int(max(to-max(q.From, 0), 0))
 }
 
-// filtered reports whether the query carries decoded-stream filters.
-func (q Query) filtered() bool {
-	return q.CPU != nil || q.Class != nil || q.Category != nil
-}
-
 // keep reports whether m passes the decoded-stream filters, given the
 // stream's symbol table (needed only for Category).
 func (q Query) keep(m trace.Miss, st *trace.SymbolTable) bool {
@@ -114,17 +110,34 @@ func (s *Store) Select(q Query) []Entry {
 	return out
 }
 
-// filterSink drops records failing the query's stream filters before
-// they reach the inner sink; the header passes through untouched (rate
-// figures keep referring to the whole recording).
+// filterSink is the query's one sink between the decoder and the
+// consumer. It cuts the record range [From, To) by stream position,
+// handing on a sub-slice of each decoded frame with no copy, then drops
+// records failing the stream filters; the header passes through
+// untouched (rate figures keep referring to the whole recording).
 type filterSink struct {
 	inner   trace.Sink
 	q       Query
-	st      *trace.SymbolTable
+	st      *trace.SymbolTable // for the Category filter; nil otherwise
+	pos     int64              // stream position of the next chunk's first record
 	scratch []trace.Miss
 }
 
 func (f *filterSink) AppendBatch(ms []trace.Miss) {
+	base := f.pos
+	f.pos += int64(len(ms))
+	lo, hi := max(f.q.From-base, 0), int64(len(ms))
+	if f.q.To > 0 {
+		hi = min(hi, f.q.To-base)
+	}
+	if lo >= hi {
+		return
+	}
+	ms = ms[lo:hi]
+	if f.q.CPU == nil && f.q.Class == nil && f.q.Category == nil {
+		f.inner.AppendBatch(ms)
+		return
+	}
 	f.scratch = f.scratch[:0]
 	for _, m := range ms {
 		if f.q.keep(m, f.st) {
@@ -136,8 +149,8 @@ func (f *filterSink) AppendBatch(ms []trace.Miss) {
 
 func (f *filterSink) Finish(h trace.Header) { f.inner.Finish(h) }
 
-// Stream decodes entry e's archive through q's record range and stream
-// filters into sink, returning the trailer. Errors classify as
+// Stream decodes entry e's archive into sink through q's record range
+// and stream filters, returning the trailer. Errors classify as
 // *CorruptError (matching ErrArchiveCorrupt) when the archive's bytes
 // are at fault. On error the sink has received a prefix and no Finish.
 //
@@ -149,39 +162,26 @@ func (f *filterSink) Finish(h trace.Header) { f.inner.Finish(h) }
 func (s *Store) Stream(e Entry, sink trace.Sink, q Query) (wire.Trailer, error) {
 	var st *trace.SymbolTable
 	if q.Category != nil {
-		pre, f, err := s.openDecoder(e)
+		tr, err := s.decode(e, trace.Discard{})
 		if err != nil {
 			return wire.Trailer{}, err
 		}
-		_, runErr := pre.Run(trace.Discard{})
-		f.Close()
-		if runErr != nil {
-			return wire.Trailer{}, &CorruptError{ID: e.ID, Reason: "decode failed", Err: runErr}
-		}
-		st = pre.Symbols()
+		st = tr.SymbolTable()
 	}
+	return s.decode(e, &filterSink{inner: sink, q: q, st: st})
+}
+
+// decode runs e's whole archive through one decoder into sink and
+// checks that nothing follows the trailer.
+func (s *Store) decode(e Entry, sink trace.Sink) (wire.Trailer, error) {
 	dec, f, err := s.openDecoder(e)
 	if err != nil {
 		return wire.Trailer{}, err
 	}
 	defer f.Close()
-
-	if q.filtered() {
-		sink = &filterSink{inner: sink, q: q, st: st}
-	}
-	var tr wire.Trailer
-	var runErr error
-	if q.From > 0 || q.To > 0 {
-		to := q.To
-		if to <= 0 {
-			to = -1
-		}
-		tr, runErr = dec.RunRange(sink, q.From, to)
-	} else {
-		tr, runErr = dec.Run(sink)
-	}
-	if runErr != nil {
-		return wire.Trailer{}, &CorruptError{ID: e.ID, Reason: "decode failed", Err: runErr}
+	tr, err := dec.Run(sink)
+	if err != nil {
+		return wire.Trailer{}, &CorruptError{ID: e.ID, Reason: "decode failed", Err: err}
 	}
 	if err := dec.ExpectEOF(); err != nil {
 		return wire.Trailer{}, &CorruptError{ID: e.ID, Reason: "trailing bytes after trailer", Err: err}

@@ -460,6 +460,56 @@ func TestQuerySelection(t *testing.T) {
 	}
 }
 
+// TestStreamRangeMatchesSlice pins Stream's record range against the
+// reference semantics: Query{From, To} delivers exactly full[From:To],
+// clamped to the stream, in order, with the stream's own header, for
+// range bounds inside, on and across the encoder's frame seams. To <= 0
+// reads to the end of the stream and a negative From reads as 0.
+func TestStreamRangeMatchesSlice(t *testing.T) {
+	const cpus, frame = 4, 4096 // frame: the encoder's records per data frame
+	// Enough records for three data frames, so ranges cross frame seams.
+	n := int64(frame*2 + 1234)
+	ms := sinktest.Misses(int(n), cpus)
+	h := sinktest.Header(int(n), cpus)
+	s := openStore(t, t.TempDir())
+	e := writeArchive(t, s, store.Meta{App: "oltp"}, ms, h, nil)
+
+	for _, r := range []struct{ from, to, lo, hi int64 }{
+		{0, n, 0, n},         // full stream
+		{0, 0, 0, n},         // no range
+		{0, 10, 0, 10},       // prefix inside the first frame
+		{n - 7, n, n - 7, n}, // suffix inside the last frame
+		{100, 100, 100, 100}, // empty range
+		{frame - 3, frame + 5, frame - 3, frame + 5}, // across the first seam
+		{frame, frame * 2, frame, frame * 2},         // exactly one middle frame
+		{17, n - 17, 17, n - 17},                     // interior range
+		{n + 5, n + 10, n, n},                        // past the end: empty
+		{frame * 2, n + 1_000_000, frame * 2, n},     // clamped tail
+		{n - 5, 0, n - 5, n},                         // to the end
+		{-1, 10, 0, 10},                              // negative From reads as 0
+		{-1, 0, 0, n},                                // negative From, to the end
+	} {
+		var got trace.Trace
+		tr, err := s.Stream(e, &got, store.Query{From: r.from, To: r.to})
+		if err != nil {
+			t.Fatalf("From %d To %d: %v", r.from, r.to, err)
+		}
+		want := ms[r.lo:r.hi]
+		if len(got.Misses) != len(want) {
+			t.Fatalf("From %d To %d: %d records, want %d", r.from, r.to, len(got.Misses), len(want))
+		}
+		for i := range want {
+			if got.Misses[i] != want[i] {
+				t.Fatalf("From %d To %d: record %d = %+v, want %+v", r.from, r.to, i, got.Misses[i], want[i])
+			}
+		}
+		// The header and trailer are the stream's own, not the range's.
+		if tr.Header != h || got.Instructions != h.Instructions || got.CPUs != h.CPUs {
+			t.Fatalf("From %d To %d: trailer %+v, header %d/%d, want %+v", r.from, r.to, tr.Header, got.Instructions, got.CPUs, h)
+		}
+	}
+}
+
 // TestCommitKeepsDamagedEntriesOut pins the working set across commits:
 // an entry Open dropped as damaged must not come back when a later
 // commit (a Writer's or Prune's) refreshes the working set, while the

@@ -69,14 +69,3 @@ func (d *Detector) Observe(cpu int, addr uint64) bool {
 	e.last = addr
 	return strided
 }
-
-// Flags runs the detector over a whole per-miss sequence, returning one
-// bool per miss. cpus and addrs must have equal length.
-func Flags(ncpu int, cpus []uint8, addrs []uint64) []bool {
-	d := New(ncpu)
-	out := make([]bool, len(addrs))
-	for i := range addrs {
-		out[i] = d.Observe(int(cpus[i]), addrs[i])
-	}
-	return out
-}

@@ -92,15 +92,3 @@ func TestPerCPUIndependence(t *testing.T) {
 		t.Errorf("per-cpu: s0=%d s1=%d, want 10 each", s0, s1)
 	}
 }
-
-func TestFlags(t *testing.T) {
-	cpus := []uint8{0, 0, 0, 0}
-	addrs := []uint64{0, 64, 128, 192}
-	got := Flags(1, cpus, addrs)
-	want := []bool{false, false, true, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Flags[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}

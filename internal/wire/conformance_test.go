@@ -21,7 +21,7 @@ func TestEncoderSinkConformance(t *testing.T) {
 			if err := enc.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
 			}
-			tr, trailer, err := wire.ReadAll(bytes.NewReader(buf.Bytes()))
+			tr, trailer, err := readAll(buf.Bytes())
 			if err != nil {
 				t.Fatalf("decoding encoder output: %v", err)
 			}

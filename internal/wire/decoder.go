@@ -4,23 +4,25 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 
 	"repro/internal/trace"
 )
 
 // Decoder reads a wire stream and drives any trace.Sink with its records:
-// the replay side of the codec, shared by `tstrace -replay` and the
-// tsserved ingest loop. A Decoder validates as it goes — magic, version,
-// per-frame CRC, record bounds, and the trailer's total record count — and
-// returns an error rather than panicking on any malformed input (fuzzed in
-// FuzzDecoder). Every error wraps ErrTruncated or ErrCorrupt, so callers
-// can classify failures without string matching.
+// the replay side of the codec, shared by the tsserved ingest loop, the
+// archive store's reads (Store.Stream, behind `tsquery`) and `tstrace
+// -replay`. A Decoder validates as it goes — magic, version, per-frame
+// CRC, record bounds, and the trailer's total record count — and returns
+// an error rather than panicking on any malformed input (fuzzed in
+// FuzzDecoder). It reads the magic with ReadMagic and every frame with
+// readFrame, the reader behind ReadRawFrame, so a relay and a decoder
+// accept the same frames and classify the same framing faults alike.
+// Every error wraps ErrTruncated or ErrCorrupt, so callers can classify
+// failures without string matching.
 //
-// Memory is O(frame): the decoder holds one frame payload at a time
-// (bounded by maxFramePayload), the decoded records of that one frame
+// Memory is O(frame): the decoder holds one frame at a time (its payload
+// bounded by maxFramePayload), the decoded records of that one frame
 // (delivered to the sink as one chunk), and the per-CPU delta chain —
 // never the stream.
 //
@@ -38,25 +40,10 @@ type Decoder struct {
 	meta Meta
 	prev []uint64 // last block seen per CPU
 
-	payload []byte       // reusable frame-payload buffer
-	batch   []trace.Miss // reusable decoded-frame buffer (one sink delivery per frame)
-	read    bool         // header frame consumed
-	err     error
-
-	// Record-range delivery window (RunRange): when ranged, only records
-	// with stream position in [from, to) are delivered to the sink. The
-	// whole stream is still decoded and validated — the per-CPU delta
-	// chains need every record — so a ranged decode costs the same reads
-	// and checks as a full one, it just hands fewer records over.
-	ranged   bool
-	from, to int64
-
-	// trailer caches the decoded trailer once Run has consumed it, so
-	// consumers can ask for the symbol table (Symbols) without threading
-	// the Trailer return value around.
-	trailer   Trailer
-	trailerOK bool
-	symtab    *trace.SymbolTable // lazily built from trailer
+	frame []byte       // reusable raw-frame buffer (readFrame's)
+	batch []trace.Miss // reusable decoded-frame buffer (one sink delivery per frame)
+	read  bool         // header frame consumed
+	err   error
 
 	frames   int64 // data frames fully delivered (cumulative across resumes)
 	records  int64 // records delivered (cumulative across resumes)
@@ -75,8 +62,9 @@ func NewDecoder(r io.Reader) *Decoder {
 
 // SetFrameHook installs fn, called after each data frame has been fully
 // delivered to the sink with the cumulative (frames, records) progress.
-// The ingest server acknowledges consumed frames from this hook; a hook
-// error aborts the decode (the decoder remains at a clean boundary).
+// The ingest server counts its session's records from this hook and, for
+// a resumable session, acknowledges consumed frames; a hook error aborts
+// the decode (the decoder remains at a clean boundary).
 func (d *Decoder) SetFrameHook(fn func(frames, records int64) error) { d.hook = fn }
 
 // Progress returns the decoder's exact position: data frames fully
@@ -121,45 +109,19 @@ func (d *Decoder) fail(kind error, format string, args ...any) error {
 	return d.err
 }
 
-// readFrame reads one frame, verifies its CRC, and returns its kind and
-// payload (valid until the next readFrame).
-func (d *Decoder) readFrame() (byte, []byte, error) {
-	kind, err := d.r.ReadByte()
-	if err == io.EOF {
-		return 0, nil, io.EOF // clean frame boundary; callers decide if it is premature
-	}
+// next reads one frame with readFrame and returns its kind and payload
+// (valid until the next call). A clean EOF at a frame boundary is
+// io.EOF, which callers judge; every other error is terminal.
+func (d *Decoder) next() (byte, []byte, error) {
+	kind, raw, start, err := readFrame(d.r, d.frame)
 	if err != nil {
-		return 0, nil, d.fail(ErrTruncated, "reading frame kind: %v", err)
+		if err != io.EOF {
+			d.err = err
+		}
+		return 0, nil, err
 	}
-	size, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		return 0, nil, d.fail(ErrTruncated, "frame %c length: %v", kind, noEOF(err))
-	}
-	if size > maxFramePayload {
-		return 0, nil, d.fail(ErrCorrupt, "frame %c payload %d exceeds limit", kind, size)
-	}
-	p, err := readBounded(d.r, d.payload[:0], int(size))
-	d.payload = p[:0]
-	if err != nil {
-		return 0, nil, d.fail(ErrTruncated, "frame %c payload: %v", kind, noEOF(err))
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(d.r, crcBuf[:]); err != nil {
-		return 0, nil, d.fail(ErrTruncated, "frame %c crc: %v", kind, noEOF(err))
-	}
-	if want := binary.LittleEndian.Uint32(crcBuf[:]); crc32.Checksum(p, crcTable) != want {
-		return 0, nil, d.fail(ErrCorrupt, "frame %c crc mismatch", kind)
-	}
-	return kind, p, nil
-}
-
-// noEOF maps io.EOF to io.ErrUnexpectedEOF: inside a frame, running out of
-// bytes is truncation, not a clean end.
-func noEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
+	d.frame = raw
+	return kind, raw[start : len(raw)-4], nil
 }
 
 // Meta reads the stream magic and header frame (on first call) and
@@ -171,14 +133,14 @@ func (d *Decoder) Meta() (Meta, error) {
 	if d.read {
 		return d.meta, nil
 	}
-	var m [4]byte
-	if _, err := io.ReadFull(d.r, m[:]); err != nil {
-		return Meta{}, d.fail(ErrTruncated, "reading magic: %v", noEOF(err))
+	if err := ReadMagic(d.r); err != nil {
+		if err == io.EOF {
+			return Meta{}, d.fail(ErrTruncated, "reading magic: %v", io.ErrUnexpectedEOF)
+		}
+		d.err = err
+		return Meta{}, err
 	}
-	if m != magic {
-		return Meta{}, d.fail(ErrCorrupt, "bad magic %q", m[:])
-	}
-	kind, p, err := d.readFrame()
+	kind, p, err := d.next()
 	if err != nil {
 		if err == io.EOF {
 			return Meta{}, d.fail(ErrTruncated, "missing header frame: %v", io.ErrUnexpectedEOF)
@@ -227,42 +189,16 @@ func varint(p []byte) (int64, []byte, bool) {
 // per data frame in stream order and, when the trailer arrives,
 // sink.Finish with the stream's header. It returns the trailer (totals
 // plus any symbol table). On error the sink has received a prefix of the
-// records and no Finish.
+// records and no Finish. Every record decoded reaches the sink, so the
+// record count Progress reports is always what the sink received; a
+// consumer that wants part of the stream cuts it in its own sink, as the
+// archive store's queries do.
 func (d *Decoder) Run(sink trace.Sink) (Trailer, error) {
-	d.ranged = false
-	return d.run(sink)
-}
-
-// RunRange decodes the remainder of the stream but delivers only the
-// records whose stream position (0-based, across the whole stream) falls
-// in [from, to) — the sub-window decode behind archive-store record-range
-// queries. to < 0 means "to end of stream". The whole stream is still
-// read and validated (per-frame CRCs, the per-CPU delta chains, the
-// trailer's total record count), and Finish carries the stream's own
-// header — the archive's totals, not the sub-window's — so rate figures
-// (MPKI) keep referring to the recording the window was cut from.
-//
-// RunRange is a read-side selection, incompatible with the resume
-// protocol's progress accounting (Progress still reports decoded frames
-// and records, not delivered ones); archive consumers are its audience.
-func (d *Decoder) RunRange(sink trace.Sink, from, to int64) (Trailer, error) {
-	if from < 0 {
-		return Trailer{}, d.fail(ErrCorrupt, "negative range start %d", from)
-	}
-	if to < 0 {
-		to = math.MaxInt64
-	}
-	d.ranged = true
-	d.from, d.to = from, to
-	return d.run(sink)
-}
-
-func (d *Decoder) run(sink trace.Sink) (Trailer, error) {
 	if _, err := d.Meta(); err != nil {
 		return Trailer{}, err
 	}
 	for {
-		kind, p, err := d.readFrame()
+		kind, p, err := d.next()
 		if err != nil {
 			if err == io.EOF {
 				return Trailer{}, d.fail(ErrTruncated, "stream truncated before trailer (%d records decoded)", d.records)
@@ -306,10 +242,8 @@ func (d *Decoder) run(sink trace.Sink) (Trailer, error) {
 			}
 			// The trailer ends the stream; Run does NOT demand EOF after
 			// it, because on a network connection the transport stays open
-			// (the ingest response travels back on it). File consumers use
-			// ReadAll (or ExpectEOF) to reject trailing garbage.
-			d.trailer = tr
-			d.trailerOK = true
+			// (the ingest response travels back on it). File consumers call
+			// ExpectEOF to reject trailing garbage.
 			sink.Finish(tr.Header)
 			return tr, nil
 		case kindHeader:
@@ -344,10 +278,6 @@ func (d *Decoder) decodeData(p []byte, sink trace.Sink) (n int64, err error) {
 	// The batch buffer grows by appending parsed records — never from the
 	// claimed count — so a hostile count cannot provoke a large
 	// allocation; it stays sized to the largest real frame seen.
-	//
-	// base is the stream position of the frame's first record: RunRange
-	// intersects [base, base+len) with its delivery window in deliver.
-	base := d.records
 	batch := d.batch[:0]
 	prev := d.prev
 	for i := uint64(0); i < count; i++ {
@@ -407,7 +337,7 @@ func (d *Decoder) decodeData(p []byte, sink trace.Sink) (n int64, err error) {
 	if err == nil && len(p) != 0 {
 		err = d.fail(ErrCorrupt, "trailing bytes in data frame")
 	}
-	d.deliver(sink, batch, base)
+	sink.AppendBatch(batch)
 	d.batch = batch[:0] // keep the grown capacity
 	return int64(len(batch)), err
 }
@@ -426,43 +356,6 @@ func short(p []byte) (v uint64, n int) {
 		return uint64(p[0]&0x7f) | uint64(p[1])<<7, 2
 	}
 	return 0, 0
-}
-
-// deliver hands a decoded frame (whose first record sits at stream
-// position base) to the sink — whole, or intersected with the RunRange
-// delivery window.
-func (d *Decoder) deliver(sink trace.Sink, batch []trace.Miss, base int64) {
-	if !d.ranged {
-		sink.AppendBatch(batch)
-		return
-	}
-	lo, hi := int64(0), int64(len(batch))
-	if d.from > base {
-		lo = d.from - base
-	}
-	if d.to < base+hi {
-		hi = d.to - base
-	}
-	if lo >= hi {
-		return
-	}
-	sink.AppendBatch(batch[lo:hi])
-}
-
-// Symbols returns the symbol table carried by the stream's trailer, for
-// module attribution of replayed records — the read-only accessor behind
-// `tsquery show` and `tstrace -replay`. It is valid once Run (or
-// RunRange) has consumed the trailer; before that, and for streams whose
-// trailer carried no symbols (network sessions), it returns the empty
-// static table, on which every FuncID resolves to "<unknown>".
-func (d *Decoder) Symbols() *trace.SymbolTable {
-	if !d.trailerOK {
-		return trace.NewStaticSymbolTable(nil)
-	}
-	if d.symtab == nil {
-		d.symtab = d.trailer.SymbolTable()
-	}
-	return d.symtab
 }
 
 // decodeTrailer parses the trailer payload.
@@ -527,23 +420,4 @@ func (d *Decoder) ExpectEOF() error {
 		return d.fail(ErrCorrupt, "data after trailer")
 	}
 	return nil
-}
-
-// ReadAll decodes a whole self-contained stream into a materialized
-// trace: the record/replay convenience for consumers that want the batch
-// shape. Trailing bytes after the trailer are an error.
-func ReadAll(r io.Reader) (*trace.Trace, Trailer, error) {
-	d := NewDecoder(r)
-	t := &trace.Trace{}
-	if _, err := d.Meta(); err != nil {
-		return nil, Trailer{}, err
-	}
-	tr, err := d.Run(t)
-	if err != nil {
-		return nil, Trailer{}, err
-	}
-	if err := d.ExpectEOF(); err != nil {
-		return nil, Trailer{}, err
-	}
-	return t, tr, nil
 }

@@ -15,7 +15,8 @@ import (
 // frame) and verify each frame's CRC (so corruption on the client leg is
 // caught at the gateway and never charged to a healthy backend). These
 // helpers expose exactly that: one frame at a time, bytes untouched,
-// integrity checked.
+// integrity checked. The Decoder reads through the same two readers, so
+// a relay and a backend accept the same frames.
 
 // Exported frame kinds, as returned by ReadRawFrame.
 const (
@@ -54,25 +55,36 @@ func ReadMagic(r io.Reader) error {
 // reused when large enough; the returned slice aliases it, so callers
 // keeping a frame must copy. A clean EOF at a frame boundary is io.EOF;
 // every other error wraps ErrTruncated (bytes stopped) or ErrCorrupt
-// (bytes are wrong), matching the Decoder's classification.
+// (bytes are wrong), exactly as the Decoder's do: both read frames with
+// readFrame.
 func ReadRawFrame(br *bufio.Reader, buf []byte) (byte, []byte, error) {
-	kind, err := br.ReadByte()
+	kind, raw, _, err := readFrame(br, buf)
+	return kind, raw, err
+}
+
+// readFrame is the one frame reader of the package, behind ReadRawFrame
+// and the Decoder. It returns the frame's kind, its raw bytes (in buf's
+// storage, nil on error) and the offset of the payload within them: the
+// payload is raw[start:len(raw)-4]. The length uvarint may take at most
+// 5 bytes (maxFramePayload fits in 28 bits, and the encoder writes the
+// minimal form); a longer one is corrupt, whatever its value.
+func readFrame(br *bufio.Reader, buf []byte) (kind byte, raw []byte, start int, err error) {
+	kind, err = br.ReadByte()
 	if err != nil {
 		if err == io.EOF {
-			return 0, nil, io.EOF
+			return 0, nil, 0, io.EOF
 		}
-		return 0, nil, fmt.Errorf("wire: reading frame kind: %v: %w", err, ErrTruncated)
+		return 0, nil, 0, fmt.Errorf("wire: reading frame kind: %v: %w", err, ErrTruncated)
 	}
 	buf = append(buf[:0], kind)
 	// Capture the length uvarint byte for byte: the raw frame must be
-	// relayable verbatim. maxFramePayload fits in 28 bits, so any uvarint
-	// needing a fifth byte already exceeds the bound.
+	// relayable verbatim.
 	var size uint64
 	var shift uint
 	for {
 		b, err := br.ReadByte()
 		if err != nil {
-			return 0, nil, fmt.Errorf("wire: frame %c length: %v: %w", kind, noEOF(err), ErrTruncated)
+			return 0, nil, 0, fmt.Errorf("wire: frame %c length: %v: %w", kind, noEOF(err), ErrTruncated)
 		}
 		buf = append(buf, b)
 		size |= uint64(b&0x7f) << shift
@@ -81,23 +93,37 @@ func ReadRawFrame(br *bufio.Reader, buf []byte) (byte, []byte, error) {
 		}
 		shift += 7
 		if shift > 28 {
-			return 0, nil, fmt.Errorf("wire: frame %c length overflows: %w", kind, ErrCorrupt)
+			return 0, nil, 0, fmt.Errorf("wire: frame %c length overflows: %w", kind, ErrCorrupt)
 		}
 	}
 	if size > maxFramePayload {
-		return 0, nil, fmt.Errorf("wire: frame %c payload %d exceeds limit: %w", kind, size, ErrCorrupt)
+		return 0, nil, 0, fmt.Errorf("wire: frame %c payload %d exceeds limit: %w", kind, size, ErrCorrupt)
 	}
-	start := len(buf)
+	start = len(buf)
 	buf, err = readBounded(br, buf, int(size)+4)
 	if err != nil {
-		return 0, nil, fmt.Errorf("wire: frame %c payload: %v: %w", kind, noEOF(err), ErrTruncated)
+		// Name the part that stopped short: the payload or its CRC.
+		part := "payload"
+		if len(buf)-start >= int(size) {
+			part = "crc"
+		}
+		return 0, nil, 0, fmt.Errorf("wire: frame %c %s: %v: %w", kind, part, noEOF(err), ErrTruncated)
 	}
 	payload := buf[start : len(buf)-4]
 	want := binary.LittleEndian.Uint32(buf[len(buf)-4:])
 	if crc32.Checksum(payload, crcTable) != want {
-		return 0, nil, fmt.Errorf("wire: frame %c crc mismatch: %w", kind, ErrCorrupt)
+		return 0, nil, 0, fmt.Errorf("wire: frame %c crc mismatch: %w", kind, ErrCorrupt)
 	}
-	return kind, buf, nil
+	return kind, buf, start, nil
+}
+
+// noEOF maps io.EOF to io.ErrUnexpectedEOF: inside a frame, running out of
+// bytes is truncation, not a clean end.
+func noEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // readStep bounds how far a frame read grows its buffer ahead of the

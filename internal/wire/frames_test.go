@@ -63,9 +63,9 @@ func TestRawFramesRelayVerbatim(t *testing.T) {
 	if !bytes.Equal(re.Bytes(), data) {
 		t.Fatalf("reassembled stream differs from original (%d vs %d bytes)", re.Len(), len(data))
 	}
-	tr, _, err := wire.ReadAll(bytes.NewReader(re.Bytes()))
+	tr, _, err := readAll(re.Bytes())
 	if err != nil {
-		t.Fatalf("ReadAll of reassembly: %v", err)
+		t.Fatalf("decoding the reassembly: %v", err)
 	}
 	if !reflect.DeepEqual(tr.Misses, misses) {
 		t.Fatal("reassembled stream decodes to different misses")

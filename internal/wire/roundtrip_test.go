@@ -48,7 +48,7 @@ func roundTrip(t *testing.T, name string, tr *trace.Trace, st *trace.SymbolTable
 		t.Fatalf("%s: Close: %v", name, err)
 	}
 
-	got, trailer, err := wire.ReadAll(bytes.NewReader(buf.Bytes()))
+	got, trailer, err := readAll(buf.Bytes())
 	if err != nil {
 		t.Fatalf("%s: decode: %v", name, err)
 	}

@@ -21,10 +21,9 @@ func (d *Decoder) decodeDataReference(p []byte, sink trace.Sink) (n int64, err e
 	if count > uint64(len(p)) {
 		return 0, d.fail(ErrCorrupt, "data frame claims %d records in %d bytes", count, len(p))
 	}
-	base := d.records
 	batch := d.batch[:0]
 	flush := func() int64 {
-		d.deliver(sink, batch, base)
+		sink.AppendBatch(batch)
 		d.batch = batch[:0]
 		return int64(len(batch))
 	}

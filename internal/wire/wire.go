@@ -33,7 +33,9 @@
 // attribution of replayed traces). Every frame's payload is covered by a
 // CRC-32C, so truncation and corruption are detected per frame; the
 // trailer additionally pins the total record count, so a stream that ends
-// cleanly but short is rejected too.
+// cleanly but short is rejected too. One reader parses frames for both
+// the Decoder and relays (ReadRawFrame); a payload length takes at most 5
+// uvarint bytes.
 //
 // Addresses are block-aligned (as trace.Miss documents), so records carry
 // block numbers: one varint, usually one byte, per address. A typical

@@ -60,6 +60,18 @@ func encodeStream(tb testing.TB, misses []trace.Miss, h trace.Header, funcs []wi
 	return buf.Bytes()
 }
 
+// readAll decodes a whole self-contained stream the way file consumers
+// do: Run into a materialized trace, then ExpectEOF.
+func readAll(data []byte) (*trace.Trace, wire.Trailer, error) {
+	dec := wire.NewDecoder(bytes.NewReader(data))
+	t := &trace.Trace{}
+	tr, err := dec.Run(t)
+	if err == nil {
+		err = dec.ExpectEOF()
+	}
+	return t, tr, err
+}
+
 func TestEncodeDecodeSynthetic(t *testing.T) {
 	misses := synthMisses(10_000, 4, 7)
 	h := trace.Header{Misses: len(misses), Instructions: 123456789, CPUs: 4}
@@ -70,9 +82,9 @@ func TestEncodeDecodeSynthetic(t *testing.T) {
 	}
 	data := encodeStream(t, misses, h, funcs)
 
-	tr, trailer, err := wire.ReadAll(bytes.NewReader(data))
+	tr, trailer, err := readAll(data)
 	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
+		t.Fatalf("readAll: %v", err)
 	}
 	if !reflect.DeepEqual(tr.Misses, misses) {
 		t.Errorf("decoded misses differ from input")
@@ -99,9 +111,9 @@ func TestEncodeDecodeSynthetic(t *testing.T) {
 func TestEncodeDecodeEmptyStream(t *testing.T) {
 	h := trace.Header{Misses: 0, Instructions: 42, CPUs: 16}
 	data := encodeStream(t, nil, h, nil)
-	tr, trailer, err := wire.ReadAll(bytes.NewReader(data))
+	tr, trailer, err := readAll(data)
 	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
+		t.Fatalf("readAll: %v", err)
 	}
 	if tr.Len() != 0 || trailer.Header != h || len(trailer.Funcs) != 0 {
 		t.Errorf("empty stream decoded to %d misses, trailer %+v", tr.Len(), trailer)
@@ -190,7 +202,7 @@ func TestDecoderCorruption(t *testing.T) {
 	for i := range data {
 		copy(corrupt, data)
 		corrupt[i] ^= 0xFF
-		_, _, err := wire.ReadAll(bytes.NewReader(corrupt))
+		_, _, err := readAll(corrupt)
 		if err == nil {
 			t.Fatalf("flipping byte %d/%d went undetected", i, len(data))
 		}
@@ -211,7 +223,7 @@ func TestDecoderRejectsGarbageFrames(t *testing.T) {
 		"giant frame length": append([]byte("TSW1"), 'H', 0xFF, 0xFF, 0xFF, 0xFF, 0x7F),
 	}
 	for name, data := range cases {
-		if _, _, err := wire.ReadAll(bytes.NewReader(data)); err == nil {
+		if _, _, err := readAll(data); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
