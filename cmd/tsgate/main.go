@@ -25,28 +25,28 @@
 // -log-level; stdout carries only the readiness lines. -config loads
 // key=value or JSON flag defaults from a file; explicit command-line
 // flags win. SIGHUP re-reads -backends-file for the same live membership
-// edit. SIGINT/SIGTERM drain gracefully, then print a fleet summary.
+// edit. SIGINT/SIGTERM drain as tsserved's do (internal/cli/daemon):
+// in-flight sessions complete, a fleet "drained:" summary is printed,
+// and the process exits 0; sessions still running after -drain-timeout
+// are cut off — their client connections and backend legs closed,
+// neither rerouted nor parked — and the process exits 1.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
-	"repro/internal/cli"
+	"repro/internal/cli/daemon"
 	"repro/internal/gateway"
-	"repro/internal/obs"
 )
 
 func main() {
+	d := daemon.New("tsgate")
 	addr := flag.String("addr", ":7464", "client-facing ingest listen address")
-	statsAddr := flag.String("stats", "", "fleet stats/admin HTTP listen address (empty = disabled)")
 	backends := flag.String("backends", "", "comma-separated backend ingest addresses")
 	backendsFile := flag.String("backends-file", "", "file listing backend addresses (one per line, # comments); SIGHUP re-reads it")
 	name := flag.String("name", "tsgate", "gateway name: the Via label on forwarded sessions and the stats identity")
@@ -57,30 +57,9 @@ func main() {
 	resumeGrace := flag.Duration("resume-grace", 0, "how long an interrupted resumable session's state is parked for resumption; keep below the backends' idle timeout (0 = 30s)")
 	retryHint := flag.Duration("retry-hint", 0, "retry_after_ms attached to shed responses (0 = 500ms)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "max silence between a client connection's reads before it is dropped (0 = 2m)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight sessions")
-	configFile := flag.String("config", "", "config file with flag defaults (key=value lines or a JSON object); explicit flags win")
-	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the stats listener")
-	logFlags := obs.AddLogFlags(flag.CommandLine)
-	flag.Parse()
-
-	fatal := func(err error) {
-		fmt.Fprintf(os.Stderr, "tsgate: %v\n", err)
-		os.Exit(2)
-	}
-	if flag.NArg() > 0 {
-		fatal(fmt.Errorf("unexpected arguments %q", flag.Args()))
-	}
-	if *configFile != "" {
-		if err := cli.ApplyConfig(flag.CommandLine, *configFile); err != nil {
-			fatal(err)
-		}
-	}
-	logger, err := logFlags.Logger(os.Stderr)
-	if err != nil {
-		fatal(err)
-	}
+	d.Parse()
 	if *backends == "" && *backendsFile == "" {
-		fatal(fmt.Errorf("no backends: pass -backends or -backends-file"))
+		d.Fatal(fmt.Errorf("no backends: pass -backends or -backends-file"))
 	}
 
 	loadMembership := func() ([]string, error) {
@@ -99,7 +78,7 @@ func main() {
 	}
 	members, err := loadMembership()
 	if err != nil {
-		fatal(err)
+		d.Fatal(err)
 	}
 
 	gw, err := gateway.Listen(*addr, gateway.Config{
@@ -112,32 +91,11 @@ func main() {
 		RetryHint:     *retryHint,
 		ResumeGrace:   *resumeGrace,
 		IdleTimeout:   *idleTimeout,
-		Logger:        logger,
+		Logger:        d.Logger,
 	})
 	if err != nil {
-		fatal(err)
+		d.Fatal(err)
 	}
-	fmt.Printf("tsgate: listening on %s (backends=%d)\n", gw.Addr(), len(members))
-
-	var statsSrv *http.Server
-	if *statsAddr != "" {
-		statsLn, err := net.Listen("tcp", *statsAddr)
-		if err != nil {
-			fatal(err)
-		}
-		mux := obs.NewMux(gw.StatsHandler(), gw.Registry(), *pprofOn,
-			map[string]http.Handler{"/backends": gw.BackendsHandler()})
-		statsSrv = &http.Server{Handler: mux}
-		go func() {
-			if err := statsSrv.Serve(statsLn); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "tsgate: stats listener: %v\n", err)
-			}
-		}()
-		fmt.Printf("tsgate: stats on http://%s/stats and /metrics\n", statsLn.Addr())
-	}
-	// The "listening" lines are the readiness signal for supervisors and
-	// the fleet e2e test.
-	os.Stdout.Sync()
 
 	// SIGHUP re-reads the membership; removed backends drain, added ones
 	// warm in behind a probe.
@@ -156,32 +114,11 @@ func main() {
 		}
 	}()
 
-	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- gw.Serve() }()
-
-	select {
-	case <-sigCtx.Done():
-		stop() // restore default handling: a second signal kills immediately
-		fmt.Printf("tsgate: signal: draining (timeout %v)\n", *drainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		err := gw.Shutdown(ctx)
-		if statsSrv != nil {
-			statsSrv.Close()
-		}
-		st := gw.Stats()
-		fmt.Printf("tsgate: drained: %d sessions (%d completed, %d failed, %d shed, %d rerouted, %d resumed) across %d backends\n",
-			st.TotalSessions, st.CompletedSessions, st.FailedSessions, st.ShedSessions,
-			st.ReroutedSessions, st.ResumedSessions, len(st.Backends))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tsgate: drain incomplete: %v\n", err)
-			os.Exit(1)
-		}
-	case err := <-serveErr:
-		if err != nil && err != gateway.ErrGatewayClosed {
-			fatal(err)
-		}
-	}
+	d.Run(gw, fmt.Sprintf("(backends=%d)", len(members)),
+		map[string]http.Handler{"/backends": gw.BackendsHandler()}, func() string {
+			st := gw.Stats()
+			return fmt.Sprintf("%d sessions (%d completed, %d failed, %d shed, %d rerouted, %d resumed) across %d backends",
+				st.TotalSessions, st.CompletedSessions, st.FailedSessions, st.ShedSessions,
+				st.ReroutedSessions, st.ResumedSessions, len(st.Backends))
+		})
 }

@@ -19,8 +19,13 @@
 // -log-level; stdout carries only the readiness lines. -config loads
 // key=value or JSON flag defaults from a file; explicit command-line
 // flags win. SIGINT/SIGTERM drain gracefully: the listener closes,
-// in-flight and queued sessions run to completion (up to
-// -drain-timeout), then the process exits 0.
+// in-flight and queued sessions run to completion, the daemon prints a
+// "drained:" summary, and the process exits 0. Sessions still running
+// after -drain-timeout are cut off (their connections closed) and the
+// process exits 1. tsgate shares all of this — the flags, the readiness
+// and summary lines, the drain — through internal/cli/daemon, and
+// both daemons accept, negotiate and drain connections through the same
+// front door (proto.Front, server.ReadRequest).
 //
 // Overload is shed explicitly: beyond -max-queue waiting sessions, new
 // arrivals are refused immediately with a machine-readable busy code and
@@ -49,26 +54,21 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"repro/internal/cli"
+	"repro/internal/cli/daemon"
 	"repro/internal/faultnet"
-	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/store"
 )
 
 func main() {
+	d := daemon.New("tsserved")
 	addr := flag.String("addr", ":7465", "ingest listen address")
-	statsAddr := flag.String("stats", "", "stats HTTP listen address (empty = disabled)")
 	name := flag.String("name", "", "instance name reported in stats (useful behind tsgate)")
 	maxSessions := flag.Int("max-sessions", 16, "concurrent analysis sessions; further sessions queue")
 	maxWindow := flag.Int("max-window", 0, "per-session analysis window ceiling in misses (0 = analysis default)")
@@ -76,39 +76,19 @@ func main() {
 	queueTimeout := flag.Duration("queue-timeout", 0, "how long a session may wait for a slot before failing busy (0 = 30s)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "max silence between a connection's reads before it is dropped (0 = 2m)")
 	resumeGrace := flag.Duration("resume-grace", 0, "how long an interrupted resumable session's state is parked for resumption (0 = 30s)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight sessions")
 	archiveDir := flag.String("archive", "", "tee every accepted session into the managed archive store at this directory (query it with tsquery)")
 	chaos := flag.String("chaos", "", "deterministic fault-injection spec for accepted connections, e.g. seed=7,reset=262144,partial=1 (testing only)")
-	configFile := flag.String("config", "", "config file with flag defaults (key=value lines or a JSON object); explicit flags win")
-	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the stats listener")
-	logFlags := obs.AddLogFlags(flag.CommandLine)
-	flag.Parse()
+	d.Parse()
 
-	fatal := func(err error) {
-		fmt.Fprintf(os.Stderr, "tsserved: %v\n", err)
-		os.Exit(2)
-	}
-	if *configFile != "" {
-		if err := cli.ApplyConfig(flag.CommandLine, *configFile); err != nil {
-			fatal(err)
-		}
-	}
-	logger, err := logFlags.Logger(os.Stderr)
-	if err != nil {
-		fatal(err)
-	}
 	if err := cli.Positive("-max-sessions", *maxSessions); err != nil {
-		fatal(err)
+		d.Fatal(err)
 	}
 	if err := cli.NonNegative("-max-window", *maxWindow); err != nil {
-		fatal(err)
-	}
-	if flag.NArg() > 0 {
-		fatal(fmt.Errorf("unexpected arguments %q", flag.Args()))
+		d.Fatal(err)
 	}
 	spec, err := faultnet.ParseSpec(*chaos)
 	if err != nil {
-		fatal(err)
+		d.Fatal(err)
 	}
 
 	var archive *store.Store
@@ -116,16 +96,16 @@ func main() {
 		var damaged []error
 		archive, damaged, err = store.Open(*archiveDir)
 		if err != nil {
-			fatal(err)
+			d.Fatal(err)
 		}
-		for _, d := range damaged {
-			fmt.Fprintf(os.Stderr, "tsserved: archive store: %v (entry excluded)\n", d)
+		for _, e := range damaged {
+			fmt.Fprintf(os.Stderr, "tsserved: archive store: %v (entry excluded)\n", e)
 		}
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal(err)
+		d.Fatal(err)
 	}
 	srv := server.NewServer(faultnet.Wrap(ln, spec), server.Config{
 		Name:         *name,
@@ -136,7 +116,7 @@ func main() {
 		IdleTimeout:  *idleTimeout,
 		ResumeGrace:  *resumeGrace,
 		Archive:      archive,
-		Logger:       logger,
+		Logger:       d.Logger,
 	})
 	if archive != nil {
 		// The store's families join the server registry, so the one
@@ -145,59 +125,12 @@ func main() {
 		fmt.Printf("tsserved: archiving sessions to %s (%d archives, %d bytes)\n",
 			archive.Dir(), archive.Archives(), archive.Bytes())
 	}
-	fmt.Printf("tsserved: listening on %s (max-sessions=%d)\n", srv.Addr(), *maxSessions)
 	if spec.Enabled() {
 		fmt.Printf("tsserved: CHAOS fault injection on every connection: %s\n", spec)
 	}
-
-	var statsSrv *http.Server
-	if *statsAddr != "" {
-		statsLn, err := net.Listen("tcp", *statsAddr)
-		if err != nil {
-			fatal(err)
-		}
-		mux := obs.NewMux(srv.StatsHandler(), srv.Registry(), *pprofOn, nil)
-		statsSrv = &http.Server{Handler: mux}
-		go func() {
-			if err := statsSrv.Serve(statsLn); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "tsserved: stats listener: %v\n", err)
-			}
-		}()
-		fmt.Printf("tsserved: stats on http://%s/stats and /metrics\n", statsLn.Addr())
-	}
-	// The "listening" lines are the readiness signal for supervisors and
-	// the e2e smoke test.
-	os.Stdout.Sync()
-
-	// The signal context is the root of the daemon's shutdown: its
-	// cancellation starts the drain, which the server propagates through
-	// its own per-session context tree (queued waits abort, live
-	// connections close at the force deadline).
-	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve() }()
-
-	select {
-	case <-sigCtx.Done():
-		stop() // restore default handling: a second signal kills immediately
-		fmt.Printf("tsserved: signal: draining (timeout %v)\n", *drainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		err := srv.Shutdown(ctx)
-		if statsSrv != nil {
-			statsSrv.Close()
-		}
+	d.Run(srv, fmt.Sprintf("(max-sessions=%d)", *maxSessions), nil, func() string {
 		st := srv.Stats()
-		fmt.Printf("tsserved: drained: %d sessions (%d failed, %d shed, %d resumed), %d records ingested\n",
+		return fmt.Sprintf("%d sessions (%d failed, %d shed, %d resumed), %d records ingested",
 			st.TotalSessions, st.FailedSessions, st.ShedSessions, st.ResumedSessions, st.TotalRecords)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tsserved: drain incomplete: %v\n", err)
-			os.Exit(1)
-		}
-	case err := <-serveErr:
-		if err != nil && err != server.ErrServerClosed {
-			fatal(err)
-		}
-	}
+	})
 }

@@ -30,9 +30,6 @@ import (
 	"repro/internal/server"
 )
 
-// ErrGatewayClosed is returned by Serve after Shutdown or Close.
-var ErrGatewayClosed = errors.New("gateway: closed")
-
 const (
 	// backendWriteTimeout bounds each backend write; it must comfortably
 	// exceed the backends' queue wait (admission backpressure is an unread
@@ -163,17 +160,15 @@ type backend struct {
 func (b *backend) stopProber() { b.stopOnce.Do(func() { close(b.stop) }) }
 
 // Gateway is the routing tier. Create with Listen or New, run with
-// Serve, stop with Shutdown (graceful drain) or Close.
+// Serve, stop with Shutdown (graceful drain) or Close. Client connections
+// come in through a proto.Front, the same front door tsserved runs.
 type Gateway struct {
-	cfg Config
-	ln  net.Listener
+	cfg   Config
+	front *proto.Front
 
 	mu       sync.Mutex
 	backends map[string]*backend
 	ring     *hashRing
-	closed   bool
-	conns    int
-	drainCh  chan struct{}
 
 	// parked holds interrupted (and completed) resumable sessions, backend
 	// leg and replay ring included, for Config.ResumeGrace.
@@ -216,12 +211,12 @@ func New(ln net.Listener, cfg Config) *Gateway {
 	cfg = cfg.withDefaults()
 	g := &Gateway{
 		cfg:      cfg,
-		ln:       ln,
 		backends: make(map[string]*backend),
 		ring:     buildRing(nil),
 		log:      cfg.Logger,
 		start:    time.Now(),
 	}
+	g.front = proto.NewFront(ln, g.handle)
 	// Expiry releases the backend leg and the ring before the expired
 	// counter moves, so a scrape never sees the count ahead of the gauges.
 	g.parked = proto.NewLot(cfg.ResumeGrace, g.release, func(sess *gwSession) {
@@ -236,68 +231,19 @@ func New(ln net.Listener, cfg Config) *Gateway {
 }
 
 // Addr returns the bound client-facing address.
-func (g *Gateway) Addr() net.Addr { return g.ln.Addr() }
+func (g *Gateway) Addr() net.Addr { return g.front.Addr() }
 
-// Serve accepts and relays connections until Shutdown or Close.
-func (g *Gateway) Serve() error {
-	for {
-		conn, err := g.ln.Accept()
-		if err != nil {
-			g.mu.Lock()
-			closed := g.closed
-			g.mu.Unlock()
-			if closed {
-				return ErrGatewayClosed
-			}
-			return err
-		}
-		g.mu.Lock()
-		g.conns++
-		g.mu.Unlock()
-		go func() {
-			defer g.connDone()
-			g.handle(conn)
-		}()
-	}
-}
-
-func (g *Gateway) connDone() {
-	g.mu.Lock()
-	g.conns--
-	if g.conns == 0 && g.drainCh != nil {
-		close(g.drainCh)
-		g.drainCh = nil
-	}
-	g.mu.Unlock()
-}
+// Serve accepts and relays connections until Shutdown or Close; it
+// returns proto.ErrClosed on a deliberate stop, or the accept error.
+func (g *Gateway) Serve() error { return g.front.Serve() }
 
 // Shutdown stops accepting and drains in-flight sessions. If ctx expires
-// first, ctx.Err is returned (connections are abandoned to their own
-// deadlines). Parked sessions and probers are torn down either way.
+// first, every remaining session's context is cancelled with
+// proto.ErrDraining, which closes its client connection and its backend
+// leg; once their handlers have returned, ctx.Err is returned. Parked
+// sessions and probers are torn down either way.
 func (g *Gateway) Shutdown(ctx context.Context) error {
-	g.mu.Lock()
-	already := g.closed
-	g.closed = true
-	var done chan struct{}
-	if g.conns > 0 {
-		if g.drainCh == nil {
-			g.drainCh = make(chan struct{})
-		}
-		done = g.drainCh
-	}
-	g.mu.Unlock()
-	if !already {
-		g.ln.Close()
-	}
-
-	err := error(nil)
-	if done != nil {
-		select {
-		case <-done:
-		case <-ctx.Done():
-			err = ctx.Err()
-		}
-	}
+	err := g.front.Shutdown(ctx)
 	g.teardown()
 	return err
 }
@@ -306,9 +252,7 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 func (g *Gateway) Close() error {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := g.Shutdown(ctx); err != nil && err != context.Canceled {
-		return err
-	}
+	g.Shutdown(ctx)
 	return nil
 }
 
@@ -510,6 +454,7 @@ func (g *Gateway) detach(s *gwSession) {
 	}
 	g.mu.Unlock()
 	if s.bconn != nil {
+		s.stopLeg()
 		close(s.done)
 		s.bconn.Close()
 		s.bconn = nil

@@ -40,10 +40,11 @@ type gwSession struct {
 	tried    map[string]bool // backends that failed or declined this session
 	reroutes int
 
-	be    *backend
-	bconn *proto.DeadlineConn
-	lines <-chan proto.Line // the backend leg's reader
-	done  chan struct{}     // releases that reader
+	be      *backend
+	bconn   *proto.DeadlineConn
+	stopLeg func() bool       // disarms the forced drain's close of the leg
+	lines   <-chan proto.Line // the backend leg's reader
+	done    chan struct{}     // releases that reader
 
 	doneLine []byte // final response line, for redelivery after a lost response
 }
@@ -66,24 +67,22 @@ func streamFailure(format string, args ...any) *relayFailure {
 	return &relayFailure{code: server.CodeStream, err: fmt.Errorf(format, args...)}
 }
 
-// handle runs one client connection end to end.
-func (g *Gateway) handle(conn net.Conn) {
-	defer proto.Close(context.Background(), conn)
+// drainFailure ends a session that a forced drain cut off.
+func (g *Gateway) drainFailure(ctx context.Context) *relayFailure {
+	return &relayFailure{code: server.CodeDraining, err: context.Cause(ctx), retryAfter: g.cfg.RetryHint}
+}
+
+// handle runs one client connection end to end. ctx is the front door's:
+// a forced drain cancels it, which closes conn and the session's backend
+// leg. The front door ends conn with a lingering close once handle
+// returns.
+func (g *Gateway) handle(ctx context.Context, conn net.Conn) {
 	br := bufio.NewReaderSize(&proto.DeadlineConn{Conn: conn, ReadTimeout: g.cfg.IdleTimeout}, 64<<10)
 	cw := proto.NewLineWriter(conn, g.cfg.IdleTimeout)
 
-	line, err := proto.ReadLine(br, proto.MaxLine)
+	req, code, err := server.ReadRequest(br)
 	if err != nil {
-		code := server.CodeBadRequest
-		if errors.Is(err, proto.ErrTooLarge) {
-			code = server.CodeTooLarge
-		}
-		cw.WriteJSON(server.Response{Error: fmt.Sprintf("reading request: %v", err), Code: code})
-		return
-	}
-	var req server.Request
-	if err := json.Unmarshal(line, &req); err != nil {
-		cw.WriteJSON(server.Response{Error: fmt.Sprintf("parsing request: %v", err), Code: server.CodeBadRequest})
+		cw.WriteJSON(server.Response{Error: err.Error(), Code: code})
 		return
 	}
 	if req.Probe {
@@ -93,10 +92,7 @@ func (g *Gateway) handle(conn net.Conn) {
 	}
 	g.totalSessions.Add(1)
 
-	g.mu.Lock()
-	closed := g.closed
-	g.mu.Unlock()
-	if closed {
+	if g.front.Closing() {
 		g.totalShed.Add(1)
 		g.totalFailed.Add(1)
 		cw.WriteJSON(server.Response{
@@ -126,7 +122,7 @@ func (g *Gateway) handle(conn net.Conn) {
 		}
 		g.totalResumed.Add(1)
 		sess.tried = make(map[string]bool) // a fresh connection earns backends a fresh chance
-		g.relay(sess, br, cw)
+		g.relay(ctx, sess, br, cw)
 		return
 	}
 
@@ -153,7 +149,7 @@ func (g *Gateway) handle(conn net.Conn) {
 		return
 	}
 	sess.reqLine = append(bline, '\n')
-	g.relay(sess, br, cw)
+	g.relay(ctx, sess, br, cw)
 }
 
 // relay streams one session (fresh or resumed) between its client and
@@ -162,8 +158,8 @@ func (g *Gateway) handle(conn net.Conn) {
 // parked — before the answer goes out, so nothing the client does next
 // (its next session, a scrape) can observe this one's backend load or
 // retained frames.
-func (g *Gateway) relay(sess *gwSession, br *bufio.Reader, cw *proto.LineWriter) {
-	respLine, fail := g.stream(sess, br, cw)
+func (g *Gateway) relay(ctx context.Context, sess *gwSession, br *bufio.Reader, cw *proto.LineWriter) {
+	respLine, fail := g.stream(ctx, sess, br, cw)
 	if fail != nil {
 		g.respondFail(cw, sess, fail)
 		return
@@ -184,11 +180,11 @@ func (g *Gateway) relay(sess *gwSession, br *bufio.Reader, cw *proto.LineWriter)
 
 // stream relays the session's stream to the backend and returns the
 // backend's response line once the trailer has been answered.
-func (g *Gateway) stream(sess *gwSession, br *bufio.Reader, cw *proto.LineWriter) ([]byte, *relayFailure) {
+func (g *Gateway) stream(ctx context.Context, sess *gwSession, br *bufio.Reader, cw *proto.LineWriter) ([]byte, *relayFailure) {
 	if sess.bconn == nil {
 		// Fresh session, or one parked while detached (its backend died
 		// and no replacement was available at the time).
-		if fail := g.attach(sess); fail != nil {
+		if fail := g.attach(ctx, sess); fail != nil {
 			return nil, fail
 		}
 	}
@@ -215,7 +211,7 @@ func (g *Gateway) stream(sess *gwSession, br *bufio.Reader, cw *proto.LineWriter
 	switch {
 	case sess.prefix == nil:
 		sess.prefix = prefix
-		if fail := g.forward(sess, sess.prefix); fail != nil {
+		if fail := g.forward(ctx, sess, sess.prefix); fail != nil {
 			return nil, fail
 		}
 	case !bytes.Equal(prefix, sess.prefix):
@@ -229,7 +225,7 @@ func (g *Gateway) stream(sess *gwSession, br *bufio.Reader, cw *proto.LineWriter
 		// replaced now, not at the next frame's write error.
 		select {
 		case msg := <-sess.lines:
-			if fail := g.backendFailed(sess, errors.New("backend answered before the trailer"), &msg); fail != nil {
+			if fail := g.backendFailed(ctx, sess, errors.New("backend answered before the trailer"), &msg); fail != nil {
 				return nil, fail
 			}
 		default:
@@ -256,7 +252,7 @@ func (g *Gateway) stream(sess *gwSession, br *bufio.Reader, cw *proto.LineWriter
 						"session", sess.id, "key", sess.key, "ring_frames", g.cfg.RingFrames)
 				}
 			}
-			if fail := g.forward(sess, raw); fail != nil {
+			if fail := g.forward(ctx, sess, raw); fail != nil {
 				return nil, fail
 			}
 			sess.framesIn++
@@ -268,13 +264,13 @@ func (g *Gateway) stream(sess *gwSession, br *bufio.Reader, cw *proto.LineWriter
 		case wire.KindTrailer:
 			if sess.trailer == nil {
 				sess.trailer = append([]byte(nil), raw...)
-				if fail := g.forward(sess, sess.trailer); fail != nil {
+				if fail := g.forward(ctx, sess, sess.trailer); fail != nil {
 					return nil, fail
 				}
 			}
 			// else: a resumed client replaying a trailer the attach already
 			// delivered — drop the duplicate.
-			return g.awaitResponse(sess)
+			return g.awaitResponse(ctx, sess)
 		}
 	}
 }
@@ -283,9 +279,13 @@ func (g *Gateway) stream(sess *gwSession, br *bufio.Reader, cw *proto.LineWriter
 // everything the session has streamed so far (request line, prefix, data
 // frames, trailer). Backends that fail the dial are circuit-opened and
 // skipped; a nil return means the session is attached and fully caught
-// up.
-func (g *Gateway) attach(sess *gwSession) *relayFailure {
+// up. After a forced drain it attaches nothing: the leg would only be
+// closed again.
+func (g *Gateway) attach(ctx context.Context, sess *gwSession) *relayFailure {
 	for {
+		if ctx.Err() != nil {
+			return g.drainFailure(ctx)
+		}
 		b, err := g.pick(sess.key, sess.tried)
 		if err != nil {
 			return g.shedFailure(err)
@@ -301,9 +301,10 @@ func (g *Gateway) attach(sess *gwSession) *relayFailure {
 		}
 		sess.be = b
 		sess.bconn = &proto.DeadlineConn{Conn: conn, WriteTimeout: backendWriteTimeout}
+		sess.stopLeg = context.AfterFunc(ctx, func() { conn.Close() })
 		sess.done = make(chan struct{})
 		sess.lines = proto.ReadLines(conn, sess.done)
-		return g.replay(sess)
+		return g.replay(ctx, sess)
 	}
 }
 
@@ -311,7 +312,7 @@ func (g *Gateway) attach(sess *gwSession) *relayFailure {
 // A write failure hands off to backendFailed, which reroutes (the next
 // attach replays everything, so nothing more to send here) or reports
 // the terminal failure.
-func (g *Gateway) replay(sess *gwSession) *relayFailure {
+func (g *Gateway) replay(ctx context.Context, sess *gwSession) *relayFailure {
 	parts := [][]byte{sess.reqLine, sess.prefix}
 	for seq := sess.ring.Base(); seq < sess.ring.Next(); seq++ {
 		parts = append(parts, sess.ring.Frame(seq))
@@ -319,7 +320,7 @@ func (g *Gateway) replay(sess *gwSession) *relayFailure {
 	parts = append(parts, sess.trailer)
 	for _, p := range parts {
 		if _, err := sess.bconn.Write(p); err != nil {
-			return g.backendFailed(sess, err, nil)
+			return g.backendFailed(ctx, sess, err, nil)
 		}
 	}
 	return nil
@@ -328,9 +329,9 @@ func (g *Gateway) replay(sess *gwSession) *relayFailure {
 // forward relays one payload to the current backend. On failure the
 // session reroutes — and because every retained payload was retained
 // before forwarding, the reroute's replay has already delivered it.
-func (g *Gateway) forward(sess *gwSession, p []byte) *relayFailure {
+func (g *Gateway) forward(ctx context.Context, sess *gwSession, p []byte) *relayFailure {
 	if _, err := sess.bconn.Write(p); err != nil {
-		return g.backendFailed(sess, err, nil)
+		return g.backendFailed(ctx, sess, err, nil)
 	}
 	return nil
 }
@@ -346,13 +347,21 @@ func (g *Gateway) forward(sess *gwSession, p []byte) *relayFailure {
 // closed before the write failed — a rejection of the request, say — so
 // its reader is heard out first, for at most proto.SettleTime: a pending
 // line wins over the write error.
-func (g *Gateway) backendFailed(sess *gwSession, cause error, msg *proto.Line) *relayFailure {
+//
+// A failure under a forced drain is the drain's doing — it closed the
+// leg — so the backend is not blamed and the session is not rerouted.
+func (g *Gateway) backendFailed(ctx context.Context, sess *gwSession, cause error, msg *proto.Line) *relayFailure {
 	if msg == nil {
 		select {
 		case m := <-sess.lines:
 			msg = &m
 		case <-time.After(proto.SettleTime):
+		case <-ctx.Done():
 		}
+	}
+	if ctx.Err() != nil {
+		g.detach(sess)
+		return g.drainFailure(ctx)
 	}
 	decline := false
 	var termRaw []byte
@@ -387,7 +396,7 @@ func (g *Gateway) backendFailed(sess *gwSession, cause error, msg *proto.Line) *
 	if sess.ring.Base() > 0 {
 		return streamFailure("backend lost beyond the session's replay ring (%d frames retained): %v", g.cfg.RingFrames, cause)
 	}
-	if fail := g.attach(sess); fail != nil {
+	if fail := g.attach(ctx, sess); fail != nil {
 		return fail
 	}
 	if !decline {
@@ -454,7 +463,7 @@ func classifyBackendLine(msg proto.Line) (v lineVerdict, text string) {
 // awaitResponse waits out the backend's final response after the
 // trailer, rerouting (with full replay, trailer included) if the backend
 // dies or declines while computing it.
-func (g *Gateway) awaitResponse(sess *gwSession) ([]byte, *relayFailure) {
+func (g *Gateway) awaitResponse(ctx context.Context, sess *gwSession) ([]byte, *relayFailure) {
 	deadline := time.Now().Add(backendResponseTimeout)
 	for {
 		remaining := time.Until(deadline)
@@ -473,7 +482,7 @@ func (g *Gateway) awaitResponse(sess *gwSession) ([]byte, *relayFailure) {
 			if v, _ := classifyBackendLine(msg); v == lineResult {
 				return msg.Data, nil
 			}
-			if fail := g.backendFailed(sess, errors.New("backend response unusable"), &msg); fail != nil {
+			if fail := g.backendFailed(ctx, sess, errors.New("backend response unusable"), &msg); fail != nil {
 				return nil, fail
 			}
 			// Rerouted; keep waiting on the replacement.
@@ -495,18 +504,13 @@ func (g *Gateway) respondFail(cw *proto.LineWriter, sess *gwSession, fail *relay
 		return
 	}
 	resp := server.Response{Error: fail.err.Error(), Code: fail.code, RetryAfterMS: int(fail.retryAfter / time.Millisecond)}
-	if fail.code.Retryable() && sess.resumable && sess.ring.Base() == 0 {
-		g.mu.Lock()
-		closed := g.closed
-		g.mu.Unlock()
-		if !closed {
-			g.totalParked.Add(1)
-			g.log.Info("session parked", "session", sess.id, "key", sess.key,
-				"code", string(fail.code), "error", resp.Error)
-			g.parked.Park(sess.token, sess)
-			cw.WriteJSON(resp)
-			return
-		}
+	if fail.code.Retryable() && sess.resumable && sess.ring.Base() == 0 && !g.front.Closing() {
+		g.totalParked.Add(1)
+		g.log.Info("session parked", "session", sess.id, "key", sess.key,
+			"code", string(fail.code), "error", resp.Error)
+		g.parked.Park(sess.token, sess)
+		cw.WriteJSON(resp)
+		return
 	}
 	g.totalFailed.Add(1)
 	g.log.Warn("session failed", "session", sess.id, "key", sess.key,
@@ -519,8 +523,8 @@ func (g *Gateway) respondFail(cw *proto.LineWriter, sess *gwSession, fail *relay
 // protocol promises: draining when the gateway is stopping, busy
 // otherwise, always with the retry hint.
 func (g *Gateway) shedFailure(cause error) *relayFailure {
+	closed := g.front.Closing()
 	g.mu.Lock()
-	closed := g.closed
 	n := 0
 	for _, b := range g.backends {
 		if !b.draining {

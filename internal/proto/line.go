@@ -1,9 +1,10 @@
 // Package proto holds the session-protocol mechanics shared by the ingest
-// server, its resilient client, and the tsgate gateway: the bounded
-// control-line codec, deadline-armed connections, resume tokens, the
-// lingering close, the parking lot of interrupted sessions (Lot), and the
-// replay ring of unacknowledged frames (Ring). It moves lines and frames;
-// the JSON shapes they carry belong to internal/server.
+// server, its resilient client, and the tsgate gateway: the daemons'
+// front door (Front: accept, drain, close), the bounded control-line
+// codec, deadline-armed connections, resume tokens, the lingering close,
+// the parking lot of interrupted sessions (Lot), and the replay ring of
+// unacknowledged frames (Ring). It moves lines and frames; the JSON
+// shapes they carry belong to internal/server.
 package proto
 
 import (

@@ -10,11 +10,16 @@
 package server
 
 import (
+	"bufio"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 
 	tempstream "repro"
 	"repro/internal/core"
 	"repro/internal/prefetch"
+	"repro/internal/proto"
 	"repro/internal/trace"
 )
 
@@ -98,6 +103,26 @@ type Request struct {
 	// frame acks, parked-state resumption). Plain sessions leave it nil
 	// and speak the original request/stream/response exchange.
 	Resume *ResumeRequest `json:"resume,omitempty"`
+}
+
+// ReadRequest reads a session's negotiation: one JSON Request line of at
+// most proto.MaxLine bytes. tsserved and tsgate both negotiate through
+// it, so a failure reads the same from either daemon: too_large with
+// proto.ErrTooLarge for a line over the bound, bad_request for a read
+// error or malformed JSON.
+func ReadRequest(br *bufio.Reader) (Request, ErrCode, error) {
+	var req Request
+	line, err := proto.ReadLine(br, proto.MaxLine)
+	switch {
+	case errors.Is(err, proto.ErrTooLarge):
+		return req, CodeTooLarge, err
+	case err != nil:
+		return req, CodeBadRequest, fmt.Errorf("reading request: %w", err)
+	}
+	if err := json.Unmarshal(line, &req); err != nil {
+		return req, CodeBadRequest, fmt.Errorf("parsing request: %w", err)
+	}
+	return req, "", nil
 }
 
 // Response is the server's one-line JSON answer, sent after the client's

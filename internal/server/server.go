@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -23,19 +22,12 @@ import (
 	"repro/internal/wire"
 )
 
-// ErrServerClosed is returned by Serve after Shutdown or Close.
-var ErrServerClosed = errors.New("server: closed")
-
-// Cancellation causes inside the server's context tree: every way a
-// session can be torn down early is a cause on its context, so the one
-// tree replaces the ad-hoc force channel, queue timer, and deadline
-// bookkeeping that used to express them separately.
+// Ways a session ends early that are the server's own doing, reported
+// in place of the error they surface as.
 var (
-	// errDraining cancels the whole tree when a drain deadline expires.
-	errDraining = errors.New("server draining")
 	// errSlotWait expires one session's bounded wait for an analyzer slot.
 	errSlotWait = errors.New("server busy")
-	// errIdle cancels one session whose peer went silent between reads.
+	// errIdle ends one session whose peer went silent between reads.
 	errIdle = errors.New("idle timeout: no data from peer")
 )
 
@@ -152,42 +144,38 @@ func (c Config) withDefaults() Config {
 }
 
 // idleConn enforces Config.IdleTimeout: every Read re-arms the deadline,
-// so only a silent peer trips it, never a slow-but-flowing stream. A
-// trip cancels the session's context with errIdle, folding the idle
-// deadline into the same cancellation tree as the drain and queue
-// bounds.
+// so only a silent peer trips it, never a slow-but-flowing stream.
 //
 // idleConn is also where the server learns that a read failed because of
-// its OWN teardown (the deadline it armed, or the conn close the
-// context tree performed) rather than a peer fault: the raw net error
-// is visible here, before the wire decoder flattens it into a message
-// string. handle uses that to decide whether a session error may be
-// rewritten to the cancellation cause.
+// its OWN teardown (the deadline it armed, or the conn close a forced
+// drain performed) rather than a peer fault: the raw net error is
+// visible here, before the wire decoder flattens it into a message
+// string. handle reports such a session's failure by its cause.
 type idleConn struct {
 	proto.DeadlineConn
-	cancel context.CancelCauseFunc
+	ctx context.Context // the front door's: a forced drain cancels it
 	// bytes counts every byte read off the transport (the
-	// tsserved_ingest_bytes_total series); nil in tests that build bare
-	// idleConns.
+	// tsserved_ingest_bytes_total series).
 	bytes *obs.Counter
-	// teardown is set when a Read failed due to the armed deadline or a
-	// closed conn. Written and read on the session's goroutine only.
-	teardown bool
+	// cause is set when a Read failed because of the server's teardown:
+	// errIdle for the armed deadline, the drain cause for a conn the
+	// forced drain closed. Written and read on the session's goroutine
+	// only.
+	cause error
 }
 
 func (c *idleConn) Read(p []byte) (int, error) {
 	n, err := c.DeadlineConn.Read(p)
-	if n > 0 && c.bytes != nil {
+	if n > 0 {
 		c.bytes.Add(float64(n))
 	}
 	if err != nil {
 		var ne net.Error
 		switch {
 		case errors.As(err, &ne) && ne.Timeout():
-			c.teardown = true
-			c.cancel(errIdle)
+			c.cause = errIdle
 		case errors.Is(err, net.ErrClosed):
-			c.teardown = true
+			c.cause = context.Cause(c.ctx)
 		}
 	}
 	return n, err
@@ -198,21 +186,16 @@ func (c *idleConn) Read(p []byte) (int, error) {
 // machinery, and serves live stats. Create with Listen, run with Serve,
 // stop with Shutdown (graceful drain) or Close.
 //
-// Every session lives under one context tree rooted at baseCtx: the
-// queue wait, the idle deadline, and the drain force-stop are all causes
-// of cancellation on that tree, so tearing the server down is one
-// CancelCause call fanning out to every connection.
+// Connections come in through a proto.Front, which owns the accept loop,
+// the drain and the lingering close; the server handles one session per
+// connection under the context the front door hands it.
 type Server struct {
 	cfg   Config
-	ln    net.Listener
+	front *proto.Front
 	slots chan struct{}
-
-	baseCtx   context.Context         // root of every session's context
-	cancelAll context.CancelCauseFunc // force-stop: cancels the whole tree
 
 	mu       sync.Mutex
 	sessions map[uint64]*session
-	closed   bool
 
 	// parked holds interrupted (and completed) resumable sessions under
 	// their tokens for Config.ResumeGrace.
@@ -228,15 +211,6 @@ type Server struct {
 	totalResumed  atomic.Int64
 	totalExpired  atomic.Int64
 
-	// Live connection-handler count and the drain notification, both
-	// guarded by mu. A plain counter rather than a sync.WaitGroup: the
-	// accept loop's increment must be ordered against Shutdown's wait
-	// under the same lock that publishes closed, which a WaitGroup's
-	// Add/Wait pair cannot express (a 0→1 Add concurrent with Wait is a
-	// race by contract).
-	conns   int
-	drainCh chan struct{}
-
 	start   time.Time
 	metrics *serverMetrics
 	log     *slog.Logger
@@ -248,7 +222,6 @@ type session struct {
 	label   string
 	via     string
 	remote  string
-	conn    net.Conn
 	started time.Time
 
 	state   atomic.Pointer[string]
@@ -327,17 +300,14 @@ func Listen(addr string, cfg Config) (*Server, error) {
 // internal/faultnet) as an ingest server. Most callers use Listen.
 func NewServer(ln net.Listener, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	baseCtx, cancelAll := context.WithCancelCause(context.Background())
 	s := &Server{
-		cfg:       cfg,
-		ln:        ln,
-		slots:     make(chan struct{}, cfg.MaxSessions),
-		baseCtx:   baseCtx,
-		cancelAll: cancelAll,
-		sessions:  make(map[uint64]*session),
-		start:     time.Now(),
-		log:       cfg.Logger,
+		cfg:      cfg,
+		slots:    make(chan struct{}, cfg.MaxSessions),
+		sessions: make(map[uint64]*session),
+		start:    time.Now(),
+		log:      cfg.Logger,
 	}
+	s.front = proto.NewFront(ln, s.handle)
 	// Expiry discards the analyzer before the expired counter moves, so a
 	// scrape never sees the count ahead of the pool it describes.
 	s.parked = proto.NewLot(cfg.ResumeGrace, (*parkedSession).discard, func(p *parkedSession) {
@@ -349,87 +319,24 @@ func NewServer(ln net.Listener, cfg Config) *Server {
 }
 
 // Addr returns the bound ingest address (useful with ":0").
-func (s *Server) Addr() net.Addr { return s.ln.Addr() }
+func (s *Server) Addr() net.Addr { return s.front.Addr() }
 
 // Serve accepts and handles connections until Shutdown or Close; it
-// returns ErrServerClosed on a deliberate stop, or the accept error.
-func (s *Server) Serve() error {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return ErrServerClosed
-			}
-			return err
-		}
-		// Register under the lock that Shutdown reads the count under:
-		// every accepted connection is either counted before the drain
-		// snapshot (and therefore awaited) or registers against an
-		// already-begun shutdown — still handled, because graceful drain
-		// means connections the listener delivered run to completion.
-		s.mu.Lock()
-		s.conns++
-		s.mu.Unlock()
-		go func() {
-			defer s.connDone()
-			s.handle(conn)
-		}()
-	}
-}
-
-// connDone retires one connection handler and, if it was the last and a
-// drain is waiting, signals the drain exactly once.
-func (s *Server) connDone() {
-	s.mu.Lock()
-	s.conns--
-	if s.conns == 0 && s.drainCh != nil {
-		close(s.drainCh)
-		s.drainCh = nil
-	}
-	s.mu.Unlock()
-}
+// returns proto.ErrClosed on a deliberate stop, or the accept error.
+func (s *Server) Serve() error { return s.front.Serve() }
 
 // Shutdown stops accepting and drains: in-flight and queued sessions run
-// to completion. If ctx expires first, remaining connections are closed
-// forcibly and ctx.Err is returned. Parked sessions cannot outlive the
-// server: once the drain completes their state is discarded (the
-// listener is closed, so no resume can arrive).
+// to completion. If ctx expires first, every remaining session's context
+// is cancelled with proto.ErrDraining — queued waits abort and each
+// connection is closed — and once their handlers have returned, ctx.Err
+// is returned. Parked sessions cannot outlive the server: once the drain
+// completes their state is discarded (the listener is closed, so no
+// resume can arrive).
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	already := s.closed
-	s.closed = true
-	var done chan struct{}
-	if s.conns > 0 {
-		if s.drainCh == nil {
-			s.drainCh = make(chan struct{})
-		}
-		done = s.drainCh
-	}
-	s.mu.Unlock()
-	if !already {
-		s.ln.Close()
-	}
-
-	if !already {
+	if !s.front.Closing() {
 		s.log.Info("shutdown: draining")
 	}
-	var err error
-	if done != nil {
-		select {
-		case <-done:
-		case <-ctx.Done():
-			// One cancellation fans out through the session context tree:
-			// queued waits abort with the draining cause, each live
-			// connection's AfterFunc closes its conn, unblocking any read,
-			// and lingering closes stop waiting on their peers.
-			s.cancelAll(errDraining)
-			<-done
-			err = ctx.Err()
-		}
-	}
+	err := s.front.Shutdown(ctx)
 	s.parked.Close()
 	return err
 }
@@ -438,9 +345,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) Close() error {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := s.Shutdown(ctx); err != nil && err != context.Canceled {
-		return err
-	}
+	s.Shutdown(ctx)
 	return nil
 }
 
@@ -474,36 +379,13 @@ func (s *Server) register(sess *session) {
 	s.mu.Unlock()
 }
 
-// handle runs one connection's session end to end. The session's whole
-// lifetime hangs off one child of the server's context tree: cancelling
-// it — idle trip, drain force, or normal completion — closes the conn
-// via AfterFunc, so no teardown path needs its own timer or channel.
-func (s *Server) handle(conn net.Conn) {
-	// Lingering close: the client may still be streaming when its answer
-	// goes out (an early rejection); only the server's force-drain cuts
-	// the linger short.
-	defer proto.Close(s.baseCtx, conn)
-	ctx, cancel := context.WithCancelCause(s.baseCtx)
-	stop := context.AfterFunc(ctx, func() {
-		// The idle cause is raised by a read that has already failed;
-		// nothing is blocked on the conn, so leave it open — the error
-		// response can still reach the (silent but connected) client.
-		// Every other cause (drain force, parent teardown) must close it
-		// to unblock a pending read.
-		if errors.Is(context.Cause(ctx), errIdle) {
-			return
-		}
-		conn.Close()
-	})
-	// LIFO: deregister the AfterFunc before the final cancel, so a normal
-	// completion does not race the response write with a context close.
-	defer cancel(nil)
-	defer stop()
-
+// handle runs one connection's session end to end. ctx is the front
+// door's: a forced drain cancels it and closes conn. The front door ends
+// the connection with a lingering close once handle returns.
+func (s *Server) handle(ctx context.Context, conn net.Conn) {
 	sess := &session{
 		id:      s.nextID.Add(1),
 		remote:  conn.RemoteAddr().String(),
-		conn:    conn,
 		started: time.Now(),
 	}
 	sess.setState(StateQueued)
@@ -512,7 +394,7 @@ func (s *Server) handle(conn net.Conn) {
 
 	ic := &idleConn{
 		DeadlineConn: proto.DeadlineConn{Conn: conn, ReadTimeout: s.cfg.IdleTimeout},
-		cancel:       cancel,
+		ctx:          ctx,
 		bytes:        s.metrics.bytesRead,
 	}
 	cw := proto.NewLineWriter(conn, s.cfg.IdleTimeout)
@@ -523,18 +405,16 @@ func (s *Server) handle(conn net.Conn) {
 		cw.WriteJSON(Response{Stats: probe})
 		return
 	}
-	if fail != nil && ic.teardown {
-		// A read error caused by our own teardown is better reported as
-		// the cancellation cause (idle timeout, draining) than as "use of
-		// closed network connection" — but only then: a genuine protocol
-		// or validation fault that merely races the drain keeps its real
-		// message.
-		if cause := context.Cause(ctx); cause != nil && !errors.Is(cause, context.Canceled) {
-			fail.err = cause
-			if errors.Is(cause, errDraining) {
-				fail.code = CodeDraining
-				fail.retryAfter = s.cfg.RetryHint
-			}
+	if fail != nil && ic.cause != nil {
+		// A read error caused by our own teardown is better reported by
+		// its cause (idle timeout, draining) than as "i/o timeout" or "use
+		// of closed network connection" — but only then: a genuine
+		// protocol or validation fault that merely races the drain keeps
+		// its real message.
+		fail.err = ic.cause
+		if errors.Is(ic.cause, proto.ErrDraining) {
+			fail.code = CodeDraining
+			fail.retryAfter = s.cfg.RetryHint
 		}
 	}
 
@@ -588,11 +468,10 @@ func (s *Server) handle(conn net.Conn) {
 }
 
 // runSession negotiates, acquires a slot, and streams the connection's
-// records through a tempstream.Session. ctx is the session's node in the
-// server's context tree; ic is the connection wrapped with the idle
-// deadline (whose trip cancels ctx with the idle cause); cw is the
-// deadline-bounded control-channel writer shared with handle's final
-// response.
+// records through a tempstream.Session. ctx is the front door's
+// connection context; ic is the connection wrapped with the idle
+// deadline; cw is the deadline-bounded control-channel writer shared
+// with handle's final response.
 //
 // A request with Resume non-nil selects the resumable protocol: the
 // server answers with a hello line (token, next expected data frame)
@@ -603,17 +482,9 @@ func (s *Server) handle(conn net.Conn) {
 func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw *proto.LineWriter) (*SessionResult, *Stats, *sessionFailure) {
 	br := bufio.NewReaderSize(ic, 64<<10)
 
-	// Negotiation: one JSON line.
-	line, err := proto.ReadLine(br, proto.MaxLine)
+	req, code, err := ReadRequest(br)
 	if err != nil {
-		if errors.Is(err, proto.ErrTooLarge) {
-			return nil, nil, &sessionFailure{code: CodeTooLarge, err: err}
-		}
-		return nil, nil, failf(CodeBadRequest, "reading request: %v", err)
-	}
-	var req Request
-	if err := json.Unmarshal(line, &req); err != nil {
-		return nil, nil, failf(CodeBadRequest, "parsing request: %v", err)
+		return nil, nil, &sessionFailure{code: code, err: err}
 	}
 	if req.Probe {
 		// A health probe: retire the registration (probes are not
@@ -680,10 +551,10 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 
 	// Admission: one of MaxSessions analyzer bindings. While queued, the
 	// client's stream backs up in the socket — that is the protocol's
-	// backpressure, not an error. The wait is a child of the session's
+	// backpressure, not an error. The wait is a child of the connection's
 	// context, bounded by Config.QueueTimeout (so producers multiplexing
-	// several sessions cannot deadlock the slot pool) and torn down with
-	// the tree when the server force-drains.
+	// several sessions cannot deadlock the slot pool) and cut short when
+	// the server force-drains.
 	s.queued.Add(1)
 	slotCtx, cancelSlot := context.WithTimeoutCause(ctx, s.cfg.QueueTimeout, errSlotWait)
 	select {
@@ -705,7 +576,7 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 				retryAfter: s.cfg.RetryHint,
 				err:        fmt.Errorf("server busy: no session slot within %v", s.cfg.QueueTimeout),
 			}
-		case errors.Is(cause, errDraining):
+		case errors.Is(cause, proto.ErrDraining):
 			return nil, nil, &sessionFailure{code: CodeDraining, retryAfter: s.cfg.RetryHint, err: cause}
 		default:
 			return nil, nil, &sessionFailure{code: CodeStream, err: cause}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -275,10 +276,11 @@ func (d *Decoder) decodeData(p []byte, sink trace.Sink) (n int64, err error) {
 	if count > uint64(len(p)) {
 		return 0, d.fail(ErrCorrupt, "data frame claims %d records in %d bytes", count, len(p))
 	}
-	// The batch buffer grows by appending parsed records — never from the
-	// claimed count — so a hostile count cannot provoke a large
-	// allocation; it stays sized to the largest real frame seen.
-	batch := d.batch[:0]
+	// The batch buffer is sized once from the claimed count, capped at
+	// the encoder's frame size so a hostile count claims at most one
+	// frame's records; a longer real frame grows it by append, and it
+	// keeps the largest size seen.
+	batch := slices.Grow(d.batch[:0], int(min(count, frameRecords)))
 	prev := d.prev
 	for i := uint64(0); i < count; i++ {
 		var key, fn uint64
