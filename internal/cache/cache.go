@@ -278,10 +278,10 @@ func (c *Cache) Probe(block uint64) (line int, hit bool) {
 	return i, i >= 0
 }
 
-// readHit2 is the 2-way ReadHit fast path: two tag compares and a
-// one-byte MRU store, small enough to inline into the simulator's access
-// functions.
-func (c *Cache) readHit2(block uint64) bool {
+// ReadHit2 is ReadHit for a 2-way cache: two tag compares and a one-byte
+// MRU store, small enough to inline into the machines' L1 access loops.
+// The cache must be 2-way; ReadHit serves every width.
+func (c *Cache) ReadHit2(block uint64) bool {
 	set := int(block & c.setMask)
 	base := set << 1
 	if w := c.lines[base]; w&blockMask == block && w != 0 {
@@ -329,7 +329,7 @@ func (c *Cache) readHitSlow(block uint64) bool {
 // level and eventually Fills.
 func (c *Cache) ReadHit(block uint64) bool {
 	if c.ways == 2 {
-		return c.readHit2(block)
+		return c.ReadHit2(block)
 	}
 	return c.readHitSlow(block)
 }
@@ -563,8 +563,21 @@ func (c *Cache) fill2(block uint64, s State) (victim Victim, evicted bool, line 
 	return victim, evicted, line
 }
 
-// Invalidate removes block if present, returning its prior state.
+// Invalidate removes block if present, returning its prior state. On a
+// 2-way set it is two tag compares: the layout keeps no valid mask, and
+// the MRU byte may keep naming the freed way, since Fill takes a free way
+// before it consults recency.
 func (c *Cache) Invalidate(block uint64) (State, bool) {
+	if c.ways == 2 {
+		base := int(block&c.setMask) << 1
+		for i := base; i < base+2; i++ {
+			if w := c.lines[i]; w&blockMask == block && w != 0 {
+				c.lines[i] = 0
+				return State(w >> stateShift), true
+			}
+		}
+		return Invalid, false
+	}
 	i := c.findWay(block)
 	if i < 0 {
 		return Invalid, false

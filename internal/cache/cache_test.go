@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -217,14 +218,28 @@ func (r *refSet) invalidate(b uint64) (State, bool) {
 // TestPackedCacheVsReferenceModel drives thousands of mixed operations
 // through the packed-line cache and a naive map/slice reference model,
 // cross-checking hits, victims, states, and (by draining each set at the
-// end) the complete LRU order. This is the safety net under the packed
-// storage layout and the fused Probe/Fill path.
+// end) the complete LRU order. It runs at each layout the cache keeps:
+// 2 ways (the L1s: MRU byte, fill2, ReadHit2, the two-compare
+// Invalidate), 4 ways (the mid-width rank word) and 16 ways (the L2s'
+// signature header). This is the safety net under the packed storage
+// layout and the fused Probe/ReadHit/WriteHit/Fill paths.
 func TestPackedCacheVsReferenceModel(t *testing.T) {
-	const (
-		sets  = 8
-		ways  = 4
-		space = 257 // prime: uneven set pressure
-	)
+	for _, tc := range []struct {
+		ways  int
+		space uint64 // random block space; prime, for uneven set pressure
+	}{
+		{2, 41},
+		{4, 257},
+		{16, 257},
+	} {
+		t.Run(fmt.Sprintf("%d-way", tc.ways), func(t *testing.T) {
+			checkAgainstReference(t, tc.ways, tc.space)
+		})
+	}
+}
+
+func checkAgainstReference(t *testing.T, ways int, space uint64) {
+	const sets = 8
 	rng := rand.New(rand.NewSource(20260728))
 	c := New(Config{Bytes: sets * ways * 64, Ways: ways, BlockBits: 6})
 	ref := make([]*refSet, sets)
@@ -242,11 +257,17 @@ func TestPackedCacheVsReferenceModel(t *testing.T) {
 			t.Fatalf("step %d: victim %+v, reference {%d %v}", step, v, want.block, want.state)
 		}
 	}
+	fill := func(step int, b uint64, st State) {
+		t.Helper()
+		v, ev, _ := c.Fill(b, st)
+		want, wantEv := ref[b%sets].insert(b, st)
+		checkVictim(step, v, ev, want, wantEv)
+	}
 
 	for step := 0; step < 30000; step++ {
-		b := uint64(rng.Intn(space))
+		b := rng.Uint64() % space
 		r := ref[b%sets]
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(13); {
 		case op < 4: // read-like: probe, touch on hit, scan-free fill on miss
 			line, hit := c.Probe(b)
 			ri := r.find(b)
@@ -263,10 +284,7 @@ func TestPackedCacheVsReferenceModel(t *testing.T) {
 				c.Touch(line)
 				r.touch(ri)
 			} else {
-				st := states[rng.Intn(len(states))]
-				v, ev, _ := c.Fill(b, st)
-				want, wantEv := r.insert(b, st)
-				checkVictim(step, v, ev, want, wantEv)
+				fill(step, b, states[rng.Intn(len(states))])
 			}
 		case op < 6: // residency-checked Fill (only legal when absent)
 			if r.find(b) >= 0 {
@@ -275,10 +293,7 @@ func TestPackedCacheVsReferenceModel(t *testing.T) {
 			if c.Contains(b) {
 				t.Fatalf("step %d: Contains=true for a block the reference lacks", step)
 			}
-			st := states[rng.Intn(len(states))]
-			v, ev, _ := c.Fill(b, st)
-			want, wantEv := r.insert(b, st)
-			checkVictim(step, v, ev, want, wantEv)
+			fill(step, b, states[rng.Intn(len(states))])
 		case op < 7: // invalidate
 			gs, gok := c.Invalidate(b)
 			ws, wok := r.invalidate(b)
@@ -295,6 +310,37 @@ func TestPackedCacheVsReferenceModel(t *testing.T) {
 			if found {
 				r.lines[ri].state = st
 			}
+		case op < 10: // the machines' read: fused probe+touch, fill on miss
+			ri := r.find(b)
+			if hit := c.ReadHit(b); hit != (ri >= 0) {
+				t.Fatalf("step %d: ReadHit=%v, reference %v", step, hit, ri >= 0)
+			}
+			if ri >= 0 {
+				r.touch(ri)
+			} else {
+				fill(step, b, Shared)
+			}
+		case op < 12: // the machines' write: touch a Modified hit, else upgrade or fill
+			line, hit, mod := c.WriteHit(b)
+			ri := r.find(b)
+			if hit != (ri >= 0) {
+				t.Fatalf("step %d: WriteHit hit=%v, reference %v", step, hit, ri >= 0)
+			}
+			switch {
+			case !hit:
+				fill(step, b, Modified)
+			case mod != (r.lines[ri].state == Modified):
+				t.Fatalf("step %d: WriteHit modified=%v, reference state %v", step, mod, r.lines[ri].state)
+			case c.Block(line) != b:
+				t.Fatalf("step %d: WriteHit line holds %d, want %d", step, c.Block(line), b)
+			case mod:
+				r.touch(ri)
+			default:
+				c.SetState(line, Modified)
+				c.Touch(line)
+				r.lines[ri].state = Modified
+				r.touch(ri)
+			}
 		default: // pure reads: Contains/Probe agree with the model
 			if got, want := c.Contains(b), r.find(b) >= 0; got != want {
 				t.Fatalf("step %d: Contains=%v, reference %v", step, got, want)
@@ -310,12 +356,9 @@ func TestPackedCacheVsReferenceModel(t *testing.T) {
 	// first every surviving line from the random phase, then the fresh
 	// lines themselves in insertion order.
 	for s := 0; s < sets; s++ {
-		r := ref[s]
 		for k := 0; k < 2*ways; k++ {
-			fresh := uint64(512 + k*sets + s) // set s; beyond the random block space
-			v, ev, _ := c.Fill(fresh, Shared)
-			want, wantEv := r.insert(fresh, Shared)
-			checkVictim(-s*100-k, v, ev, want, wantEv)
+			fresh := 512 + uint64(k*sets+s) // set s; beyond the random block space
+			fill(-s*100-k, fresh, Shared)
 		}
 	}
 }

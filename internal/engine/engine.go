@@ -11,6 +11,7 @@ package engine
 import (
 	"container/heap"
 	"context"
+	"fmt"
 	"math/rand"
 
 	"repro/internal/sim"
@@ -100,7 +101,9 @@ type Engine struct {
 	live     int
 }
 
-// New builds an engine over machine m with dispatcher d. hooks may be nil.
+// New builds an engine over machine m, which must be one of the two
+// machine models (*sim.DSM or *sim.CMP), with dispatcher d. hooks may be
+// nil.
 func New(m sim.Machine, d Dispatcher, hooks SleepHooks, seed int64) *Engine {
 	e := &Engine{
 		mem:   m,
@@ -116,14 +119,15 @@ func New(m sim.Machine, d Dispatcher, hooks SleepHooks, seed int64) *Engine {
 			Rand: rand.New(rand.NewSource(seed + int64(cpu)*7919)),
 			mem:  m,
 		}
-		// Devirtualize the per-access dispatch for the two concrete
-		// machine models; other Machine implementations (tests, mocks)
-		// fall back to the interface.
+		ctx.InstallVM(nil)
+		// The access methods call the concrete machine model directly.
 		switch mm := m.(type) {
 		case *sim.DSM:
 			ctx.dsm = mm
 		case *sim.CMP:
 			ctx.cmp = mm
+		default:
+			panic(fmt.Sprintf("engine: unsupported machine %T (want *sim.DSM or *sim.CMP)", m))
 		}
 		e.ctxs = append(e.ctxs, ctx)
 	}

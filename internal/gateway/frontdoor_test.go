@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"log/slog"
 	"net"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,15 +31,59 @@ type frontDoor struct {
 	active   func() int   // sessions holding an analyzer slot or a backend
 	failed   func() int64 // sessions counted as failed
 	backend  *server.Server
+	log      *failLog // the daemon's own log
+}
+
+// failLog is a slog handler that keeps the code of every "session
+// failed" record a daemon logs.
+type failLog struct {
+	mu    sync.Mutex
+	codes []string
+}
+
+func (l *failLog) Enabled(context.Context, slog.Level) bool { return true }
+
+func (l *failLog) Handle(_ context.Context, r slog.Record) error {
+	if r.Message != "session failed" {
+		return nil
+	}
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key == "code" {
+			l.mu.Lock()
+			l.codes = append(l.codes, a.Value.String())
+			l.mu.Unlock()
+		}
+		return true
+	})
+	return nil
+}
+
+func (l *failLog) WithAttrs([]slog.Attr) slog.Handler { return l }
+func (l *failLog) WithGroup(string) slog.Handler      { return l }
+
+// failCodes returns the codes of the failed sessions logged so far.
+func (l *failLog) failCodes() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.codes...)
 }
 
 // startFrontDoors starts a fresh tsserved and a fresh tsgate (with its
 // own backend), so a test can shut each down.
 func startFrontDoors(t *testing.T) []frontDoor {
 	t.Helper()
-	srv, _ := startBackend(t, "solo")
+	srvLog, gwLog := &failLog{}, &failLog{}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	srv := server.NewServer(ln, server.Config{Name: "solo", ResumeGrace: 5 * time.Second, Logger: slog.New(srvLog)})
+	go srv.Serve()
+	t.Cleanup(func() { srv.Close() })
 	backend, _ := startBackend(t, "b1")
-	gw := startGateway(t, testConfig([]string{backend.Addr().String()}))
+	cfg := testConfig([]string{backend.Addr().String()})
+	cfg.Logger = slog.New(gwLog)
+	gw := startGateway(t, cfg)
 	waitHealthy(t, gw, 1)
 	return []frontDoor{
 		{
@@ -45,12 +91,14 @@ func startFrontDoors(t *testing.T) []frontDoor {
 			active:  func() int { return srv.Stats().ActiveSessions },
 			failed:  func() int64 { return srv.Stats().FailedSessions },
 			backend: srv,
+			log:     srvLog,
 		},
 		{
 			name: "tsgate", addr: gw.Addr().String(), shutdown: gw.Shutdown,
 			active:  func() int { return gw.Stats().ActiveSessions },
 			failed:  func() int64 { return gw.Stats().FailedSessions },
 			backend: backend,
+			log:     gwLog,
 		},
 	}
 }
@@ -107,8 +155,8 @@ func TestNegotiationBothDaemons(t *testing.T) {
 // TestForcedDrainBothDaemons: Shutdown with an expired context while a
 // client sits idle mid-stream. At either daemon the client's connection
 // ends within a second, and Shutdown returns only once the session's
-// handler has: the session is counted failed and holds no slot or
-// backend.
+// handler has: the session is counted failed, logged with code
+// draining, and holds no slot or backend.
 func TestForcedDrainBothDaemons(t *testing.T) {
 	for _, d := range startFrontDoors(t) {
 		t.Run(d.name, func(t *testing.T) {
@@ -152,6 +200,9 @@ func TestForcedDrainBothDaemons(t *testing.T) {
 			}
 			if n := d.failed(); n != 1 {
 				t.Errorf("Shutdown returned with %d sessions counted failed, want 1", n)
+			}
+			if codes := d.log.failCodes(); !reflect.DeepEqual(codes, []string{string(server.CodeDraining)}) {
+				t.Errorf("failed sessions logged with codes %q, want one %q", codes, server.CodeDraining)
 			}
 		})
 	}

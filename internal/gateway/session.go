@@ -72,6 +72,16 @@ func (g *Gateway) drainFailure(ctx context.Context) *relayFailure {
 	return &relayFailure{code: server.CodeDraining, err: context.Cause(ctx), retryAfter: g.cfg.RetryHint}
 }
 
+// clientFailure reports a failed read or write on the client leg: as a
+// drain when ctx is done, because a forced drain cancels ctx before it
+// closes the connection, and as a stream failure otherwise.
+func (g *Gateway) clientFailure(ctx context.Context, format string, args ...any) *relayFailure {
+	if ctx.Err() != nil {
+		return g.drainFailure(ctx)
+	}
+	return streamFailure(format, args...)
+}
+
 // handle runs one client connection end to end. ctx is the front door's:
 // a forced drain cancels it, which closes conn and the session's backend
 // leg. The front door ends conn with a lingering close once handle
@@ -190,7 +200,7 @@ func (g *Gateway) stream(ctx context.Context, sess *gwSession, br *bufio.Reader,
 	}
 	if sess.resumable {
 		if err := cw.WriteJSON(server.Hello{Token: sess.token, NextFrame: sess.framesIn}); err != nil {
-			return nil, streamFailure("writing hello: %w", err)
+			return nil, g.clientFailure(ctx, "writing hello: %w", err)
 		}
 	}
 
@@ -198,11 +208,11 @@ func (g *Gateway) stream(ctx context.Context, sess *gwSession, br *bufio.Reader,
 	// every reconnect; the backend already holds it, so it is verified
 	// against the original and dropped.
 	if err := wire.ReadMagic(br); err != nil {
-		return nil, streamFailure("reading stream magic: %w", err)
+		return nil, g.clientFailure(ctx, "reading stream magic: %w", err)
 	}
 	kind, raw, err := wire.ReadRawFrame(br, nil)
 	if err != nil {
-		return nil, streamFailure("reading header frame: %w", err)
+		return nil, g.clientFailure(ctx, "reading header frame: %w", err)
 	}
 	if kind != wire.KindHeader {
 		return nil, badRequest("stream starts with frame %c, want header", kind)
@@ -236,7 +246,7 @@ func (g *Gateway) stream(ctx context.Context, sess *gwSession, br *bufio.Reader,
 			// whole CRC-verified frames were ever forwarded, so the stream
 			// boundary is clean regardless of how the link failed: park for
 			// resumption when the protocol allows it.
-			return nil, streamFailure("reading stream: %w", err)
+			return nil, g.clientFailure(ctx, "reading stream: %w", err)
 		}
 		switch kind {
 		case wire.KindHeader:
@@ -258,7 +268,7 @@ func (g *Gateway) stream(ctx context.Context, sess *gwSession, br *bufio.Reader,
 			sess.framesIn++
 			if sess.resumable {
 				if err := cw.WriteJSON(server.Ack{Ack: sess.framesIn}); err != nil {
-					return nil, streamFailure("writing ack: %w", err)
+					return nil, g.clientFailure(ctx, "writing ack: %w", err)
 				}
 			}
 		case wire.KindTrailer:

@@ -58,6 +58,7 @@ func NewCMP(ncpu int, p CacheParams, nblocks uint64) *CMP {
 	if ncpu > coherence.MaxCores {
 		panic("sim: the CMP supports at most 8 cores")
 	}
+	p.check()
 	m := &CMP{
 		ncpu:   ncpu,
 		l2:     cache.New(cache.Config{Bytes: p.L2Bytes, Ways: p.L2Ways, BlockBits: 6}),
@@ -145,9 +146,24 @@ func (m *CMP) fillL1(cpu int, l1 *cache.Cache, b uint64, st cache.State) {
 	vr.pres.SetInL2(true)
 }
 
-// intraMiss records an L1 miss satisfied on chip.
-func (m *CMP) intraMiss(cpu int, b uint64, fn trace.FuncID, class trace.MissClass, sup trace.Supplier) {
-	m.intraGate.Append(trace.Miss{
+// intraMiss records an L1 miss satisfied on chip, classified from the
+// block's classifier word w before the read is noted. Behind a closed
+// gate the record is only counted: classifyRead is pure, so skipping it
+// changes no state.
+func (m *CMP) intraMiss(cpu int, b uint64, fn trace.FuncID, w classWord, remoteDirty bool, sup trace.Supplier) {
+	g := m.intraGate
+	if g.Closed() {
+		g.Count()
+		return
+	}
+	class := w.classifyRead(cpu, remoteDirty, false)
+	if !remoteDirty && (class == trace.Compulsory || class == trace.IOCoherence) {
+		// Cannot happen for a clean on-chip block (DMA and copyout
+		// invalidate; untouched blocks are uncached), but keep the
+		// taxonomy total.
+		class = trace.Replacement
+	}
+	g.Append(trace.Miss{
 		Addr:     b << 6,
 		Func:     fn,
 		CPU:      uint8(cpu),
@@ -166,8 +182,7 @@ func (m *CMP) readMiss(l1 *cache.Cache, cpu int, b uint64, fn trace.FuncID) {
 	case remoteDirty:
 		// Peer L1 holds the block dirty: it supplies the data and keeps an
 		// Owned copy (MOSI; no writeback to L2 on the forwarding path).
-		class := r.cls.classifyRead(cpu, true, false)
-		m.intraMiss(cpu, b, fn, class, trace.SupplierPeerL1)
+		m.intraMiss(cpu, b, fn, r.cls, true, trace.SupplierPeerL1)
 		if i, hit := m.l1d[owner].Probe(b); hit && m.l1d[owner].State(i) == cache.Modified {
 			m.l1d[owner].SetState(i, cache.Owned)
 		}
@@ -175,14 +190,7 @@ func (m *CMP) readMiss(l1 *cache.Cache, cpu int, b uint64, fn trace.FuncID) {
 	case r.pres.InL2():
 		// Shared L2 hit: move the block up into the L1 (victim-style).
 		i, _ := m.l2.Probe(b)
-		class := r.cls.classifyRead(cpu, false, false)
-		if class == trace.Compulsory || class == trace.IOCoherence {
-			// Cannot happen for on-chip blocks (DMA and copyout
-			// invalidate; untouched blocks are uncached), but keep the
-			// taxonomy total.
-			class = trace.Replacement
-		}
-		m.intraMiss(cpu, b, fn, class, trace.SupplierL2)
+		m.intraMiss(cpu, b, fn, r.cls, false, trace.SupplierL2)
 		if m.l2.State(i).Dirty() {
 			// The L2 holds the only dirty copy (the owner's line was
 			// evicted into it). It supplies the data and keeps the
@@ -197,22 +205,21 @@ func (m *CMP) readMiss(l1 *cache.Cache, cpu int, b uint64, fn trace.FuncID) {
 	case r.pres.HasPeer(cpu):
 		// Clean copy in a peer L1 only (non-inclusive L2 lost its
 		// copy): the peer supplies.
-		class := r.cls.classifyRead(cpu, false, false)
-		if class == trace.Compulsory || class == trace.IOCoherence {
-			class = trace.Replacement
-		}
-		m.intraMiss(cpu, b, fn, class, trace.SupplierPeerL1)
+		m.intraMiss(cpu, b, fn, r.cls, false, trace.SupplierPeerL1)
 		m.fillL1(cpu, l1, b, cache.Shared)
 	default:
 		// Off-chip miss.
-		class := r.cls.classifyRead(cpu, false, true)
-		m.offGate.Append(trace.Miss{
-			Addr:     b << 6,
-			Func:     fn,
-			CPU:      uint8(cpu),
-			Class:    class,
-			Supplier: trace.SupplierMemory,
-		})
+		if g := m.offGate; g.Closed() {
+			g.Count()
+		} else {
+			g.Append(trace.Miss{
+				Addr:     b << 6,
+				Func:     fn,
+				CPU:      uint8(cpu),
+				Class:    r.cls.classifyRead(cpu, false, true),
+				Supplier: trace.SupplierMemory,
+			})
+		}
 		m.fillL1(cpu, l1, b, cache.Shared)
 	}
 	r.cls.noteRead(cpu)
@@ -226,7 +233,7 @@ func (m *CMP) readMiss(l1 *cache.Cache, cpu int, b uint64, fn trace.FuncID) {
 func (m *CMP) Read(cpu int, addr uint64, fn trace.FuncID) {
 	b := blockOf(addr)
 	l1 := &m.l1d[cpu]
-	if l1.ReadHit(b) {
+	if l1.ReadHit2(b) {
 		m.blocks[b].cls.noteRead(cpu)
 		return
 	}
@@ -237,17 +244,52 @@ func (m *CMP) Read(cpu int, addr uint64, fn trace.FuncID) {
 func (m *CMP) Fetch(cpu int, addr uint64, fn trace.FuncID) {
 	b := blockOf(addr)
 	l1 := &m.l1i[cpu]
-	if l1.ReadHit(b) {
+	if l1.ReadHit2(b) {
 		m.blocks[b].cls.noteRead(cpu)
 		return
 	}
 	m.readMiss(l1, cpu, b, fn)
 }
 
+// ReadRun reads every block of the block-aligned range [from, to) in
+// ascending order: exactly the Read calls of a per-block loop, in one
+// call, with the L1 hit test inline.
+func (m *CMP) ReadRun(cpu int, from, to uint64, fn trace.FuncID) {
+	m.readRun(&m.l1d[cpu], cpu, from, to, fn)
+}
+
+// FetchRun is ReadRun for instruction fetches.
+func (m *CMP) FetchRun(cpu int, from, to uint64, fn trace.FuncID) {
+	m.readRun(&m.l1i[cpu], cpu, from, to, fn)
+}
+
+// readRun is the loop of ReadRun and FetchRun over cpu's L1 l1.
+func (m *CMP) readRun(l1 *cache.Cache, cpu int, from, to uint64, fn trace.FuncID) {
+	for b, end := blockOf(from), blockOf(to); b < end; b++ {
+		if l1.ReadHit2(b) {
+			m.blocks[b].cls.noteRead(cpu)
+		} else {
+			m.readMiss(l1, cpu, b, fn)
+		}
+	}
+}
+
+// WriteRun is ReadRun for writes: exactly the Write calls of a per-block
+// loop.
+func (m *CMP) WriteRun(cpu int, from, to uint64, fn trace.FuncID) {
+	for b, end := blockOf(from), blockOf(to); b < end; b++ {
+		m.write(cpu, b)
+	}
+}
+
 // Write implements Machine. Only read misses are traced; writes drive
 // protocol state (invalidations) and classification versions.
 func (m *CMP) Write(cpu int, addr uint64, fn trace.FuncID) {
-	b := blockOf(addr)
+	m.write(cpu, blockOf(addr))
+}
+
+// write is Write for block b.
+func (m *CMP) write(cpu int, b uint64) {
 	r := &m.blocks[b]
 	l1d := &m.l1d[cpu]
 	li, l1hit, mod := l1d.WriteHit(b)
@@ -277,7 +319,6 @@ func (m *CMP) Write(cpu int, addr uint64, fn trace.FuncID) {
 	}
 	r.pres.SetOwner(cpu)
 	r.cls.noteWrite(cpu)
-	_ = fn
 }
 
 // invalidateAll removes every on-chip copy of b.

@@ -50,6 +50,7 @@ func NewDSM(ncpu int, p CacheParams, nblocks uint64) *DSM {
 	if ncpu > maxClassifierCPUs || ncpu > coherence.MaxNodes {
 		panic("sim: the DSM supports at most 16 nodes")
 	}
+	p.check()
 	m := &DSM{
 		ncpu:   ncpu,
 		nodes:  make([]dsmNode, ncpu),
@@ -124,18 +125,22 @@ func (m *DSM) readMiss(n *dsmNode, l1 *cache.Cache, cpu int, b uint64, fn trace.
 		m.fillL1(n, l1, b, cache.Shared)
 		return
 	}
-	// Off-chip read miss.
+	// Off-chip read miss. Behind a closed gate the record is only
+	// counted: classifyRead is pure, so skipping it changes no state.
 	r := &m.blocks[b]
 	owner := r.dir.Owner()
 	remoteDirty := owner >= 0 && owner != cpu
-	class := r.cls.classifyRead(cpu, remoteDirty, false)
-	m.offGate.Append(trace.Miss{
-		Addr:     b << 6,
-		Func:     fn,
-		CPU:      uint8(cpu),
-		Class:    class,
-		Supplier: trace.SupplierMemory,
-	})
+	if g := m.offGate; g.Closed() {
+		g.Count()
+	} else {
+		g.Append(trace.Miss{
+			Addr:     b << 6,
+			Func:     fn,
+			CPU:      uint8(cpu),
+			Class:    r.cls.classifyRead(cpu, remoteDirty, false),
+			Supplier: trace.SupplierMemory,
+		})
+	}
 	if remoteDirty {
 		// Remote owner downgrades M -> S and writes back. Only remote
 		// caches are touched, so the local L2 probe stays valid.
@@ -155,12 +160,12 @@ func (m *DSM) readMiss(n *dsmNode, l1 *cache.Cache, cpu int, b uint64, fn trace.
 }
 
 // Read implements Machine. The L1-hit fast path (a resident line implies
-// the classifier already holds the current version, see readMiss) returns
-// after one fused probe+touch.
+// the classifier already holds the current version, see readMiss) is the
+// inlined 2-way hit test.
 func (m *DSM) Read(cpu int, addr uint64, fn trace.FuncID) {
 	b := blockOf(addr)
 	n := &m.nodes[cpu]
-	if n.l1d.ReadHit(b) {
+	if n.l1d.ReadHit2(b) {
 		return
 	}
 	m.readMiss(n, &n.l1d, cpu, b, fn)
@@ -170,18 +175,53 @@ func (m *DSM) Read(cpu int, addr uint64, fn trace.FuncID) {
 func (m *DSM) Fetch(cpu int, addr uint64, fn trace.FuncID) {
 	b := blockOf(addr)
 	n := &m.nodes[cpu]
-	if n.l1i.ReadHit(b) {
+	if n.l1i.ReadHit2(b) {
 		return
 	}
 	m.readMiss(n, &n.l1i, cpu, b, fn)
+}
+
+// ReadRun reads every block of the block-aligned range [from, to) in
+// ascending order: exactly the Read calls of a per-block loop, in one
+// call, with the L1 hit test inline.
+func (m *DSM) ReadRun(cpu int, from, to uint64, fn trace.FuncID) {
+	n := &m.nodes[cpu]
+	m.readRun(n, &n.l1d, cpu, from, to, fn)
+}
+
+// FetchRun is ReadRun for instruction fetches.
+func (m *DSM) FetchRun(cpu int, from, to uint64, fn trace.FuncID) {
+	n := &m.nodes[cpu]
+	m.readRun(n, &n.l1i, cpu, from, to, fn)
+}
+
+// readRun is the loop of ReadRun and FetchRun over node n's L1 l1.
+func (m *DSM) readRun(n *dsmNode, l1 *cache.Cache, cpu int, from, to uint64, fn trace.FuncID) {
+	for b, end := blockOf(from), blockOf(to); b < end; b++ {
+		if !l1.ReadHit2(b) {
+			m.readMiss(n, l1, cpu, b, fn)
+		}
+	}
+}
+
+// WriteRun is ReadRun for writes: exactly the Write calls of a per-block
+// loop.
+func (m *DSM) WriteRun(cpu int, from, to uint64, fn trace.FuncID) {
+	n := &m.nodes[cpu]
+	for b, end := blockOf(from), blockOf(to); b < end; b++ {
+		m.write(n, cpu, b)
+	}
 }
 
 // Write implements Machine. Write misses are simulated for their coherence
 // side effects but, per the paper's methodology, only read misses are
 // traced.
 func (m *DSM) Write(cpu int, addr uint64, fn trace.FuncID) {
-	b := blockOf(addr)
-	n := &m.nodes[cpu]
+	m.write(&m.nodes[cpu], cpu, blockOf(addr))
+}
+
+// write is Write for block b of node n.
+func (m *DSM) write(n *dsmNode, cpu int, b uint64) {
 	r := &m.blocks[b]
 	li, l1hit, mod := n.l1d.WriteHit(b)
 	if mod {

@@ -15,6 +15,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"repro/internal/memmap"
 	"repro/internal/trace"
 )
@@ -60,9 +62,17 @@ type Machine interface {
 // CacheParams sizes one node's (or the chip's) hierarchy.
 type CacheParams struct {
 	L1Bytes int // per split L1 (I and D each)
-	L1Ways  int
+	L1Ways  int // must be 2: the machines' L1 hit test is the 2-way one
 	L2Bytes int
 	L2Ways  int
+}
+
+// check panics unless the L1s are 2-way, the paper's geometry, which the
+// machines' inlined L1 hit test (cache.ReadHit2) is specialized to.
+func (p CacheParams) check() {
+	if p.L1Ways != 2 {
+		panic(fmt.Sprintf("sim: the L1s must be 2-way, not %d-way", p.L1Ways))
+	}
 }
 
 // PaperCaches returns the paper's cache geometry: split 2-way 64 KB L1 I/D

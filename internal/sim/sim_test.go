@@ -387,3 +387,24 @@ func TestDMAWriteZeroSize(t *testing.T) {
 		t.Errorf("post-zero-DMA first read = %v, want Compulsory", got)
 	}
 }
+
+// TestMachinesRequireTwoWayL1: both machines refuse L1s of any other
+// width, because their inlined L1 hit test (cache.ReadHit2) is the 2-way
+// one.
+func TestMachinesRequireTwoWayL1(t *testing.T) {
+	p := tinyCaches()
+	p.L1Ways = 4
+	for name, build := range map[string]func(){
+		"DSM": func() { NewDSM(2, p, testBlocks) },
+		"CMP": func() { NewCMP(2, p, testBlocks) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s built with 4-way L1s", name)
+				}
+			}()
+			build()
+		}()
+	}
+}

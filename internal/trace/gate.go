@@ -24,6 +24,15 @@ type Gate struct {
 // gate closed.
 func (g *Gate) Open(s Sink) { g.sink = s }
 
+// Closed reports whether the gate drops what it is handed. A producer
+// that sees a closed gate may skip building the record and call Count
+// instead of Append: both count the record, and neither keeps it.
+func (g *Gate) Closed() bool { return g.sink == nil }
+
+// Count counts one record without handing it over: Append's effect on a
+// closed gate.
+func (g *Gate) Count() { g.total++ }
+
 // Append counts m and, while the gate is open, buffers it for the sink.
 func (g *Gate) Append(m Miss) {
 	g.total++

@@ -139,7 +139,7 @@ func (r *Runner) Run(ctx context.Context, req Request) (*Experiment, error) {
 		// The intra-chip stream may run up to 40x the off-chip target (the
 		// workload runner's measurement cap), but most stop far short of
 		// it, so its kept trace is presized like the off-chip one and
-		// grows on demand.
+		// grows by chunks on demand.
 		intra := NewSession(workload.SingleChip.CPUCount(), expect, opts)
 		offP, intraP := trace.NewPipelined(off), trace.NewPipelined(intra)
 		res, err := workload.RunStreamContext(ctx, req.config(workload.SingleChip), offP, intraP)

@@ -1,6 +1,7 @@
 package tempstream
 
 import (
+	"cmp"
 	"errors"
 
 	"repro/internal/core"
@@ -81,10 +82,15 @@ type Session struct {
 	state sessionState
 	an    *core.Analyzer
 	ev    *prefetch.Evaluator
-	// tr holds the stream's only copy of its records: its first window
-	// misses are the ones the analyzer took, and with keep the rest of the
-	// stream follows. It is handed out as the kept trace only with keep.
-	tr     *trace.Trace
+	// tr holds the stream's only copy of its records. Without keep it
+	// holds the window, the misses the analyzer took. With keep, Result
+	// fills it once, at its final size, from kept, so the window is its
+	// prefix and it is handed out as the kept trace.
+	tr *trace.Trace
+	// kept holds, with keep, every record of the stream so far: the first
+	// chunk holds the expected length, each later one PipeChunk records,
+	// so a stream that outgrows its estimate is never recopied to grow.
+	kept   [][]trace.Miss
 	window int
 	header trace.Header
 	// evDone joins the evaluator's per-chunk goroutine: capacity 1 and
@@ -102,10 +108,11 @@ var _ trace.Sink = (*Session)(nil)
 func NewSession(cpus, expect int, opts StreamOptions) *Session {
 	s := &Session{an: getAnalyzer(), keep: opts.KeepTraces, tr: &trace.Trace{}}
 	s.an.Begin(cpus, opts.Analysis)
-	if n := s.an.Grow(expect); !s.keep {
-		expect = n
+	if n := s.an.Grow(expect); s.keep {
+		s.kept = [][]trace.Miss{make([]trace.Miss, 0, cmp.Or(expect, trace.PipeChunk))}
+	} else {
+		s.tr.Grow(n)
 	}
-	s.tr.Grow(expect)
 	if opts.Prefetch != nil {
 		s.ev = prefetch.NewEvaluator(*opts.Prefetch)
 		s.evDone = make(chan struct{}, 1)
@@ -141,11 +148,27 @@ func (s *Session) AppendBatch(ms []trace.Miss) {
 		n = s.an.Observe(ms)
 	}
 	s.window += n
-	if !s.keep {
-		s.inert = n < len(ms) && s.ev == nil
-		ms = ms[:n]
+	if s.keep {
+		s.keepBatch(ms)
+		return
 	}
-	s.tr.AppendBatch(ms)
+	s.inert = n < len(ms) && s.ev == nil
+	s.tr.AppendBatch(ms[:n])
+}
+
+// keepBatch copies ms into the kept chunks, starting a PipeChunk-record
+// chunk whenever the last one is full.
+func (s *Session) keepBatch(ms []trace.Miss) {
+	for len(ms) > 0 {
+		last := &s.kept[len(s.kept)-1]
+		if len(*last) == cap(*last) {
+			s.kept = append(s.kept, make([]trace.Miss, 0, trace.PipeChunk))
+			last = &s.kept[len(s.kept)-1]
+		}
+		n := min(len(ms), cap(*last)-len(*last))
+		*last = append(*last, ms[:n]...)
+		ms = ms[n:]
+	}
 }
 
 // Finish implements trace.Sink, sealing the stream with its header.
@@ -172,6 +195,22 @@ func (s *Session) Result(st *trace.SymbolTable) *ContextResult {
 		panic("tempstream: Session.Result before Finish (the stream's header has not been folded)")
 	case sessionClosed:
 		panic("tempstream: Session.Result called twice or after Close (the pooled analyzer is already returned)")
+	}
+	if s.keep {
+		// A stream that fit its estimate keeps its one chunk; a longer one
+		// is joined once, at its final size.
+		s.tr.Misses = s.kept[0]
+		if len(s.kept) > 1 {
+			n := 0
+			for _, c := range s.kept {
+				n += len(c)
+			}
+			s.tr.Misses = make([]trace.Miss, 0, n)
+			for _, c := range s.kept {
+				s.tr.Misses = append(s.tr.Misses, c...)
+			}
+		}
+		s.kept = nil
 	}
 	cr := &ContextResult{
 		Header:   s.header,

@@ -148,6 +148,47 @@ func TestSessionAllocations(t *testing.T) {
 	}
 }
 
+// TestSessionKeptTraceAllocations guards a long kept trace against
+// regrowth. A session that keeps a stream 300 times longer than its
+// expected length stores the records in fixed chunks and joins them
+// once, at the final size, so it allocates about twice the trace's
+// bytes; growing one slice by append would copy it again at every step,
+// about five times the trace's bytes in all. The joined trace has no
+// capacity past its end.
+func TestSessionKeptTraceAllocations(t *testing.T) {
+	const cpus, expect, n = 4, 1000, 300000
+	ms := sinktest.Misses(n, cpus)
+	h := sinktest.Header(n, cpus)
+	opts := StreamOptions{Analysis: core.Options{MaxMisses: expect}, KeepTraces: true}
+	run := func() *trace.Trace {
+		s := NewSession(cpus, expect, opts)
+		for c := ms; len(c) > 0; {
+			k := min(len(c), trace.PipeChunk)
+			s.AppendBatch(c[:k])
+			c = c[k:]
+		}
+		s.Finish(h)
+		return s.Result(nil).Trace
+	}
+	run() // warm the analyzer pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := run()
+	runtime.ReadMemStats(&after)
+	if !reflect.DeepEqual(tr.Misses, ms) {
+		t.Fatal("kept trace differs from the stream")
+	}
+	if cap(tr.Misses) != n {
+		t.Errorf("kept trace holds %d misses in capacity %d", n, cap(tr.Misses))
+	}
+	traceBytes := uint64(n) * uint64(reflect.TypeFor[trace.Miss]().Size())
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a %d-record kept trace (%d bytes) allocated %d bytes", n, traceBytes, got)
+	if got > traceBytes*5/2 {
+		t.Errorf("keeping a %d-byte trace allocated %d bytes, want at most %d", traceBytes, got, traceBytes*5/2)
+	}
+}
+
 // TestSessionAbandon checks the error-path escape hatch: closing a
 // half-fed session must be safe, and the pooled analyzer must come back
 // reusable.

@@ -71,9 +71,9 @@ func TestStreamingKeepTraces(t *testing.T) {
 			t.Errorf("%v: trace header %d/%d vs %d/%d", ctx,
 				s.Trace.Instructions, s.Trace.CPUs, b.Trace.Instructions, b.Trace.CPUs)
 		}
-		// A kept trace is presized by the miss target and grows by
-		// appending, so its capacity stays within append's doubling of
-		// its length: it never reserves the intra-chip measurement cap.
+		// A kept trace is its one chunk, presized by the miss target, or
+		// a longer stream's chunks joined at their final size: it never
+		// reserves the intra-chip measurement cap.
 		if n, c := len(s.Trace.Misses), cap(s.Trace.Misses); c > 2*max(n, testTarget) {
 			t.Errorf("%v: kept trace holds %d misses in capacity %d", ctx, n, c)
 		}
