@@ -30,7 +30,7 @@ func main() {
 
 	k.VM.Finalize()
 	// Tiny caches so leaf traversals miss and the streams become visible.
-	m := sim.NewCMP(1, sim.CacheParams{L1Bytes: 2048, L1Ways: 2, L2Bytes: 8192, L2Ways: 4}, as.Blocks())
+	m := sim.NewCMP(1, sim.CacheParams{L1Bytes: 2048, L2Bytes: 8192, L2Ways: 4}, as.Blocks())
 	eng := engine.New(m, k.Sched, k.Sync, 1)
 	k.VM.Install(eng.Ctx(0))
 	ctx := eng.Ctx(0)

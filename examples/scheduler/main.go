@@ -45,7 +45,7 @@ func main() {
 	// so processors steal (disp_getwork -> disp_getbest -> dispdeq).
 	region := as.Alloc("appdata", 1<<20)
 	k.VM.Finalize()
-	m := sim.NewDSM(ncpu, sim.CacheParams{L1Bytes: 8 << 10, L1Ways: 2, L2Bytes: 1 << 20, L2Ways: 16}, as.Blocks())
+	m := sim.NewDSM(ncpu, sim.CacheParams{L1Bytes: 8 << 10, L2Bytes: 1 << 20, L2Ways: 16}, as.Blocks())
 	eng := engine.New(m, k.Sched, k.Sync, 11)
 	for i := 0; i < ncpu; i++ {
 		k.VM.Install(eng.Ctx(i))

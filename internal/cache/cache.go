@@ -455,24 +455,30 @@ func (c *Cache) State(i int) State { return State(c.lines[i] >> stateShift) }
 // line.
 func (c *Cache) SetState(i int, s State) {
 	if s == Invalid {
-		c.lines[i] = 0
-		set := i >> c.waysShift
-		c.clearValid(set, i-set<<c.waysShift)
+		c.free(i)
 		return
 	}
 	c.lines[i] = c.lines[i]&blockMask | uint64(s)<<stateShift
 }
 
-// clearValid drops way's valid bit in whichever layout tracks it (the
-// 2-way layout derives validity from the tag words and tracks nothing);
-// a wide set also zeroes the way's signature lane, so probes skip it.
-func (c *Cache) clearValid(set, way int) {
+// free makes line i invalid. A wide set zeroes the way's signature lane,
+// so probes skip it, and drops its valid bit; its tag word is left stale,
+// as probes read only the header, Fill rewrites the tag word of any way it
+// takes, and Occupancy counts valid bits. Narrower sets zero the tag word,
+// which their probes read, and a mid-width set also drops the way's valid
+// bit (the 2-way layout derives validity from the tag words).
+func (c *Cache) free(i int) {
+	set := i >> c.waysShift
+	way := i - set<<c.waysShift
 	if c.meta != nil {
 		off := set * metaStride
 		binary.LittleEndian.PutUint16(c.meta[off+2*way:], 0)
 		v := binary.LittleEndian.Uint16(c.meta[off+metaValid:])
 		binary.LittleEndian.PutUint16(c.meta[off+metaValid:], v&^(1<<uint(way)))
-	} else if c.valid != nil {
+		return
+	}
+	c.lines[i] = 0
+	if c.valid != nil {
 		c.valid[set] &^= 1 << uint(way)
 	}
 }
@@ -583,9 +589,7 @@ func (c *Cache) Invalidate(block uint64) (State, bool) {
 		return Invalid, false
 	}
 	s := State(c.lines[i] >> stateShift)
-	c.lines[i] = 0
-	set := i >> c.waysShift
-	c.clearValid(set, i-set<<c.waysShift)
+	c.free(i)
 	return s, true
 }
 
@@ -606,9 +610,17 @@ func (c *Cache) Contains(block uint64) bool {
 	return c.findWay(block) >= 0
 }
 
-// Occupancy returns the number of valid lines (diagnostics).
+// Occupancy returns the number of valid lines (diagnostics). Wide sets
+// are counted by their headers' valid bits, as an invalid way keeps a
+// stale tag word.
 func (c *Cache) Occupancy() int {
 	n := 0
+	if c.wide() {
+		for off := metaValid; off < len(c.meta); off += metaStride {
+			n += bits.OnesCount16(binary.LittleEndian.Uint16(c.meta[off:]))
+		}
+		return n
+	}
 	for _, w := range c.lines {
 		if w != 0 {
 			n++

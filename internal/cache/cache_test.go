@@ -217,8 +217,8 @@ func (r *refSet) invalidate(b uint64) (State, bool) {
 
 // TestPackedCacheVsReferenceModel drives thousands of mixed operations
 // through the packed-line cache and a naive map/slice reference model,
-// cross-checking hits, victims, states, and (by draining each set at the
-// end) the complete LRU order. It runs at each layout the cache keeps:
+// cross-checking hits, victims, states, Occupancy after every op, and (by
+// draining each set at the end) the complete LRU order. It runs at each layout the cache keeps:
 // 2 ways (the L1s: MRU byte, fill2, ReadHit2, the two-compare
 // Invalidate), 4 ways (the mid-width rank word) and 16 ways (the L2s'
 // signature header). This is the safety net under the packed storage
@@ -263,6 +263,16 @@ func checkAgainstReference(t *testing.T, ways int, space uint64) {
 		want, wantEv := ref[b%sets].insert(b, st)
 		checkVictim(step, v, ev, want, wantEv)
 	}
+	checkOccupancy := func(step int) {
+		t.Helper()
+		want := 0
+		for _, r := range ref {
+			want += len(r.lines)
+		}
+		if got := c.Occupancy(); got != want {
+			t.Fatalf("step %d: Occupancy %d, reference %d", step, got, want)
+		}
+	}
 
 	for step := 0; step < 30000; step++ {
 		b := rng.Uint64() % space
@@ -294,11 +304,17 @@ func checkAgainstReference(t *testing.T, ways int, space uint64) {
 				t.Fatalf("step %d: Contains=true for a block the reference lacks", step)
 			}
 			fill(step, b, states[rng.Intn(len(states))])
-		case op < 7: // invalidate
-			gs, gok := c.Invalidate(b)
+		case op < 7: // invalidate, by block or by a probed line's state
 			ws, wok := r.invalidate(b)
-			if gok != wok || gs != ws {
-				t.Fatalf("step %d: invalidate (%v,%v), reference (%v,%v)", step, gs, gok, ws, wok)
+			if rng.Intn(2) == 0 {
+				gs, gok := c.Invalidate(b)
+				if gok != wok || gs != ws {
+					t.Fatalf("step %d: invalidate (%v,%v), reference (%v,%v)", step, gs, gok, ws, wok)
+				}
+			} else if line, hit := c.Probe(b); hit != wok {
+				t.Fatalf("step %d: probe before SetState(Invalid) hit=%v, reference %v", step, hit, wok)
+			} else if hit {
+				c.SetState(line, Invalid)
 			}
 		case op < 8: // in-place state change without LRU effect
 			st := states[rng.Intn(len(states))]
@@ -349,6 +365,7 @@ func checkAgainstReference(t *testing.T, ways int, space uint64) {
 				t.Fatalf("step %d: Probe disagrees with reference", step)
 			}
 		}
+		checkOccupancy(step)
 	}
 
 	// Drain: push 2*ways fresh never-used blocks through every set and
@@ -359,6 +376,7 @@ func checkAgainstReference(t *testing.T, ways int, space uint64) {
 		for k := 0; k < 2*ways; k++ {
 			fresh := 512 + uint64(k*sets+s) // set s; beyond the random block space
 			fill(-s*100-k, fresh, Shared)
+			checkOccupancy(-s*100 - k)
 		}
 	}
 }

@@ -140,10 +140,18 @@ type Analyzer struct {
 	topOcc       []int32
 
 	// Reuse-distance scratch: per-CPU miss positions accumulated online
-	// during Observe, and the last top-level instance index per rule id.
+	// during Observe, a finger into each, and where each rule id's last
+	// top-level instance ended.
 	cpuPos  [][]int32
-	lastIdx []int32
+	fingers []int32
+	ends    []reuseMark
 }
+
+// reuseMark is where a rule's last top-level instance ended: the
+// processor that issued the instance's first miss, and how many of that
+// processor's misses precede the instance's end. cpu < 0 marks a rule
+// with no instance yet.
+type reuseMark struct{ cpu, rank int32 }
 
 // NewAnalyzer returns an Analyzer with empty (lazily grown) storage.
 func NewAnalyzer() *Analyzer { return &Analyzer{g: sequitur.New()} }
@@ -250,8 +258,9 @@ func (an *Analyzer) Finish(window []trace.Miss) *Analysis {
 	// becomes a stream instance, numbered among the top-level instances of
 	// its rule.
 	an.top, an.repeats = g.Derive(an.top[:0], an.repeats[:0])
-	an.topOcc = resetInt32(an.topOcc, g.RuleIDBound(), 0)
+	an.topOcc = resetTo(an.topOcc, g.RuleIDBound(), 0)
 	a.Instances = slices.Grow(a.Instances, len(an.top))
+	a.LengthDist.Grow(len(an.top))
 	for _, in := range an.top {
 		an.topOcc[in.Rule]++
 		a.Instances = append(a.Instances, Instance{
@@ -270,19 +279,23 @@ func (an *Analyzer) Finish(window []trace.Miss) *Analysis {
 	// Reuse distances between consecutive top-level occurrences of the
 	// same rule: count intervening misses on the processor that observed
 	// the first occurrence (Section 4.5).
-	an.computeReuseDistances(a, g.RuleIDBound())
+	an.reuseDistances(a, g.RuleIDBound(), func(i int, d uint64) {
+		if d <= an.opts.ReuseTruncate {
+			a.ReuseDist.Add(float64(d), float64(a.Instances[i].Len))
+		}
+	})
 	return a
 }
 
-// resetInt32 returns a slice of length n filled with fill, reusing buf's
+// resetTo returns a slice of length n filled with v, reusing buf's
 // storage when it is large enough.
-func resetInt32(buf []int32, n int, fill int32) []int32 {
+func resetTo[T any](buf []T, n int, v T) []T {
 	if cap(buf) < n {
-		buf = make([]int32, n)
+		buf = make([]T, n)
 	}
 	buf = buf[:n]
 	for i := range buf {
-		buf[i] = fill
+		buf[i] = v
 	}
 	return buf
 }
@@ -294,31 +307,41 @@ func fill(states []StreamState, st StreamState) {
 	}
 }
 
-// computeReuseDistances fills ReuseDist from the per-CPU miss-position
-// lists the online passes accumulated (an.cpuPos[c] lists CPU c's trace
-// positions in ascending order), so no per-rule map operations or counting
-// passes are needed at finish time.
-func (an *Analyzer) computeReuseDistances(a *Analysis, ruleBound int) {
-	countBetween := func(cpu, lo, hi int) uint64 {
-		// misses by cpu in positions [lo, hi)
-		list := an.cpuPos[cpu]
-		l, _ := slices.BinarySearch(list, int32(lo))
-		r, _ := slices.BinarySearch(list, int32(hi))
-		return uint64(r - l)
-	}
-	an.lastIdx = resetInt32(an.lastIdx, ruleBound, -1)
+// reuseDistances calls add(i, d) for each top-level instance i whose rule
+// had an earlier top-level instance, in order, where d counts the misses
+// between that earlier instance's end and i's start issued by the
+// processor that issued the earlier instance's first miss.
+//
+// d is a difference of ranks in that processor's position list
+// (an.cpuPos[c] lists CPU c's trace positions in ascending order): its
+// positions before i's start, less its positions before the earlier
+// instance's end, counted as the pass left that instance. Top-level
+// instances are disjoint and in trace order, so the positions the pass
+// ranks — each instance's start, then its end — never decrease, and each
+// CPU's rank is a finger that only moves forward: one linear pass over
+// the window, with no search.
+func (an *Analyzer) reuseDistances(a *Analysis, ruleBound int, add func(i int, d uint64)) {
+	an.fingers = resetTo(an.fingers, len(an.cpuPos), 0)
+	an.ends = resetTo(an.ends, ruleBound, reuseMark{cpu: -1})
 	for i := range a.Instances {
 		inst := &a.Instances[i]
-		if j := an.lastIdx[inst.RuleID]; j >= 0 {
-			prev := &a.Instances[j]
-			firstCPU := int(a.Misses[prev.Pos].CPU)
-			d := countBetween(firstCPU, prev.Pos+prev.Len, inst.Pos)
-			if d <= an.opts.ReuseTruncate {
-				a.ReuseDist.Add(float64(d), float64(inst.Len))
-			}
+		if e := an.ends[inst.RuleID]; e.cpu >= 0 {
+			add(i, uint64(an.rank(e.cpu, int32(inst.Pos))-e.rank))
 		}
-		an.lastIdx[inst.RuleID] = int32(i)
+		c := int32(a.Misses[inst.Pos].CPU)
+		an.ends[inst.RuleID] = reuseMark{cpu: c, rank: an.rank(c, int32(inst.Pos+inst.Len))}
 	}
+}
+
+// rank advances CPU c's finger past its positions before pos and returns
+// how many there are. pos must not be below the finger's last query.
+func (an *Analyzer) rank(c, pos int32) int32 {
+	list, f := an.cpuPos[c], an.fingers[c]
+	for int(f) < len(list) && list[f] < pos {
+		f++
+	}
+	an.fingers[c] = f
+	return f
 }
 
 // StateCounts returns the number of misses in each StreamState, indexed

@@ -37,7 +37,7 @@ func newRig(t *testing.T, pages int) *rig {
 
 func (r *rig) finish() *engine.Ctx {
 	r.k.VM.Finalize()
-	r.m = sim.NewCMP(1, sim.CacheParams{L1Bytes: 2048, L1Ways: 2, L2Bytes: 16384, L2Ways: 4}, r.as.Blocks())
+	r.m = sim.NewCMP(1, sim.CacheParams{L1Bytes: 2048, L2Bytes: 16384, L2Ways: 4}, r.as.Blocks())
 	r.eng = engine.New(r.m, r.k.Sched, r.k.Sync, 5)
 	r.k.VM.Install(r.eng.Ctx(0))
 	return r.eng.Ctx(0)
@@ -277,7 +277,7 @@ func TestLatchPingPongIsCoherence(t *testing.T) {
 	d := New(k, DefaultParams())
 	latch := d.NewLatch()
 	k.VM.Finalize()
-	m := sim.NewDSM(2, sim.CacheParams{L1Bytes: 2048, L1Ways: 2, L2Bytes: 16384, L2Ways: 4}, as.Blocks())
+	m := sim.NewDSM(2, sim.CacheParams{L1Bytes: 2048, L2Bytes: 16384, L2Ways: 4}, as.Blocks())
 	eng := engine.New(m, k.Sched, k.Sync, 7)
 	for i := 0; i < 2; i++ {
 		k.VM.Install(eng.Ctx(i))

@@ -62,7 +62,7 @@ func (c *countingThread) Step(ctx *Ctx) Step {
 }
 
 func testEngine(ncpu int) (*Engine, *fifoDispatcher, sim.Machine) {
-	m := sim.NewCMP(ncpu, sim.CacheParams{L1Bytes: 512, L1Ways: 2, L2Bytes: 4096, L2Ways: 4}, 1<<14)
+	m := sim.NewCMP(ncpu, sim.CacheParams{L1Bytes: 512, L2Bytes: 4096, L2Ways: 4}, 1<<14)
 	d := &fifoDispatcher{}
 	e := New(m, d, nil, 42)
 	return e, d, m

@@ -38,7 +38,7 @@ func newVMWorld(multiChip bool) *vmWorld {
 		w.funcs = append(w.funcs, st.Func(id))
 	}
 	k.VM.Finalize()
-	caches := sim.CacheParams{L1Bytes: 2048, L1Ways: 2, L2Bytes: 32 << 10, L2Ways: 16}
+	caches := sim.CacheParams{L1Bytes: 2048, L2Bytes: 32 << 10, L2Ways: 16}
 	if multiChip {
 		w.m = sim.NewDSM(cpus, caches, as.Blocks())
 	} else {

@@ -156,7 +156,7 @@ func (g *Grammar) CheckInvariants() error {
 			continue
 		}
 		for n := g.first(int32(id)); !g.isGuard(n) && !g.isGuard(g.nodes[n].next); n = g.nodes[n].next {
-			d := g.digramKey(n)
+			d := digramKey(g.nodes, n)
 			if prev, dup := seen[d]; dup {
 				if g.nodes[prev].next != n {
 					return fmt.Errorf("digram uniqueness violated: %#x occurs at least twice", d)
@@ -164,35 +164,44 @@ func (g *Grammar) CheckInvariants() error {
 				continue
 			}
 			seen[d] = n
-			if v, ok := g.index.get(d); !ok {
+			if v, ok := g.index.get(g.nodes, d); !ok {
 				return fmt.Errorf("digram %#x at node %d missing from index", d, n)
 			} else if v != n {
 				return fmt.Errorf("digram %#x indexed at node %d, want first copy %d", d, v, n)
 			}
 		}
 	}
-	// Index consistency: every index entry points at a node whose digram
-	// matches its key, which is still linked into a live rule body, and
-	// which records the entry's slot.
-	var indexErr error
-	g.index.forEach(func(i uint32, key uint64, n int32) {
-		if indexErr != nil {
-			return
+	// Index consistency: every entry points at a node that is still linked
+	// into a live rule body and records the entry's slot, carries the
+	// fingerprint of that node's current digram, and is reachable from its
+	// home slot (no empty slot lies between them). The table holds one
+	// entry per distinct digram, so none is left over.
+	tab := &g.index
+	mask := uint32(len(tab.slots) - 1)
+	entries := 0
+	for i, s := range tab.slots {
+		if s.node == 0 {
+			continue
 		}
+		entries++
+		n := s.node - 1
 		if g.nodes[n].next < 0 || g.isGuard(n) || g.isGuard(g.nodes[n].next) {
-			indexErr = fmt.Errorf("index entry %#x points at guard/unlinked node", key)
-			return
+			return fmt.Errorf("index entry in slot %d points at guard/unlinked node %d", i, n)
 		}
-		if g.digramKey(n) != key {
-			indexErr = fmt.Errorf("index entry %#x points at node with digram %#x", key, g.digramKey(n))
-			return
+		if d := digramKey(g.nodes, n); fingerprint(d) != s.fp {
+			return fmt.Errorf("index entry in slot %d has fingerprint %#x, but its node %d spells %#x, fingerprint %#x", i, s.fp, n, d, fingerprint(d))
 		}
-		if g.nodes[n].slot != i+1 {
-			indexErr = fmt.Errorf("index entry %#x in slot %d: node %d records slot %d", key, i, n, int64(g.nodes[n].slot)-1)
+		if g.nodes[n].slot != uint32(i)+1 {
+			return fmt.Errorf("index entry in slot %d: node %d records slot %d", i, n, int64(g.nodes[n].slot)-1)
 		}
-	})
-	if indexErr != nil {
-		return indexErr
+		for h := tab.home(s.fp); h != uint32(i); h = (h + 1) & mask {
+			if tab.slots[h].node == 0 {
+				return fmt.Errorf("index entry in slot %d is cut off from its home slot %d by empty slot %d", i, tab.home(s.fp), h)
+			}
+		}
+	}
+	if entries != tab.live || entries != len(seen) {
+		return fmt.Errorf("index holds %d entries (live count %d), grammar has %d distinct digrams", entries, tab.live, len(seen))
 	}
 	// Back-pointers: every linked node that records a slot is that slot's
 	// node, and no free node records one.
@@ -203,7 +212,7 @@ func (g *Grammar) CheckInvariants() error {
 		}
 		for n := guard; ; n = g.nodes[n].next {
 			if slot := g.nodes[n].slot; slot != 0 {
-				if int(slot) > len(g.index.slots) || g.index.slots[slot-1].node != n+1 {
+				if int(slot) > len(tab.slots) || tab.slots[slot-1].node != n+1 {
 					return fmt.Errorf("node %d of R%d records slot %d, which does not index it", n, id, slot-1)
 				}
 			}

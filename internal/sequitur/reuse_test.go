@@ -200,11 +200,13 @@ func TestWalkReuseAllocs(t *testing.T) {
 
 // tableRig drives a digramTable the way the grammar does: every entry
 // holds a node of its own, drawn from a slab whose slot fields the table
-// keeps, and ref mirrors the table as a map.
+// keeps and whose nodes spell the keys (an entry's node carries the key's
+// high word and links to a node carrying its low word), and ref mirrors
+// the table as a map.
 type tableRig struct {
 	tab   digramTable
 	nodes []node
-	free  []int32
+	free  []int32 // first nodes of freed pairs
 	ref   map[uint64]int32
 }
 
@@ -214,20 +216,27 @@ func newTableRig() *tableRig {
 	return r
 }
 
-func (r *tableRig) newNode() int32 {
-	if n := len(r.free); n > 0 {
-		i := r.free[n-1]
-		r.free = r.free[:n-1]
-		return i
+// spell returns a fresh pair of linked nodes spelling key, by its first
+// node.
+func (r *tableRig) spell(key uint64) int32 {
+	var n int32
+	if k := len(r.free); k > 0 {
+		n = r.free[k-1]
+		r.free = r.free[:k-1]
+	} else {
+		r.nodes = append(r.nodes, node{}, node{})
+		n = int32(len(r.nodes) - 2)
 	}
-	r.nodes = append(r.nodes, node{})
-	return int32(len(r.nodes) - 1)
+	r.nodes[n] = node{prev: nilNode, next: n + 1, sym: uint32(key >> 32)}
+	r.nodes[n+1] = node{prev: n, next: nilNode, sym: uint32(key)}
+	return n
 }
 
-// set indexes key under a fresh node, inserting or re-pointing its
-// entry, and returns the node; a re-pointed entry's old node is freed.
+// set indexes key under fresh nodes, inserting or re-pointing its entry,
+// and returns the entry's node; a re-pointed entry's old nodes are
+// freed.
 func (r *tableRig) set(key uint64) int32 {
-	n := r.newNode()
+	n := r.spell(key)
 	r.tab.set(r.nodes, key, n)
 	if old, ok := r.ref[key]; ok {
 		r.free = append(r.free, old)
@@ -238,12 +247,15 @@ func (r *tableRig) set(key uint64) int32 {
 
 // del removes key's entry, if any, in one probe sequence.
 func (r *tableRig) del(key uint64) {
-	if i, ok := r.tab.find(key); ok {
+	if i, ok := r.tab.find(r.nodes, key); ok {
 		r.tab.remove(r.nodes, i)
 		r.free = append(r.free, r.ref[key])
 		delete(r.ref, key)
 	}
 }
+
+// keyAt returns the key spelled by the node of the occupied slot i.
+func (r *tableRig) keyAt(i uint32) uint64 { return digramKey(r.nodes, r.tab.at(i)) }
 
 // reset empties the table and the slab.
 func (r *tableRig) reset() {
@@ -253,11 +265,12 @@ func (r *tableRig) reset() {
 }
 
 // checkDigramTable compares the rig's table with its map: the live count,
-// every entry's node, forEach's coverage, the back-pointers (each entry's
-// node records the entry's slot, each node recording a slot is that
-// slot's node, free nodes record none), and the linear-probing invariant
-// that makes backward-shift deletion safe — no empty slot between an
-// entry's home slot and the slot it sits in.
+// every key's lookup, each entry's node and fingerprint (the fingerprint
+// of the key its node spells), the back-pointers (each entry's node
+// records the entry's slot, each node recording a slot is that slot's
+// node, freed nodes record none), and the linear-probing invariant that
+// makes backward-shift deletion safe — no empty slot between an entry's
+// home slot and the slot it sits in.
 func checkDigramTable(t *testing.T, r *tableRig) {
 	t.Helper()
 	tab, ref := &r.tab, r.ref
@@ -265,22 +278,35 @@ func checkDigramTable(t *testing.T, r *tableRig) {
 		t.Fatalf("live count %d, want %d", tab.live, len(ref))
 	}
 	for key, want := range ref {
-		if got, ok := tab.get(key); !ok || got != want {
+		if got, ok := tab.get(r.nodes, key); !ok || got != want {
 			t.Fatalf("get(%#x) = %d,%v want %d,true", key, got, ok, want)
 		}
 	}
+	mask := uint32(len(tab.slots) - 1)
 	count := 0
-	tab.forEach(func(i uint32, key uint64, n int32) {
-		if want, ok := ref[key]; !ok || want != n {
-			t.Errorf("forEach: key %#x = %d, want %d,%v", key, n, want, ok)
-		}
-		if r.nodes[n].slot != i+1 {
-			t.Errorf("forEach: key %#x in slot %d, its node records slot %d", key, i, int64(r.nodes[n].slot)-1)
+	for j, s := range tab.slots {
+		if s.node == 0 {
+			continue
 		}
 		count++
-	})
+		n, key := s.node-1, r.keyAt(uint32(j))
+		if want, ok := ref[key]; !ok || want != n {
+			t.Fatalf("slot %d: key %#x at node %d, want %d,%v", j, key, n, want, ok)
+		}
+		if s.fp != fingerprint(key) {
+			t.Fatalf("slot %d: key %#x has fingerprint %#x, slot holds %#x", j, key, fingerprint(key), s.fp)
+		}
+		if r.nodes[n].slot != uint32(j)+1 {
+			t.Fatalf("key %#x in slot %d, its node records slot %d", key, j, int64(r.nodes[n].slot)-1)
+		}
+		for i := tab.home(s.fp); i != uint32(j); i = (i + 1) & mask {
+			if tab.slots[i].node == 0 {
+				t.Fatalf("key %#x in slot %d is cut off from its home slot by empty slot %d", key, j, i)
+			}
+		}
+	}
 	if count != len(ref) {
-		t.Fatalf("forEach visited %d entries, want %d", count, len(ref))
+		t.Fatalf("table holds %d entries, want %d", count, len(ref))
 	}
 	for n, nd := range r.nodes {
 		if nd.slot != 0 && (int(nd.slot) > len(tab.slots) || tab.slots[nd.slot-1].node != int32(n)+1) {
@@ -292,25 +318,13 @@ func checkDigramTable(t *testing.T, r *tableRig) {
 			t.Fatalf("free node %d records slot %d", n, r.nodes[n].slot-1)
 		}
 	}
-	mask := uint32(len(tab.slots) - 1)
-	for j, s := range tab.slots {
-		if s.node == 0 {
-			continue
-		}
-		for i := fibSlot(s.key(), len(tab.slots)); i != uint32(j); i = (i + 1) & mask {
-			if tab.slots[i].node == 0 {
-				t.Fatalf("key %#x in slot %d is cut off from its home slot by empty slot %d", s.key(), j, i)
-			}
-		}
-	}
 }
 
-// keysHomedAt returns n distinct keys whose home slot in a table of size
-// slots is home.
-func keysHomedAt(home uint32, size, n int) []uint64 {
+// keysHomedAt returns n distinct keys whose home slot in tab is home.
+func keysHomedAt(tab *digramTable, home uint32, n int) []uint64 {
 	var keys []uint64
 	for k := uint64(0); len(keys) < n; k++ {
-		if fibSlot(k, size) == home {
+		if tab.home(fingerprint(k)) == home {
 			keys = append(keys, k)
 		}
 	}
@@ -328,14 +342,14 @@ func TestDigramTable(t *testing.T) {
 
 	// A probe run that wraps: keys homed at the last slot spill into slots
 	// 0, 1, 2, and keys homed at slot 0 queue behind them.
-	last := keysHomedAt(uint32(size-1), size, 4)
-	first := keysHomedAt(0, size, 3)
+	last := keysHomedAt(tab, uint32(size-1), 4)
+	first := keysHomedAt(tab, 0, 3)
 	chain := append(append([]uint64{}, last...), first...)
 	for _, k := range chain {
 		r.set(k)
 	}
 	checkDigramTable(t, r)
-	if tab.slots[size-1].key() != last[0] || tab.slots[3].key() != first[0] {
+	if r.keyAt(uint32(size-1)) != last[0] || r.keyAt(3) != first[0] {
 		t.Fatalf("wrapped run not laid out as expected")
 	}
 	// Delete from the front of the run, one key at a time: every later
@@ -354,9 +368,9 @@ func TestDigramTable(t *testing.T) {
 	// Re-pointing an entry keeps its slot, hands the slot to the new
 	// node, and clears the old node's.
 	for k, old := range r.ref {
-		i, _ := tab.find(k)
+		i, _ := tab.find(r.nodes, k)
 		n := r.set(k)
-		if j, _ := tab.find(k); j != i {
+		if j, _ := tab.find(r.nodes, k); j != i {
 			t.Fatalf("re-pointing %#x moved it from slot %d to %d", k, i, j)
 		}
 		if r.nodes[n].slot != i+1 || r.nodes[old].slot != 0 {
@@ -375,7 +389,7 @@ func TestDigramTable(t *testing.T) {
 		case 1:
 			r.del(key)
 		default:
-			got, ok := tab.get(key)
+			got, ok := tab.get(r.nodes, key)
 			want, wok := r.ref[key]
 			if ok != wok || (ok && got != want) {
 				t.Fatalf("step %d: get(%d) = %d,%v want %d,%v", i, key, got, ok, want, wok)
@@ -410,6 +424,61 @@ func TestDigramTable(t *testing.T) {
 			t.Fatalf("insert %d: %d slots, want %d (live %d)", i, len(tab.slots), want, len(r.ref))
 		}
 	}
+	checkDigramTable(t, r)
+}
+
+// TestDigramTableFingerprintCollision checks that two keys with one
+// fingerprint, and so one home slot, are told apart by the keys their
+// nodes spell. With phiInv the inverse of the hash multiplier mod 2^64,
+// (key+phiInv)·φ = key·φ + 1, so key+phiInv hashes to key's hash plus
+// one: the same top word whenever key's low word is not all ones.
+func TestDigramTableFingerprintCollision(t *testing.T) {
+	const phi = 0x9E3779B97F4A7C15
+	phiInv := uint64(phi) // Newton's iteration: each step doubles the correct low bits
+	for range 5 {
+		phiInv *= 2 - phi*phiInv
+	}
+	if phiInv*phi != 1 {
+		t.Fatalf("phiInv·φ = %#x, want 1", phiInv*phi)
+	}
+	a := uint64(0x0000_0005_0000_0009) // a tagged terminal pair
+	if uint32(a*phi) == ^uint32(0) {
+		t.Fatalf("pick another key: %#x's hash carries into its top word", a)
+	}
+	b := a + phiInv
+	if fingerprint(a) != fingerprint(b) {
+		t.Fatalf("fingerprints %#x and %#x differ", fingerprint(a), fingerprint(b))
+	}
+
+	r := newTableRig()
+	tab := &r.tab
+	na := r.set(a)
+	if _, ok := tab.get(r.nodes, b); ok {
+		t.Fatalf("get(%#x) found the entry of %#x, which shares its fingerprint", b, a)
+	}
+	nb := r.set(b)
+	checkDigramTable(t, r)
+	ia, _ := tab.find(r.nodes, a)
+	ib, _ := tab.find(r.nodes, b)
+	if home := tab.home(fingerprint(a)); ia != home || ib != (home+1)&uint32(len(tab.slots)-1) {
+		t.Fatalf("slots %d and %d, want home %d and the next", ia, ib, home)
+	}
+	if tab.at(ia) != na || tab.at(ib) != nb {
+		t.Fatalf("slots hold nodes %d and %d, want %d and %d", tab.at(ia), tab.at(ib), na, nb)
+	}
+	// Dropping a shifts b back into the home slot; b stays findable and a
+	// is gone, though every probe meets b's matching fingerprint.
+	r.del(a)
+	checkDigramTable(t, r)
+	if _, ok := tab.get(r.nodes, a); ok {
+		t.Fatalf("get(%#x) found a deleted key through %#x's entry", a, b)
+	}
+	// Re-inserting a puts it behind b; re-pointing either keeps the other.
+	r.set(a)
+	r.set(b)
+	r.set(a)
+	checkDigramTable(t, r)
+	r.del(b)
 	checkDigramTable(t, r)
 }
 

@@ -29,6 +29,9 @@
 // table. Reset rewinds the grammar for reuse, keeping the slab, the
 // interning table, and the digram index's storage.
 //
+// The digram table stores no keys: each 8-byte slot holds a 32-bit
+// fingerprint of its digram beside the node where the digram starts, and a
+// lookup reads the key from that node only when the fingerprint matches.
 // Each indexed node also records which digram-table slot indexes it, so
 // dropping a node's digram from the index reads the node instead of
 // hashing and probing the table.
@@ -140,8 +143,8 @@ func (g *Grammar) last(r int32) int32  { return g.nodes[g.rules[r].guard].prev }
 // digramKey packs the digram starting at s into one uint64. Both symbols
 // are tagged uint32s, so the key is exact: no two distinct digrams share a
 // key. s and s.next must be non-guard body nodes.
-func (g *Grammar) digramKey(s int32) uint64 {
-	return uint64(g.nodes[s].sym)<<32 | uint64(g.nodes[g.nodes[s].next].sym)
+func digramKey(nodes []node, s int32) uint64 {
+	return uint64(nodes[s].sym)<<32 | uint64(nodes[nodes[s].next].sym)
 }
 
 func (g *Grammar) newNode(sym uint32) int32 {
@@ -185,10 +188,17 @@ func (g *Grammar) Append(v uint64) {
 		}
 		g.terms = append(g.terms, v)
 	}
+	// Link the new terminal after the root's last node. Neither node
+	// starts an indexed digram, as the root's guard follows each of them,
+	// so insertAfter's two joins would have no entry to drop.
 	n := g.newNode(id<<kindBits | kindTerm)
-	g.insertAfter(g.last(0), n)
+	guard := g.rules[0].guard
+	l := g.nodes[guard].prev
+	g.nodes[n].prev, g.nodes[n].next = l, guard
+	g.nodes[l].next = n
+	g.nodes[guard].prev = n
 	g.length++
-	g.check(g.nodes[n].prev)
+	g.check(l)
 }
 
 // deleteDigram removes the index entry for the digram starting at s, if the
@@ -196,16 +206,19 @@ func (g *Grammar) Append(v uint64) {
 // lookup is needed. Runs of equal symbols ("aaa") hold several
 // overlapping copies of one digram but only the first is indexed; when that
 // first copy disappears, the index is re-pointed at the surviving
-// overlapping copy so that later repetitions are still detected.
+// overlapping copy so that later repetitions are still detected. The
+// third node is loaded only when the second repeats the first's symbol.
+// An indexed digram's second node is linked, so the third exists; it may
+// be a guard, but a guard's symbol never equals a body symbol, so no
+// guard test is needed.
 func (g *Grammar) deleteDigram(s int32) {
 	slot := g.nodes[s].slot
 	if slot == 0 {
 		return
 	}
 	i := slot - 1
-	sn := g.nodes[s].next
-	tn := g.nodes[sn].next
-	if tn >= 0 && !g.isGuard(tn) && g.nodes[sn].sym == g.nodes[s].sym && g.nodes[tn].sym == g.nodes[sn].sym {
+	sym := g.nodes[s].sym
+	if sn := g.nodes[s].next; g.nodes[sn].sym == sym && g.nodes[g.nodes[sn].next].sym == sym {
 		g.index.put(g.nodes, i, sn)
 	} else {
 		g.index.remove(g.nodes, i)
@@ -246,8 +259,8 @@ func (g *Grammar) check(s int32) bool {
 	if g.isGuard(s) || g.isGuard(g.nodes[s].next) {
 		return false
 	}
-	key := g.digramKey(s)
-	i, ok := g.index.find(key)
+	key := digramKey(g.nodes, s)
+	i, ok := g.index.find(g.nodes, key)
 	if !ok {
 		g.index.insert(g.nodes, i, key, s)
 		return false
@@ -274,7 +287,7 @@ func (g *Grammar) match(s, m int32) {
 		g.insertAfter(g.last(r), g.copySym(g.nodes[s].next))
 		g.substitute(m, r)
 		g.substitute(s, r)
-		g.index.set(g.nodes, g.digramKey(g.first(r)), g.first(r))
+		g.index.set(g.nodes, digramKey(g.nodes, g.first(r)), g.first(r))
 	}
 	// Rule utility: if the rule's first symbol references a rule that is now
 	// used only once, inline that rule.
@@ -331,8 +344,8 @@ func (g *Grammar) expand(ref int32) {
 		// sym(right)). Overwriting the entry in that case would strand the
 		// first copy and silently break digram uniqueness later (a bug
 		// present in the original pointer implementation).
-		key := g.digramKey(l)
-		if i, ok := g.index.find(key); !ok {
+		key := digramKey(g.nodes, l)
+		if i, ok := g.index.find(g.nodes, key); !ok {
 			g.index.insert(g.nodes, i, key, l)
 		} else if g.nodes[g.index.at(i)].next != l {
 			g.index.put(g.nodes, i, l)
@@ -343,14 +356,24 @@ func (g *Grammar) expand(ref int32) {
 }
 
 // digramTable is a flat open-addressed hash table from packed digram keys
-// to node indices: linear probing over one slot array that stores each
-// key beside its node, so a probe reads one host cache line, and
-// backward-shift deletion, so no tombstones accumulate and every lookup
-// stops at the first empty slot. find returns the slot's index, so each
-// index operation of the grammar — look up then insert, look up then
-// re-point — is one probe sequence. The table stays at most half full,
-// which keeps probe runs, and so the shifts a deletion makes, short. It
-// allocates only when it grows.
+// to node indices: linear probing over one slot array, and backward-shift
+// deletion, so no tombstones accumulate and every lookup stops at the
+// first empty slot. find returns the slot's index, so each index
+// operation of the grammar — look up then insert, look up then re-point —
+// is one probe sequence. The table stays at most half full, which keeps
+// probe runs, and so the shifts a deletion makes, short. It allocates
+// only when it grows.
+//
+// A slot holds no key, only the key's fingerprint: the top 32 bits of its
+// Fibonacci hash, whose top bits are the key's home slot. A probe compares
+// fingerprints and reads the key from the slot's node only when they
+// match. That read is exact because an entry never outlives its node's
+// digram: symbols never change, and an entry is dropped or re-pointed
+// before its node's next changes. join calls deleteDigram first, and the
+// one link change outside join, Append's, is to the root's last node,
+// which the root's guard follows, so it starts no indexed digram.
+// Deletion and growth read home slots from the fingerprints, with no
+// multiply and no node read.
 //
 // The table keeps each indexed node's slot field exact: every operation
 // that places, moves or drops an entry takes the grammar's node slab and
@@ -359,22 +382,27 @@ func (g *Grammar) expand(ref int32) {
 type digramTable struct {
 	slots []digramSlot
 	live  int
+	shift uint32 // 32 - log2(len(slots)): a fingerprint's home slot is fp >> shift
 }
 
-// digramSlot is one 12-byte table entry: the key as its two 32-bit
-// symbols, and the node index plus one, 0 marking an empty slot (every
-// key value is a valid digram, so the key cannot carry the mark).
+// digramSlot is one 8-byte table entry: the key's fingerprint and the
+// node index plus one, 0 marking an empty slot (every fingerprint value
+// is a valid one, so it cannot carry the mark).
 type digramSlot struct {
-	hi, lo uint32
-	node   int32
+	fp   uint32
+	node int32
 }
-
-func (s *digramSlot) key() uint64 { return uint64(s.hi)<<32 | uint64(s.lo) }
 
 const tabMin = 64
 
+// fingerprint returns the top 32 bits of key's Fibonacci hash. Fibonacci
+// hashing on the high bits gives good spread for low-entropy keys:
+// packed digrams, and block-aligned terminal addresses.
+func fingerprint(key uint64) uint32 { return uint32((key * 0x9E3779B97F4A7C15) >> 32) }
+
 func (t *digramTable) init() {
 	t.slots = make([]digramSlot, tabMin)
+	t.shift = 32 - uint32(bits.TrailingZeros(tabMin))
 	t.live = 0
 }
 
@@ -384,41 +412,58 @@ func (t *digramTable) reset() {
 	t.live = 0
 }
 
-// fibSlot maps key to a slot of a power-of-two table of size slots.
-// Fibonacci hashing on the high bits gives good spread for low-entropy
-// keys: packed digrams, and block-aligned terminal addresses.
+// fibSlot maps key to a slot of a power-of-two table of size slots: the
+// top bits of key's Fibonacci hash, as in fingerprint.
 func fibSlot(key uint64, size int) uint32 {
 	return uint32((key * 0x9E3779B97F4A7C15) >> (64 - uint(bits.TrailingZeros(uint(size)))))
 }
 
+// home returns the first slot of fp's probe sequence.
+func (t *digramTable) home(fp uint32) uint32 { return fp >> t.shift }
+
 // find returns the index of the slot holding key, or of the empty slot
-// where key would be inserted, and whether key is present.
-func (t *digramTable) find(key uint64) (uint32, bool) {
+// where key would be inserted, and whether key is present. nodes is the
+// slab the entries point into; a slot's key is read from it only when
+// the slot's fingerprint matches key's.
+func (t *digramTable) find(nodes []node, key uint64) (uint32, bool) {
+	fp := fingerprint(key)
 	mask := uint32(len(t.slots) - 1)
-	for i := fibSlot(key, len(t.slots)); ; i = (i + 1) & mask {
-		s := &t.slots[i]
+	for i := t.home(fp); ; i = (i + 1) & mask {
+		s := t.slots[i]
 		if s.node == 0 {
 			return i, false
 		}
-		if s.hi == uint32(key>>32) && s.lo == uint32(key) {
+		if s.fp == fp && digramKey(nodes, s.node-1) == key {
 			return i, true
 		}
 	}
 }
 
+// vacancy returns the first empty slot of fp's probe sequence.
+func (t *digramTable) vacancy(fp uint32) uint32 {
+	mask := uint32(len(t.slots) - 1)
+	i := t.home(fp)
+	for t.slots[i].node != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
 // at returns the node held by the occupied slot i.
 func (t *digramTable) at(i uint32) int32 { return t.slots[i].node - 1 }
 
-// put re-points the occupied slot i at node.
+// put re-points the occupied slot i at node, which must spell the same
+// digram as the node it replaces, so the fingerprint stands.
 func (t *digramTable) put(nodes []node, i uint32, node int32) {
 	nodes[t.slots[i].node-1].slot = 0
 	t.slots[i].node = node + 1
 	nodes[node].slot = i + 1
 }
 
-// set indexes key under node, inserting or re-pointing its entry.
+// set indexes key under node, inserting or re-pointing its entry. node
+// must already spell key.
 func (t *digramTable) set(nodes []node, key uint64, node int32) {
-	if i, ok := t.find(key); ok {
+	if i, ok := t.find(nodes, key); ok {
 		t.put(nodes, i, node)
 	} else {
 		t.insert(nodes, i, key, node)
@@ -426,19 +471,20 @@ func (t *digramTable) set(nodes []node, key uint64, node int32) {
 }
 
 // get returns the node indexed under key.
-func (t *digramTable) get(key uint64) (int32, bool) {
-	i, ok := t.find(key)
+func (t *digramTable) get(nodes []node, key uint64) (int32, bool) {
+	i, ok := t.find(nodes, key)
 	return t.slots[i].node - 1, ok
 }
 
 // insert fills the empty slot i, which find returned for key, with node.
-// Above half load the table first doubles, and the slot is found again.
+// Above half load the table first doubles, and key's slot is found again.
 func (t *digramTable) insert(nodes []node, i uint32, key uint64, node int32) {
+	fp := fingerprint(key)
 	if 2*(t.live+1) > len(t.slots) {
 		t.grow(nodes)
-		i, _ = t.find(key)
+		i = t.vacancy(fp)
 	}
-	t.slots[i] = digramSlot{hi: uint32(key >> 32), lo: uint32(key), node: node + 1}
+	t.slots[i] = digramSlot{fp: fp, node: node + 1}
 	nodes[node].slot = i + 1
 	t.live++
 }
@@ -453,7 +499,7 @@ func (t *digramTable) remove(nodes []node, i uint32) {
 	for j := (hole + 1) & mask; t.slots[j].node != 0; j = (j + 1) & mask {
 		// The entry at j probes from its home slot h up to j; it may move
 		// back into the hole only if the hole lies on that path.
-		h := fibSlot(t.slots[j].key(), len(t.slots))
+		h := t.home(t.slots[j].fp)
 		if (j-h)&mask >= (j-hole)&mask {
 			t.slots[hole] = t.slots[j]
 			nodes[t.slots[hole].node-1].slot = hole + 1
@@ -468,26 +514,14 @@ func (t *digramTable) remove(nodes []node, i uint32) {
 func (t *digramTable) grow(nodes []node) {
 	old := t.slots
 	t.slots = make([]digramSlot, 2*len(old))
-	mask := uint32(len(t.slots) - 1)
+	t.shift--
 	for _, s := range old {
 		if s.node == 0 {
 			continue
 		}
-		i := fibSlot(s.key(), len(t.slots))
-		for t.slots[i].node != 0 {
-			i = (i + 1) & mask
-		}
+		i := t.vacancy(s.fp)
 		t.slots[i] = s
 		nodes[s.node-1].slot = i + 1
-	}
-}
-
-// forEach visits every live entry with its slot index.
-func (t *digramTable) forEach(fn func(i uint32, key uint64, node int32)) {
-	for i, s := range t.slots {
-		if s.node != 0 {
-			fn(uint32(i), s.key(), s.node-1)
-		}
 	}
 }
 

@@ -58,15 +58,14 @@ func NewCMP(ncpu int, p CacheParams, nblocks uint64) *CMP {
 	if ncpu > coherence.MaxCores {
 		panic("sim: the CMP supports at most 8 cores")
 	}
-	p.check()
 	m := &CMP{
 		ncpu:   ncpu,
-		l2:     cache.New(cache.Config{Bytes: p.L2Bytes, Ways: p.L2Ways, BlockBits: 6}),
+		l2:     cache.New(p.l2()),
 		blocks: make([]cmpBlock, nblocks),
 	}
 	for i := 0; i < ncpu; i++ {
-		m.l1i = append(m.l1i, *cache.New(cache.Config{Bytes: p.L1Bytes, Ways: p.L1Ways, BlockBits: 6}))
-		m.l1d = append(m.l1d, *cache.New(cache.Config{Bytes: p.L1Bytes, Ways: p.L1Ways, BlockBits: 6}))
+		m.l1i = append(m.l1i, *cache.New(p.l1()))
+		m.l1d = append(m.l1d, *cache.New(p.l1()))
 	}
 	m.off.CPUs = ncpu
 	m.intra.CPUs = ncpu

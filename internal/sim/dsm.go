@@ -50,16 +50,15 @@ func NewDSM(ncpu int, p CacheParams, nblocks uint64) *DSM {
 	if ncpu > maxClassifierCPUs || ncpu > coherence.MaxNodes {
 		panic("sim: the DSM supports at most 16 nodes")
 	}
-	p.check()
 	m := &DSM{
 		ncpu:   ncpu,
 		nodes:  make([]dsmNode, ncpu),
 		blocks: make([]dsmBlock, nblocks),
 	}
 	for i := range m.nodes {
-		m.nodes[i].l1i = *cache.New(cache.Config{Bytes: p.L1Bytes, Ways: p.L1Ways, BlockBits: 6})
-		m.nodes[i].l1d = *cache.New(cache.Config{Bytes: p.L1Bytes, Ways: p.L1Ways, BlockBits: 6})
-		m.nodes[i].l2 = *cache.New(cache.Config{Bytes: p.L2Bytes, Ways: p.L2Ways, BlockBits: 6})
+		m.nodes[i].l1i = *cache.New(p.l1())
+		m.nodes[i].l1d = *cache.New(p.l1())
+		m.nodes[i].l2 = *cache.New(p.l2())
 	}
 	m.off.CPUs = ncpu
 	m.ownOff.Open(&m.off)

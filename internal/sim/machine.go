@@ -15,8 +15,7 @@
 package sim
 
 import (
-	"fmt"
-
+	"repro/internal/cache"
 	"repro/internal/memmap"
 	"repro/internal/trace"
 )
@@ -59,26 +58,33 @@ type Machine interface {
 	SetGates(off, intra *trace.Gate)
 }
 
-// CacheParams sizes one node's (or the chip's) hierarchy.
+// CacheParams sizes one node's (or the chip's) hierarchy. Every L1 is
+// l1Ways-way.
 type CacheParams struct {
 	L1Bytes int // per split L1 (I and D each)
-	L1Ways  int // must be 2: the machines' L1 hit test is the 2-way one
 	L2Bytes int
 	L2Ways  int
 }
 
-// check panics unless the L1s are 2-way, the paper's geometry, which the
-// machines' inlined L1 hit test (cache.ReadHit2) is specialized to.
-func (p CacheParams) check() {
-	if p.L1Ways != 2 {
-		panic(fmt.Sprintf("sim: the L1s must be 2-way, not %d-way", p.L1Ways))
-	}
+// l1Ways is the associativity of every L1: the paper's 2-way geometry,
+// which the machines' inlined L1 hit test (cache.ReadHit2) is
+// specialized to.
+const l1Ways = 2
+
+// l1 returns the geometry of one of p's split L1s.
+func (p CacheParams) l1() cache.Config {
+	return cache.Config{Bytes: p.L1Bytes, Ways: l1Ways, BlockBits: 6}
+}
+
+// l2 returns the geometry of p's L2.
+func (p CacheParams) l2() cache.Config {
+	return cache.Config{Bytes: p.L2Bytes, Ways: p.L2Ways, BlockBits: 6}
 }
 
 // PaperCaches returns the paper's cache geometry: split 2-way 64 KB L1 I/D
 // and a 16-way 8 MB L2.
 func PaperCaches() CacheParams {
-	return CacheParams{L1Bytes: 64 << 10, L1Ways: 2, L2Bytes: 8 << 20, L2Ways: 16}
+	return CacheParams{L1Bytes: 64 << 10, L2Bytes: 8 << 20, L2Ways: 16}
 }
 
 // blockOf converts a byte address to a block number.

@@ -23,7 +23,7 @@ const (
 // runCaches is small enough that runs straddle L1 sets many times over
 // and the 16-way L2s evict.
 func runCaches() CacheParams {
-	return CacheParams{L1Bytes: 512, L1Ways: 2, L2Bytes: 8192, L2Ways: 16}
+	return CacheParams{L1Bytes: 512, L2Bytes: 8192, L2Ways: 16}
 }
 
 // runMachine is a machine model with the run methods.

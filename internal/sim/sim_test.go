@@ -4,12 +4,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/trace"
 )
 
 // tiny cache parameters keep working sets controllable in tests.
 func tinyCaches() CacheParams {
-	return CacheParams{L1Bytes: 512, L1Ways: 2, L2Bytes: 4096, L2Ways: 4}
+	return CacheParams{L1Bytes: 512, L2Bytes: 4096, L2Ways: 4}
 }
 
 const testBlocks = 1 << 16
@@ -388,23 +389,33 @@ func TestDMAWriteZeroSize(t *testing.T) {
 	}
 }
 
-// TestMachinesRequireTwoWayL1: both machines refuse L1s of any other
-// width, because their inlined L1 hit test (cache.ReadHit2) is the 2-way
-// one.
-func TestMachinesRequireTwoWayL1(t *testing.T) {
+// TestMachinesBuildTwoWayL1s: both machines build every L1 2-way, the
+// width their inlined L1 hit test (cache.ReadHit2) is specialized to, and
+// the L2s as the parameters say.
+func TestMachinesBuildTwoWayL1s(t *testing.T) {
 	p := tinyCaches()
-	p.L1Ways = 4
-	for name, build := range map[string]func(){
-		"DSM": func() { NewDSM(2, p, testBlocks) },
-		"CMP": func() { NewCMP(2, p, testBlocks) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s built with 4-way L1s", name)
-				}
-			}()
-			build()
-		}()
+	dsm := NewDSM(2, p, testBlocks)
+	cmp := NewCMP(2, p, testBlocks)
+	var l1s, l2s []*cache.Cache
+	for i := range dsm.nodes {
+		l1s = append(l1s, &dsm.nodes[i].l1i, &dsm.nodes[i].l1d)
+		l2s = append(l2s, &dsm.nodes[i].l2)
+	}
+	for i := range cmp.l1i {
+		l1s = append(l1s, &cmp.l1i[i], &cmp.l1d[i])
+	}
+	l2s = append(l2s, cmp.l2)
+	for _, c := range l1s {
+		if want := (cache.Config{Bytes: p.L1Bytes, Ways: 2, BlockBits: 6}); c.Config() != want {
+			t.Errorf("L1 built %+v, want %+v", c.Config(), want)
+		}
+	}
+	for _, c := range l2s {
+		if want := (cache.Config{Bytes: p.L2Bytes, Ways: p.L2Ways, BlockBits: 6}); c.Config() != want {
+			t.Errorf("L2 built %+v, want %+v", c.Config(), want)
+		}
+	}
+	if len(l1s) != 8 || len(l2s) != 3 {
+		t.Fatalf("checked %d L1s and %d L2s, want 8 and 3", len(l1s), len(l2s))
 	}
 }

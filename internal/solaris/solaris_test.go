@@ -34,7 +34,7 @@ func newRig(t *testing.T, ncpu int) *rig {
 // allocations).
 func (r *rig) finish(ncpu int) {
 	r.k.VM.Finalize()
-	r.m = sim.NewCMP(ncpu, sim.CacheParams{L1Bytes: 2048, L1Ways: 2, L2Bytes: 16384, L2Ways: 4}, r.as.Blocks())
+	r.m = sim.NewCMP(ncpu, sim.CacheParams{L1Bytes: 2048, L2Bytes: 16384, L2Ways: 4}, r.as.Blocks())
 	r.eng = engine.New(r.m, r.k.Sched, r.k.Sync, 3)
 	for i := 0; i < ncpu; i++ {
 		r.k.VM.Install(r.eng.Ctx(i))

@@ -4,9 +4,10 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // LogHistogram buckets non-negative values geometrically: bucket i covers
@@ -93,41 +94,39 @@ func (h *LogHistogram) String() string {
 // stream occurrence is weighted by its length (its contribution to the
 // total misses in streams).
 type WeightedSample struct {
-	vals    []float64
-	weights []float64
-	total   float64
-	sorted  bool
+	obs    []weighted
+	total  float64
+	sorted bool
 }
+
+// weighted is one observation.
+type weighted struct{ v, w float64 }
 
 // Add records one observation.
 func (s *WeightedSample) Add(v, w float64) {
-	s.vals = append(s.vals, v)
-	s.weights = append(s.weights, w)
+	s.obs = append(s.obs, weighted{v, w})
 	s.total += w
 	s.sorted = false
 }
 
+// Grow makes room for n more observations, so Adds up to that count do
+// not reallocate.
+func (s *WeightedSample) Grow(n int) { s.obs = slices.Grow(s.obs, n) }
+
 // Len returns the number of observations.
-func (s *WeightedSample) Len() int { return len(s.vals) }
+func (s *WeightedSample) Len() int { return len(s.obs) }
 
 // Total returns the total weight.
 func (s *WeightedSample) Total() float64 { return s.total }
 
+// sort orders the observations by value, in place. Ties may land in any
+// order, which moves no quantile when weights are integers: every prefix
+// sum is then exact, so a tie group adds the same weight in any order.
 func (s *WeightedSample) sort() {
 	if s.sorted {
 		return
 	}
-	idx := make([]int, len(s.vals))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return s.vals[idx[a]] < s.vals[idx[b]] })
-	nv := make([]float64, len(s.vals))
-	nw := make([]float64, len(s.vals))
-	for i, j := range idx {
-		nv[i], nw[i] = s.vals[j], s.weights[j]
-	}
-	s.vals, s.weights = nv, nw
+	slices.SortFunc(s.obs, func(a, b weighted) int { return cmp.Compare(a.v, b.v) })
 	s.sorted = true
 }
 
@@ -135,7 +134,7 @@ func (s *WeightedSample) sort() {
 // weight lies at values <= v. q is clamped to [0, 1]. Returns 0 for an
 // empty sample.
 func (s *WeightedSample) Quantile(q float64) float64 {
-	if len(s.vals) == 0 {
+	if len(s.obs) == 0 {
 		return 0
 	}
 	if q < 0 {
@@ -147,13 +146,13 @@ func (s *WeightedSample) Quantile(q float64) float64 {
 	s.sort()
 	target := q * s.total
 	cum := 0.0
-	for i, w := range s.weights {
-		cum += w
+	for _, o := range s.obs {
+		cum += o.w
 		if cum >= target {
-			return s.vals[i]
+			return o.v
 		}
 	}
-	return s.vals[len(s.vals)-1]
+	return s.obs[len(s.obs)-1].v
 }
 
 // CDFAt returns the fraction of weight at values <= v.
@@ -163,11 +162,11 @@ func (s *WeightedSample) CDFAt(v float64) float64 {
 	}
 	s.sort()
 	cum := 0.0
-	for i, val := range s.vals {
-		if val > v {
+	for _, o := range s.obs {
+		if o.v > v {
 			break
 		}
-		cum += s.weights[i]
+		cum += o.w
 	}
 	return cum / s.total
 }

@@ -100,9 +100,9 @@ func (s Scale) caches() sim.CacheParams {
 	switch s {
 	case Small:
 		// Preserve the paper's 1:128 L1:L2 capacity ratio (64 KB : 8 MB).
-		return sim.CacheParams{L1Bytes: 8 << 10, L1Ways: 2, L2Bytes: 1 << 20, L2Ways: 16}
+		return sim.CacheParams{L1Bytes: 8 << 10, L2Bytes: 1 << 20, L2Ways: 16}
 	case Medium:
-		return sim.CacheParams{L1Bytes: 16 << 10, L1Ways: 2, L2Bytes: 2 << 20, L2Ways: 16}
+		return sim.CacheParams{L1Bytes: 16 << 10, L2Bytes: 2 << 20, L2Ways: 16}
 	default:
 		return sim.PaperCaches()
 	}
