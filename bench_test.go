@@ -52,7 +52,7 @@ func BenchmarkFigure1OffChip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, app := range []App{Apache, OLTP, Qry1} {
 			exp := benchCollect(b, app)
-			mc, sc := exp.MultiChip.OffChip, exp.SingleChip.OffChip
+			mc, sc := exp.Contexts[MultiChipCtx].Trace, exp.Contexts[SingleChipCtx].Trace
 			cc := mc.ClassCounts()
 			b.ReportMetric(100*float64(cc[trace.Coherence])/float64(mc.Len()),
 				app.String()+"_multi_coh_%")
@@ -66,7 +66,7 @@ func BenchmarkFigure1OffChip(b *testing.B) {
 func BenchmarkFigure1IntraChip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		exp := benchCollect(b, OLTP)
-		it := exp.SingleChip.IntraChip
+		it := exp.Contexts[IntraChipCtx].Trace
 		var peer int
 		for _, m := range it.Misses {
 			if m.Supplier == trace.SupplierPeerL1 {
@@ -188,12 +188,13 @@ func BenchmarkAblationL2Size(b *testing.B) {
 	skipInShort(b)
 	for i := 0; i < b.N; i++ {
 		for _, scale := range []Scale{Small, Medium} {
-			res := workload.Run(workload.Config{
+			off := &trace.Trace{}
+			workload.RunStream(workload.Config{
 				App: workload.OLTP, Machine: workload.MultiChip, Scale: scale,
 				Seed: 1, TargetMisses: 10000,
-			})
-			cc := res.OffChip.ClassCounts()
-			b.ReportMetric(100*float64(cc[trace.Coherence])/float64(res.OffChip.Len()),
+			}, off, nil)
+			cc := off.ClassCounts()
+			b.ReportMetric(100*float64(cc[trace.Coherence])/float64(off.Len()),
 				"coh_%_"+scale.String())
 		}
 	}
@@ -255,14 +256,15 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 	b.ReportAllocs()
 	var misses uint64
 	for i := 0; i < b.N; i++ {
-		res := workload.Run(workload.Config{
+		off := &trace.Trace{}
+		res := workload.RunStream(workload.Config{
 			App: workload.OLTP, Machine: workload.MultiChip, Scale: workload.Small,
 			Seed: int64(i + 2), TargetMisses: 20000,
-		})
-		if res.OffChip.Len() == 0 {
+		}, off, nil)
+		if off.Len() == 0 {
 			b.Fatal("no misses")
 		}
-		misses += uint64(res.OffChip.Len()) + uint64(res.Config.WarmMisses)
+		misses += uint64(off.Len()) + uint64(res.Config.WarmMisses)
 	}
 	b.ReportMetric(float64(misses)/b.Elapsed().Seconds(), "misses/sec")
 }

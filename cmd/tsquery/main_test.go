@@ -31,11 +31,11 @@ var volatile = regexp.MustCompile(`"(id|start|end)":"[^"]*"`)
 //
 //	go test ./cmd/tsquery -run TestQueryGolden -update
 func TestQueryGolden(t *testing.T) {
-	res := workload.Run(workload.Config{
+	tr := &trace.Trace{}
+	res := workload.RunStream(workload.Config{
 		App: workload.Apache, Machine: workload.SingleChip, Scale: workload.Small,
 		Seed: 3, TargetMisses: 9000,
-	})
-	tr := res.OffChip
+	}, tr, nil)
 	dir := t.TempDir()
 	s, _, err := store.Open(dir)
 	if err != nil {

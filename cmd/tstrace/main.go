@@ -184,15 +184,23 @@ func main() {
 		return
 	}
 
-	// Simulate all requested machines concurrently, then dump in order.
+	// Simulate all requested machines concurrently, each collecting the
+	// selected stream into a trace, then dump in order.
 	results := make([]*workload.Result, len(machines))
+	traces := make([]*trace.Trace, len(machines))
 	errs := make([]error, len(machines))
 	g := par.Group{Pool: par.NewPool(0)}
 	for i, machine := range machines {
+		tr := &trace.Trace{}
+		traces[i] = tr
+		var off, intraSink trace.Sink = tr, nil
+		if *intra {
+			off, intraSink = nil, tr // -intra implies single-chip
+		}
 		g.GoCtx(ctx, func() {
-			results[i], errs[i] = workload.RunContext(ctx, workload.Config{
+			results[i], errs[i] = workload.RunStreamContext(ctx, workload.Config{
 				App: app, Machine: machine, Scale: scale, Seed: *seed, TargetMisses: *target,
-			})
+			}, off, intraSink)
 		})
 	}
 	g.Wait()
@@ -208,12 +216,8 @@ func main() {
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
 	for i, res := range results {
-		tr := res.OffChip
-		if *intra {
-			tr = res.IntraChip // guaranteed non-nil: -intra implies single-chip
-		}
 		header := fmt.Sprintf("# app=%v machine=%v scale=%v", app, machines[i], scale)
-		dump(w, header, res.SymTab, tr, *n)
+		dump(w, header, res.SymTab, traces[i], *n)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -100,10 +101,11 @@ func TestDumpGolden(t *testing.T) {
 		target  = 6000
 		n       = 200
 	)
-	res := workload.Run(workload.Config{App: app, Machine: machine, Scale: workload.Small, Seed: seed, TargetMisses: target})
+	off := &trace.Trace{}
+	res := workload.RunStream(workload.Config{App: app, Machine: machine, Scale: workload.Small, Seed: seed, TargetMisses: target}, off, nil)
 	live := func(n int) string {
 		var b bytes.Buffer
-		dump(&b, "# app=Apache machine=single-chip scale=small", res.SymTab, res.OffChip, n)
+		dump(&b, "# app=Apache machine=single-chip scale=small", res.SymTab, off, n)
 		return dumpBody(b.String())
 	}
 	archive := filepath.Join(t.TempDir(), "apache.tsw")

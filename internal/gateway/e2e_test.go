@@ -186,7 +186,8 @@ func fleetStats(t *testing.T, statsAddr string) gateway.FleetStats {
 
 // TestEndToEndFleetChaos is the fleet acceptance test: three tsserved
 // daemons behind a tsgate, a full tsload run in flight, and one backend
-// SIGKILLed while it holds sessions. The load must finish with zero
+// SIGKILLed while it holds sessions (frozen first, so that it still
+// holds them at the kill). The load must finish with zero
 // failed sessions (the gateway replays the dead backend's sessions on
 // survivors), the fleet stats must show the reroutes and the dead
 // backend's open circuit, and the gateway plus the surviving daemons
@@ -227,7 +228,22 @@ func TestEndToEndFleetChaos(t *testing.T) {
 	loadDone := make(chan error, 1)
 	go func() { loadDone <- load.Wait() }()
 
-	// Wait until a backend actually holds sessions, then SIGKILL it.
+	// Wait until a backend actually holds sessions, then SIGKILL it. Its
+	// sessions could finish between a stats read and the kill, leaving
+	// nothing to reroute, so the candidate is frozen (SIGSTOP) and its
+	// count read again once the responses already in flight have landed:
+	// the gateway counts a session off a backend only after the backend
+	// answers, so a frozen backend's count cannot fall. A candidate whose
+	// count did fall is thawed (SIGCONT) and the wait goes on.
+	const settle = 100 * time.Millisecond
+	active := func(addr string) int {
+		for _, b := range fleetStats(t, gw.statsAddr).Backends {
+			if b.Addr == addr {
+				return b.ActiveSessions
+			}
+		}
+		return 0
+	}
 	var victim string
 	waitFor(t, "a backend to hold sessions", func() bool {
 		select {
@@ -236,10 +252,23 @@ func TestEndToEndFleetChaos(t *testing.T) {
 		default:
 		}
 		for _, b := range fleetStats(t, gw.statsAddr).Backends {
-			if b.ActiveSessions > 0 {
+			if b.ActiveSessions == 0 {
+				continue
+			}
+			p := backends[b.Addr].cmd.Process
+			if err := p.Signal(syscall.SIGSTOP); err != nil {
+				t.Fatalf("SIGSTOP backend %s: %v", b.Addr, err)
+			}
+			time.Sleep(settle)
+			if active(b.Addr) > 0 {
 				victim = b.Addr
 				return true
 			}
+			if err := p.Signal(syscall.SIGCONT); err != nil {
+				t.Fatalf("SIGCONT backend %s: %v", b.Addr, err)
+			}
+			t.Logf("backend %s had no sessions left once frozen; thawed it", b.Addr)
+			return false
 		}
 		return false
 	})

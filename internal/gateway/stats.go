@@ -107,9 +107,10 @@ func (g *Gateway) Stats() FleetStats {
 	return st
 }
 
-// AggregateStats renders the fleet as one server.Stats, so a probe aimed
-// at the gateway's ingest port (tsload -stats, an upstream tsgate) sees
-// the same shape a single tsserved would report.
+// AggregateStats renders the fleet as one server.Stats, so a probe
+// request on the gateway's ingest port (server.Probe, the health check
+// an upstream tsgate sends) sees the same shape a single tsserved would
+// report.
 func (g *Gateway) AggregateStats() server.Stats {
 	fs := g.Stats()
 	st := server.Stats{

@@ -113,7 +113,7 @@ func TestStoreEquivalenceAllApps(t *testing.T) {
 			}
 			// The archive's symbol table must round-trip too: the store's
 			// attribution table equals the simulation's exported funcs.
-			if !reflect.DeepEqual(wire.FuncsOf(results[0].Symbols), funcs) {
+			if !reflect.DeepEqual(wire.FuncsOf(results[0].Context.SymTab), funcs) {
 				t.Errorf("store symbol table diverges from the simulation's")
 			}
 		})
@@ -131,11 +131,11 @@ func TestAnalyzeNarrowedMatchesSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := workload.Run(workload.Config{
+	tr := &trace.Trace{}
+	res := workload.RunStream(workload.Config{
 		App: workload.OLTP, Machine: workload.MultiChip, Scale: workload.Small,
 		Seed: 5, TargetMisses: 12000,
-	})
-	tr := res.OffChip
+	}, tr, nil)
 	h := trace.Header{Misses: tr.Len(), Instructions: tr.Instructions, CPUs: tr.CPUs}
 	w, err := s.NewWriter(store.Meta{App: "oltp", Machine: "multi-chip", Label: "narrowed"}, tr.CPUs)
 	if err != nil {

@@ -214,15 +214,13 @@ func (s *Store) openDecoder(e Entry) (*wire.Decoder, *os.File, error) {
 	return dec, f, nil
 }
 
-// Result is one archive's analysis under a query: the entry, the
+// Result is one archive's analysis under a query: the entry and the
 // analysis context (exactly what an in-process run or the ingest server
-// would have produced for the same stream), the archive's symbol table
-// for attribution, and the trailer it came from.
+// would have produced for the same stream), whose SymTab is the
+// archive's symbol table for attribution.
 type Result struct {
 	Entry   Entry
 	Context *tempstream.ContextResult
-	Symbols *trace.SymbolTable
-	Trailer wire.Trailer
 }
 
 // Analyze runs every archive selected by q through a tempstream.Session
@@ -244,8 +242,7 @@ func (s *Store) Analyze(q Query, opts tempstream.StreamOptions) ([]Result, []err
 			errs = append(errs, err)
 			continue
 		}
-		st := tr.SymbolTable()
-		out = append(out, Result{Entry: e, Context: ts.Result(st), Symbols: st, Trailer: tr})
+		out = append(out, Result{Entry: e, Context: ts.Result(tr.SymbolTable())})
 	}
 	return out, errs
 }

@@ -23,12 +23,13 @@ func TestRoundTripAllApps(t *testing.T) {
 	}
 	for _, app := range apps {
 		for _, machine := range []workload.MachineKind{workload.MultiChip, workload.SingleChip} {
-			res := workload.Run(workload.Config{
+			off, intra := &trace.Trace{}, &trace.Trace{}
+			res := workload.RunStream(workload.Config{
 				App: app, Machine: machine, Scale: workload.Small, Seed: 1, TargetMisses: 6000,
-			})
-			roundTrip(t, app.String()+"/"+machine.String()+"/off-chip", res.OffChip, res.SymTab)
-			if res.IntraChip != nil {
-				roundTrip(t, app.String()+"/"+machine.String()+"/intra-chip", res.IntraChip, res.SymTab)
+			}, off, intra)
+			roundTrip(t, app.String()+"/"+machine.String()+"/off-chip", off, res.SymTab)
+			if machine == workload.SingleChip {
+				roundTrip(t, app.String()+"/"+machine.String()+"/intra-chip", intra, res.SymTab)
 			}
 		}
 	}
@@ -91,11 +92,11 @@ func (s *analyzerSink) Finish(trace.Header) { s.a = s.an.Finish(s.window) }
 // criterion: analyzing a decoded stream incrementally reproduces the
 // in-process batch analysis of the original trace field for field.
 func TestReplayMatchesInProcessAnalysis(t *testing.T) {
-	res := workload.Run(workload.Config{
+	tr := &trace.Trace{}
+	workload.RunStream(workload.Config{
 		App: workload.OLTP, Machine: workload.MultiChip, Scale: workload.Small,
 		Seed: 1, TargetMisses: 8000,
-	})
-	tr := res.OffChip
+	}, tr, nil)
 	want := core.Analyze(tr, core.Options{})
 
 	var buf bytes.Buffer

@@ -77,19 +77,19 @@ func goldenKey(app App, mk MachineKind) string {
 }
 
 func runGolden(app App, mk MachineKind, warm int) goldenDigest {
-	res := Run(Config{
+	res := collect(Config{
 		App: app, Machine: mk, Scale: Small,
 		Seed: goldenSeed, TargetMisses: goldenTarget, WarmMisses: warm,
 	})
 	g := goldenDigest{
-		OffChip:      fmt.Sprintf("%016x", digestTrace(res.OffChip)),
-		OffLen:       res.OffChip.Len(),
-		Instructions: res.OffChip.Instructions,
+		OffChip:      fmt.Sprintf("%016x", digestTrace(res.off)),
+		OffLen:       res.off.Len(),
+		Instructions: res.off.Instructions,
 		Footprint:    res.Footprint,
 	}
-	if res.IntraChip != nil {
-		g.IntraChip = fmt.Sprintf("%016x", digestTrace(res.IntraChip))
-		g.IntraLen = res.IntraChip.Len()
+	if mk == SingleChip {
+		g.IntraChip = fmt.Sprintf("%016x", digestTrace(res.intra))
+		g.IntraLen = res.intra.Len()
 	}
 	return g
 }

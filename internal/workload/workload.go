@@ -1,8 +1,8 @@
 // Package workload assembles the paper's six application configurations
 // (Table 1) - Apache and Zeus web serving, OLTP (TPC-C on DB2), and DSS
 // TPC-H queries 1, 2, and 17 - over the kernel and database behavioral
-// models, runs them on either machine model, and returns classified miss
-// traces ready for analysis.
+// models, runs them on either machine model, and streams each run's
+// classified misses into the caller's sinks, ready for analysis.
 package workload
 
 import (
@@ -134,16 +134,14 @@ type Config struct {
 	WarmMisses   int // off-chip misses to discard as warmup (0 = default)
 }
 
-// Result carries the classified traces of one run.
+// Result describes one run. Its classified records leave the simulation
+// only through the sinks handed to RunStream or RunStreamContext.
 type Result struct {
+	// Config is the configuration as run, with the target and warm-up
+	// defaults filled in.
 	Config    Config
-	OffChip   *trace.Trace
-	IntraChip *trace.Trace // nil for MultiChip
 	SymTab    *trace.SymbolTable
-	CPUs      int
 	Footprint uint64
-	AS        *memmap.AddressSpace
-	Kernel    *solaris.Kernel
 }
 
 // CPUCount returns the paper's processor count for each machine kind.
@@ -178,68 +176,37 @@ func (b *builder) addThread(t engine.Thread, name string, cpu int) {
 	b.threads = append(b.threads, pendingThread{t, name, cpu})
 }
 
-// Run executes one configuration end to end and returns its traces. It is
-// the batch form of RunStream: the measurement sinks are materializing
-// traces, presized to the measurement window. Run cannot be cancelled;
-// long sweeps should prefer RunContext.
-func Run(cfg Config) *Result {
-	res, _ := RunContext(context.Background(), cfg)
-	return res
-}
-
-// RunContext is Run bound to a context: cancellation reaches the
-// engine's per-step stop predicates, so a multi-minute simulation stops
-// within one engine step of ctx being cancelled. On cancellation it
-// returns (nil, ctx's cause); the partial traces are discarded. With a
-// never-cancelled context (e.g. context.Background()) it is exactly Run.
-func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	off := &trace.Trace{}
-	var intra *trace.Trace
-	var intraSink trace.Sink
-	if cfg.Machine == SingleChip {
-		intra = &trace.Trace{}
-		intraSink = intra
-	}
-	res, err := runSinks(ctx, cfg, off, intraSink)
-	if err != nil {
-		return nil, err
-	}
-	res.OffChip = off
-	res.IntraChip = intra
-	return res, nil
-}
-
 // RunStream executes one configuration end to end, emitting the
-// measurement-window records into the given sinks instead of materializing
-// traces: each sink receives its window's misses in trace order followed
-// by one Finish carrying the window header (record count, instructions
-// retired during measurement, CPU count). Either sink may be nil to
-// discard that stream; intra is ignored for MultiChip runs, which have no
-// intra-chip stream. The returned Result carries everything but the
-// traces (OffChip and IntraChip are nil).
-//
-// A RunStream with materializing trace sinks is exactly Run: the same
-// engine drives the same machine through the same warmup gate, so the
-// emitted records are byte-for-byte those of the batch path.
+// measurement-window records into the given sinks: each sink receives
+// its window's misses in trace order followed by one Finish carrying the
+// window header (record count, instructions retired during measurement,
+// CPU count). Either sink may be nil to discard that stream; intra is
+// ignored for MultiChip runs, which have no intra-chip stream. A
+// *trace.Trace sink is presized to the most records its window can
+// hold, so it collects the stream without regrowing. RunStream cannot be
+// cancelled; long sweeps should prefer RunStreamContext.
 func RunStream(cfg Config, off, intra trace.Sink) *Result {
 	res, _ := RunStreamContext(context.Background(), cfg, off, intra)
 	return res
 }
 
-// RunStreamContext is RunStream bound to a context. On cancellation the
-// sinks receive no Finish — the stream simply stops mid-flight — and the
-// call returns (nil, ctx's cause); consumers discard their partial state
-// through their own abandon paths (e.g. tempstream.Session.Close). With
-// a never-cancelled context it is exactly RunStream.
+// RunStreamContext is RunStream bound to a context: cancellation reaches
+// the engine's per-step stop predicates, so a multi-minute simulation
+// stops within one engine step of ctx being cancelled. On cancellation
+// the sinks receive no Finish — the stream simply stops mid-flight — and
+// the call returns (nil, ctx's cause); consumers discard their partial
+// state through their own abandon paths (e.g. tempstream.Session.Close).
+// With a never-cancelled context it is exactly RunStream.
 func RunStreamContext(ctx context.Context, cfg Config, off, intra trace.Sink) (*Result, error) {
-	return runSinks(ctx, cfg, off, intra)
+	res, _, err := runSinks(ctx, cfg, off, intra)
+	return res, err
 }
 
-// runSinks is the shared engine of Run and RunStream (and their ctx
-// forms).
-func runSinks(ctx context.Context, cfg Config, offSink, intraSink trace.Sink) (*Result, error) {
+// runSinks is RunStreamContext that also returns the simulated kernel,
+// for the package's tests of scheduler activity.
+func runSinks(ctx context.Context, cfg Config, offSink, intraSink trace.Sink) (*Result, *solaris.Kernel, error) {
 	if err := context.Cause(ctx); err != nil {
-		return nil, err // cancelled before construction: skip the build
+		return nil, nil, err // cancelled before construction: skip the build
 	}
 	if cfg.TargetMisses == 0 {
 		cfg.TargetMisses = DefaultTargetMisses
@@ -295,17 +262,17 @@ func runSinks(ctx context.Context, cfg Config, offSink, intraSink trace.Sink) (*
 	// measurement sinks that are plain traces so the hot append path never
 	// re-doubles mid-run (+slack for stop-predicate overshoot).
 	offGate := &trace.Gate{}
-	var intraGate *trace.Gate
-	if cfg.Machine == SingleChip {
-		intraGate = &trace.Gate{}
-	}
-	mach.SetGates(offGate, intraGate)
 	if t, ok := offSink.(*trace.Trace); ok && t != nil {
 		t.Grow(cfg.TargetMisses + 4096)
 	}
-	if t, ok := intraSink.(*trace.Trace); ok && t != nil {
-		t.Grow(40*cfg.TargetMisses + 4096)
+	var intraGate *trace.Gate
+	if cfg.Machine == SingleChip {
+		intraGate = &trace.Gate{}
+		if t, ok := intraSink.(*trace.Trace); ok && t != nil {
+			t.Grow(40*cfg.TargetMisses + 4096)
+		}
 	}
+	mach.SetGates(offGate, intraGate)
 
 	eng := engine.New(mach, k.Sched, k.Sync, cfg.Seed^0x5eed)
 	for cpu := 0; cpu < ncpu; cpu++ {
@@ -327,7 +294,7 @@ func runSinks(ctx context.Context, cfg Config, offSink, intraSink trace.Sink) (*
 	// per-step poll is one int compare with no interface call.
 	warmTarget := offGate.Total() + cfg.WarmMisses
 	if err := eng.RunContext(ctx, func() bool { return offGate.Total() >= warmTarget }); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	warmOff := offGate.Total()
 	warmInstr := mach.OffChip().Instructions
@@ -350,7 +317,7 @@ func runSinks(ctx context.Context, cfg Config, offSink, intraSink trace.Sink) (*
 	if err != nil {
 		// Cancelled mid-measurement: the sinks never see Finish, so a
 		// consumer can tell a dropped stream from a completed one.
-		return nil, err
+		return nil, nil, err
 	}
 
 	instr := mach.OffChip().Instructions
@@ -359,12 +326,5 @@ func runSinks(ctx context.Context, cfg Config, offSink, intraSink trace.Sink) (*
 		intraGate.Finish(instr-warmInstr, ncpu)
 	}
 
-	return &Result{
-		Config:    cfg,
-		SymTab:    st,
-		CPUs:      ncpu,
-		Footprint: as.Footprint(),
-		AS:        as,
-		Kernel:    k,
-	}, nil
+	return &Result{Config: cfg, SymTab: st, Footprint: as.Footprint()}, k, nil
 }

@@ -7,20 +7,36 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/solaris"
 	"repro/internal/trace"
 )
 
+// collected is one run's result with its streams collected into traces
+// and the kernel it simulated.
+type collected struct {
+	*Result
+	off, intra *trace.Trace // intra stays empty on the multi-chip machine
+	k          *solaris.Kernel
+}
+
+// collect runs cfg with a trace sink for each stream.
+func collect(cfg Config) *collected {
+	c := &collected{off: &trace.Trace{}, intra: &trace.Trace{}}
+	c.Result, c.k, _ = runSinks(context.Background(), cfg, c.off, c.intra)
+	return c
+}
+
 // run executes a small configuration once per (app, machine) and caches
 // the result across tests: full runs are the expensive part.
-var runCache = map[Config]*Result{}
+var runCache = map[Config]*collected{}
 
-func run(t *testing.T, app App, m MachineKind) *Result {
+func run(t *testing.T, app App, m MachineKind) *collected {
 	t.Helper()
 	cfg := Config{App: app, Machine: m, Scale: Small, Seed: 1, TargetMisses: 15000}
 	if r, ok := runCache[cfg]; ok {
 		return r
 	}
-	r := Run(cfg)
+	r := collect(cfg)
 	runCache[cfg] = r
 	return r
 }
@@ -34,14 +50,14 @@ func classFrac(tr *trace.Trace, c trace.MissClass) float64 {
 
 func TestDeterminism(t *testing.T) {
 	cfg := Config{App: Qry2, Machine: SingleChip, Scale: Small, Seed: 7, TargetMisses: 3000}
-	a := Run(cfg)
-	b := Run(cfg)
-	if a.OffChip.Len() != b.OffChip.Len() || a.OffChip.Instructions != b.OffChip.Instructions {
+	a := collect(cfg).off
+	b := collect(cfg).off
+	if a.Len() != b.Len() || a.Instructions != b.Instructions {
 		t.Fatalf("runs differ: %d/%d vs %d/%d misses/instr",
-			a.OffChip.Len(), a.OffChip.Instructions, b.OffChip.Len(), b.OffChip.Instructions)
+			a.Len(), a.Instructions, b.Len(), b.Instructions)
 	}
-	for i := range a.OffChip.Misses {
-		if a.OffChip.Misses[i] != b.OffChip.Misses[i] {
+	for i := range a.Misses {
+		if a.Misses[i] != b.Misses[i] {
 			t.Fatalf("miss %d differs", i)
 		}
 	}
@@ -50,13 +66,13 @@ func TestDeterminism(t *testing.T) {
 func TestTracesReachTarget(t *testing.T) {
 	for _, app := range Apps() {
 		res := run(t, app, MultiChip)
-		if res.OffChip.Len() < 15000 {
-			t.Errorf("%v multi-chip trace has %d misses, want >= 15000", app, res.OffChip.Len())
+		if res.off.Len() < 15000 {
+			t.Errorf("%v multi-chip trace has %d misses, want >= 15000", app, res.off.Len())
 		}
-		if res.OffChip.Instructions == 0 {
+		if res.off.Instructions == 0 {
 			t.Errorf("%v: no instructions accounted", app)
 		}
-		if res.IntraChip != nil {
+		if res.intra.Len() != 0 || res.intra.CPUs != 0 {
 			t.Errorf("%v multi-chip should have no intra-chip trace", app)
 		}
 	}
@@ -67,10 +83,10 @@ func TestSingleChipHasNoOffChipCoherence(t *testing.T) {
 	// single-chip."
 	for _, app := range Apps() {
 		res := run(t, app, SingleChip)
-		if n := res.OffChip.ClassCounts()[trace.Coherence]; n != 0 {
+		if n := res.off.ClassCounts()[trace.Coherence]; n != 0 {
 			t.Errorf("%v single-chip off-chip coherence misses = %d, want 0", app, n)
 		}
-		if res.IntraChip == nil || res.IntraChip.Len() == 0 {
+		if res.intra.Len() == 0 {
 			t.Errorf("%v single-chip must produce an intra-chip trace", app)
 		}
 	}
@@ -81,14 +97,14 @@ func TestMultiChipCoherenceDominatesOLTPAndWeb(t *testing.T) {
 	// multi-chip systems for the communication-heavy workloads.
 	for _, app := range []App{Apache, Zeus, OLTP} {
 		res := run(t, app, MultiChip)
-		coh := classFrac(res.OffChip, trace.Coherence)
+		coh := classFrac(res.off, trace.Coherence)
 		if coh < 0.25 {
 			t.Errorf("%v multi-chip coherence fraction = %.2f, want >= 0.25", app, coh)
 		}
 	}
 	// And DSS is not coherence-dominated.
 	res := run(t, Qry1, MultiChip)
-	if coh := classFrac(res.OffChip, trace.Coherence); coh > 0.3 {
+	if coh := classFrac(res.off, trace.Coherence); coh > 0.3 {
 		t.Errorf("Qry1 multi-chip coherence fraction = %.2f, want < 0.3", coh)
 	}
 }
@@ -99,7 +115,7 @@ func TestDSSDominatedByCompulsoryAndIO(t *testing.T) {
 	for _, app := range []App{Qry1, Qry17} {
 		for _, m := range []MachineKind{MultiChip, SingleChip} {
 			res := run(t, app, m)
-			compIO := classFrac(res.OffChip, trace.Compulsory) + classFrac(res.OffChip, trace.IOCoherence)
+			compIO := classFrac(res.off, trace.Compulsory) + classFrac(res.off, trace.IOCoherence)
 			if compIO < 0.4 {
 				t.Errorf("%v %v compulsory+IO fraction = %.2f, want >= 0.4", app, m, compIO)
 			}
@@ -109,7 +125,7 @@ func TestDSSDominatedByCompulsoryAndIO(t *testing.T) {
 
 func TestOLTPSingleChipReplacementHeavy(t *testing.T) {
 	res := run(t, OLTP, SingleChip)
-	repl := classFrac(res.OffChip, trace.Replacement)
+	repl := classFrac(res.off, trace.Replacement)
 	if repl < 0.3 {
 		t.Errorf("OLTP single-chip replacement fraction = %.2f, want >= 0.3", repl)
 	}
@@ -120,7 +136,7 @@ func TestIntraChipHasCoherenceAndPeerSupply(t *testing.T) {
 	// from coherence, supplied by the L2 or a peer L1.
 	for _, app := range []App{Apache, OLTP} {
 		res := run(t, app, SingleChip)
-		it := res.IntraChip
+		it := res.intra
 		coh := classFrac(it, trace.Coherence)
 		if coh < 0.05 {
 			t.Errorf("%v intra-chip coherence fraction = %.2f, want >= 0.05", app, coh)
@@ -134,19 +150,19 @@ func TestIntraChipHasCoherenceAndPeerSupply(t *testing.T) {
 
 func TestSchedulerActivityPresent(t *testing.T) {
 	res := run(t, OLTP, MultiChip)
-	k := res.Kernel
+	k := res.k
 	if k.Sched.Dispatches == 0 || k.Sched.Steals == 0 {
 		t.Errorf("scheduler inactive: dispatches=%d steals=%d", k.Sched.Dispatches, k.Sched.Steals)
 	}
 	// Scheduler misses must appear in the trace (the paper: up to 12% of
 	// all off-chip misses).
 	sched := 0
-	for _, m := range res.OffChip.Misses {
+	for _, m := range res.off.Misses {
 		if res.SymTab.CategoryOf(m.Func) == trace.CatScheduler {
 			sched++
 		}
 	}
-	if frac := float64(sched) / float64(res.OffChip.Len()); frac < 0.01 {
+	if frac := float64(sched) / float64(res.off.Len()); frac < 0.01 {
 		t.Errorf("scheduler misses = %.3f of trace, want >= 0.01", frac)
 	}
 }
@@ -154,7 +170,7 @@ func TestSchedulerActivityPresent(t *testing.T) {
 func TestWebHasSTREAMSAndPerlActivity(t *testing.T) {
 	res := run(t, Apache, MultiChip)
 	counts := map[trace.Category]int{}
-	for _, m := range res.OffChip.Misses {
+	for _, m := range res.off.Misses {
 		counts[res.SymTab.CategoryOf(m.Func)]++
 	}
 	for _, c := range []trace.Category{trace.CatSTREAMS, trace.CatIPPacket, trace.CatPerlEngine, trace.CatPerlInput, trace.CatBulkCopy} {
@@ -169,13 +185,13 @@ func TestDSSBulkCopiesDominant(t *testing.T) {
 	// (bulk copies + the I/O infrastructure around them).
 	res := run(t, Qry1, SingleChip)
 	copies := 0
-	for _, m := range res.OffChip.Misses {
+	for _, m := range res.off.Misses {
 		c := res.SymTab.CategoryOf(m.Func)
 		if c == trace.CatBulkCopy {
 			copies++
 		}
 	}
-	if frac := float64(copies) / float64(res.OffChip.Len()); frac < 0.25 {
+	if frac := float64(copies) / float64(res.off.Len()); frac < 0.25 {
 		t.Errorf("Qry1 bulk-copy misses = %.2f of trace, want >= 0.25", frac)
 	}
 }
@@ -183,8 +199,8 @@ func TestDSSBulkCopiesDominant(t *testing.T) {
 func TestMPKIOrdering(t *testing.T) {
 	// DSS streams data and must show far higher off-chip MPKI than OLTP,
 	// whose hot set is cache-resident.
-	dss := run(t, Qry1, MultiChip).OffChip.MPKI()
-	oltp := run(t, OLTP, MultiChip).OffChip.MPKI()
+	dss := run(t, Qry1, MultiChip).off.MPKI()
+	oltp := run(t, OLTP, MultiChip).off.MPKI()
 	if dss <= oltp {
 		t.Errorf("MPKI ordering violated: Qry1 %.2f <= OLTP %.2f", dss, oltp)
 	}
@@ -209,33 +225,34 @@ func TestAppMetadata(t *testing.T) {
 	}
 }
 
-// TestRunContextMatchesRun pins the ctx plumbing as pure plumbing: with
-// an uncancellable context the run is byte-for-byte Run (which the
-// golden digests pin against the seed simulator).
-func TestRunContextMatchesRun(t *testing.T) {
+// TestRunStreamContextMatchesRunStream pins the ctx plumbing as pure
+// plumbing: with an uncancellable context the run is byte-for-byte
+// RunStream's (which the golden digests pin against the seed simulator).
+func TestRunStreamContextMatchesRunStream(t *testing.T) {
 	cfg := Config{App: Apache, Machine: SingleChip, Scale: Small, Seed: 4, TargetMisses: 3000}
-	want := Run(cfg)
-	got, err := RunContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("RunContext: %v", err)
+	wantOff, wantIntra := &trace.Trace{}, &trace.Trace{}
+	RunStream(cfg, wantOff, wantIntra)
+	gotOff, gotIntra := &trace.Trace{}, &trace.Trace{}
+	if _, err := RunStreamContext(context.Background(), cfg, gotOff, gotIntra); err != nil {
+		t.Fatalf("RunStreamContext: %v", err)
 	}
-	if !reflect.DeepEqual(got.OffChip, want.OffChip) || !reflect.DeepEqual(got.IntraChip, want.IntraChip) {
-		t.Errorf("RunContext traces differ from Run")
+	if !reflect.DeepEqual(gotOff, wantOff) || !reflect.DeepEqual(gotIntra, wantIntra) {
+		t.Errorf("RunStreamContext traces differ from RunStream")
 	}
 }
 
-// TestRunContextPreCancelled: a dead context returns before the
+// TestRunStreamContextPreCancelled: a dead context returns before the
 // (expensive) construction pass even starts.
-func TestRunContextPreCancelled(t *testing.T) {
+func TestRunStreamContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	res, err := RunContext(ctx, Config{App: OLTP, Machine: MultiChip, Scale: Small, Seed: 1, TargetMisses: 1 << 20})
+	res, err := RunStreamContext(ctx, Config{App: OLTP, Machine: MultiChip, Scale: Small, Seed: 1, TargetMisses: 1 << 20}, &trace.Trace{}, nil)
 	if res != nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext = (%v, %v), want (nil, context.Canceled)", res, err)
+		t.Fatalf("RunStreamContext = (%v, %v), want (nil, context.Canceled)", res, err)
 	}
 	if d := time.Since(start); d > 2*time.Second {
-		t.Errorf("pre-cancelled RunContext took %v: construction ran anyway", d)
+		t.Errorf("pre-cancelled RunStreamContext took %v: construction ran anyway", d)
 	}
 }
 

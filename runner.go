@@ -34,10 +34,10 @@ type Request struct {
 	// Prefetch, when non-nil, additionally evaluates a temporal-stream
 	// prefetcher over each context's miss stream as it is produced.
 	Prefetch *prefetch.Config
-	// KeepTraces materializes the per-context traces (ContextResult.Trace
-	// and the raw workload results' OffChip/IntraChip), costing O(trace)
-	// memory. Off by default — results then carry only headers and
-	// analyses, and peak memory is bounded by the analysis window.
+	// KeepTraces materializes each context's trace in
+	// ContextResult.Trace, costing O(trace) memory. Off by default —
+	// results then carry only headers and analyses, and peak memory is
+	// bounded by the analysis window.
 	KeepTraces bool
 }
 
@@ -103,80 +103,78 @@ func (r *Runner) Run(ctx context.Context, req Request) (*Experiment, error) {
 	if err := context.Cause(ctx); err != nil {
 		return nil, err
 	}
-	expect := req.TargetMisses
-	if expect == 0 {
-		expect = workload.DefaultTargetMisses
-	}
-	opts := req.stream()
 	exp := &Experiment{App: req.App, Scale: req.Scale, Stages: &StageStats{}}
-	var mcErr, scErr error
+	machines := []workload.MachineKind{workload.MultiChip, workload.SingleChip}
+	errs := make([]error, len(machines))
 	g := par.Group{Pool: r.pool}
-	g.GoCtx(ctx, func() {
-		start := time.Now()
-		s := NewSession(workload.MultiChip.CPUCount(), expect, opts)
-		p := trace.NewPipelined(s)
-		res, err := workload.RunStreamContext(ctx, req.config(workload.MultiChip), p, nil)
-		// Drain the pipeline before touching the session: after this the
-		// session has seen every record (and, on success, the Finish).
-		p.Close()
-		exp.Stages.Pipeline[MultiChipCtx] = p.Stats()
-		exp.Stages.MultiChipSimSeconds = time.Since(start).Seconds()
-		if err != nil {
-			mcErr = err
-			s.Close()
-			return
-		}
-		cr := s.Result(res.SymTab)
-		if req.KeepTraces {
-			res.OffChip = cr.Trace
-		}
-		exp.MultiChip = res
-		exp.Contexts[MultiChipCtx] = cr
-	})
-	g.GoCtx(ctx, func() {
-		start := time.Now()
-		off := NewSession(workload.SingleChip.CPUCount(), expect, opts)
-		// The intra-chip stream may run up to 40x the off-chip target (the
-		// workload runner's measurement cap), but most stop far short of
-		// it, so its kept trace is presized like the off-chip one and
-		// grows by chunks on demand.
-		intra := NewSession(workload.SingleChip.CPUCount(), expect, opts)
-		offP, intraP := trace.NewPipelined(off), trace.NewPipelined(intra)
-		res, err := workload.RunStreamContext(ctx, req.config(workload.SingleChip), offP, intraP)
-		offP.Close()
-		intraP.Close()
-		exp.Stages.Pipeline[SingleChipCtx] = offP.Stats()
-		exp.Stages.Pipeline[IntraChipCtx] = intraP.Stats()
-		exp.Stages.SingleChipSimSeconds = time.Since(start).Seconds()
-		if err != nil {
-			scErr = err
-			off.Close()
-			intra.Close()
-			return
-		}
-		offCR := off.Result(res.SymTab)
-		intraCR := intra.Result(res.SymTab)
-		if req.KeepTraces {
-			res.OffChip = offCR.Trace
-			res.IntraChip = intraCR.Trace
-		}
-		exp.SingleChip = res
-		exp.Contexts[SingleChipCtx] = offCR
-		exp.Contexts[IntraChipCtx] = intraCR
-	})
+	for i, m := range machines {
+		g.GoCtx(ctx, func() { errs[i] = req.simulate(ctx, m, exp) })
+	}
 	g.Wait()
 	// A cancelled context may also have skipped a task before it ever
 	// acquired a slot (GoCtx), so check it before the per-task errors.
 	if err := context.Cause(ctx); err != nil {
 		return nil, err
 	}
-	if mcErr != nil {
-		return nil, mcErr
-	}
-	if scErr != nil {
-		return nil, scErr
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return exp, nil
+}
+
+// simulate is one machine task of Run: it simulates machine m and
+// analyzes each of its contexts in a Session behind a pipeline, filling
+// those contexts, the machine's run result and its stage counters in
+// exp.
+func (req Request) simulate(ctx context.Context, m workload.MachineKind, exp *Experiment) error {
+	start := time.Now()
+	// Every context's Session is presized by the off-chip target: the
+	// intra-chip stream may run up to 40x it (the workload runner's
+	// measurement cap), but most stop far short of it, so its kept trace
+	// grows by chunks on demand.
+	expect := req.TargetMisses
+	if expect == 0 {
+		expect = workload.DefaultTargetMisses
+	}
+	// m's contexts in the order of RunStreamContext's sinks: off-chip,
+	// then intra-chip.
+	ctxs := []Context{MultiChipCtx}
+	if m == workload.SingleChip {
+		ctxs = []Context{SingleChipCtx, IntraChipCtx}
+	}
+	sessions := make([]*Session, len(ctxs))
+	pipes := make([]*trace.Pipelined, len(ctxs))
+	var sinks [2]trace.Sink
+	for i := range ctxs {
+		sessions[i] = NewSession(m.CPUCount(), expect, req.stream())
+		pipes[i] = trace.NewPipelined(sessions[i])
+		sinks[i] = pipes[i]
+	}
+	res, err := workload.RunStreamContext(ctx, req.config(m), sinks[0], sinks[1])
+	// Drain the pipelines before touching the sessions: after this each
+	// session has seen every record (and, on success, the Finish).
+	for i, c := range ctxs {
+		pipes[i].Close()
+		exp.Stages.Pipeline[c] = pipes[i].Stats()
+	}
+	sec := time.Since(start).Seconds()
+	if err != nil {
+		for _, s := range sessions {
+			s.Close()
+		}
+		return err
+	}
+	for i, c := range ctxs {
+		exp.Contexts[c] = sessions[i].Result(res.SymTab)
+	}
+	if m == workload.MultiChip {
+		exp.MultiChip, exp.Stages.MultiChipSimSeconds = res, sec
+	} else {
+		exp.SingleChip, exp.Stages.SingleChipSimSeconds = res, sec
+	}
+	return nil
 }
 
 // RunAll executes the Requests concurrently over the Runner's pool and

@@ -15,7 +15,7 @@ func TestRunnerRunMatchesSerial(t *testing.T) {
 }
 
 // TestRunnerStreamingResultShape checks Run's native (no KeepTraces)
-// mode: no traces anywhere, headers folded, all contexts analyzed, and
+// mode: no kept traces, headers folded, all contexts analyzed, and
 // every context's stream carried through its pipeline.
 func TestRunnerStreamingResultShape(t *testing.T) {
 	exp, err := NewRunner().Run(context.Background(), Request{
@@ -23,9 +23,6 @@ func TestRunnerStreamingResultShape(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
-	}
-	if exp.MultiChip.OffChip != nil || exp.SingleChip.OffChip != nil || exp.SingleChip.IntraChip != nil {
-		t.Errorf("streaming Run materialized raw traces")
 	}
 	for _, c := range Contexts() {
 		cr := exp.Context(c)

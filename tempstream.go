@@ -145,8 +145,8 @@ type Experiment struct {
 	Scale Scale
 	// Contexts holds the per-context results, indexed by Context.
 	Contexts [NumContexts]*ContextResult
-	// MultiChip and SingleChip expose the raw run results (MPKI,
-	// footprints, kernel statistics).
+	// MultiChip and SingleChip are each machine's run result: the
+	// configuration as run, the symbol table and the data footprint.
 	MultiChip  *workload.Result
 	SingleChip *workload.Result
 	// Stages traces where the run's wall-clock went (simulate vs analyze

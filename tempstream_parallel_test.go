@@ -8,47 +8,35 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/prefetch"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // collectSerial is the strictly sequential reference implementation of
-// the batch collection: each machine of req is simulated to a
-// materialized trace (workload.Run) and analyzed in one batch pass
-// (core.Analyze). It shares no code with the Runner's sessions,
-// pipelines or pools, so the equivalence tests compare the Runner
-// against it field for field. It ignores req's analysis, prefetch and
-// trace options (see expectFor).
+// the batch collection: each machine of req is simulated into
+// materialized traces (workload.RunStream with *trace.Trace sinks) and
+// each trace analyzed in one batch pass (core.Analyze). It shares no
+// code with the Runner's sessions, pipelines or pools, so the
+// equivalence tests compare the Runner against it field for field. It
+// ignores req's analysis, prefetch and trace options (see expectFor).
 func collectSerial(req Request) *Experiment {
-	run := func(m workload.MachineKind) *workload.Result {
-		return workload.Run(workload.Config{
+	run := func(m workload.MachineKind) (res *workload.Result, off, intra *trace.Trace) {
+		off, intra = &trace.Trace{}, &trace.Trace{}
+		res = workload.RunStream(workload.Config{
 			App: req.App, Machine: m, Scale: req.Scale, Seed: req.Seed,
 			TargetMisses: req.TargetMisses, WarmMisses: req.WarmMisses,
-		})
+		}, off, intra)
+		return res, off, intra
 	}
-	mc, sc := run(workload.MultiChip), run(workload.SingleChip)
-	exp := &Experiment{
-		App: req.App, Scale: req.Scale,
-		MultiChip:  mc,
-		SingleChip: sc,
+	analyzed := func(tr *trace.Trace, st *trace.SymbolTable) *ContextResult {
+		return &ContextResult{Trace: tr, Header: headerOf(tr), Analysis: core.Analyze(tr, core.Options{}), SymTab: st}
 	}
-	exp.Contexts[MultiChipCtx] = &ContextResult{
-		Trace:    mc.OffChip,
-		Header:   headerOf(mc.OffChip),
-		Analysis: core.Analyze(mc.OffChip, core.Options{}),
-		SymTab:   mc.SymTab,
-	}
-	exp.Contexts[SingleChipCtx] = &ContextResult{
-		Trace:    sc.OffChip,
-		Header:   headerOf(sc.OffChip),
-		Analysis: core.Analyze(sc.OffChip, core.Options{}),
-		SymTab:   sc.SymTab,
-	}
-	exp.Contexts[IntraChipCtx] = &ContextResult{
-		Trace:    sc.IntraChip,
-		Header:   headerOf(sc.IntraChip),
-		Analysis: core.Analyze(sc.IntraChip, core.Options{}),
-		SymTab:   sc.SymTab,
-	}
+	mc, mcOff, _ := run(workload.MultiChip)
+	sc, scOff, scIntra := run(workload.SingleChip)
+	exp := &Experiment{App: req.App, Scale: req.Scale, MultiChip: mc, SingleChip: sc}
+	exp.Contexts[MultiChipCtx] = analyzed(mcOff, mc.SymTab)
+	exp.Contexts[SingleChipCtx] = analyzed(scOff, sc.SymTab)
+	exp.Contexts[IntraChipCtx] = analyzed(scIntra, sc.SymTab)
 	return exp
 }
 
@@ -89,12 +77,7 @@ func fullReference(app App) *Experiment { return cachedSerial(collectRequest(app
 // counters from prefetch.Evaluate over the reference traces when req
 // attaches a prefetcher.
 func expectFor(ref *Experiment, req Request) *Experiment {
-	want := &Experiment{App: ref.App, Scale: ref.Scale}
-	mc, sc := *ref.MultiChip, *ref.SingleChip
-	if !req.KeepTraces {
-		mc.OffChip, sc.OffChip, sc.IntraChip = nil, nil, nil
-	}
-	want.MultiChip, want.SingleChip = &mc, &sc
+	want := &Experiment{App: ref.App, Scale: ref.Scale, MultiChip: ref.MultiChip, SingleChip: ref.SingleChip}
 	for _, c := range Contexts() {
 		cr := *ref.Contexts[c]
 		if req.Prefetch != nil {
@@ -158,7 +141,7 @@ func compareExperiments(t *testing.T, got, want *Experiment) {
 			t.Errorf("%v %v: prefetch counters %+v, want %+v", got.App, ctx, *g.Prefetch, *w.Prefetch)
 		}
 	}
-	// Everything else (MPKI, footprints, symbol tables, kernel stats, the
+	// Everything else (configurations, footprints, symbol tables, the
 	// full analysis structs): deep equality over the whole experiment.
 	// Stages is wall-clock tracing — explicitly outside the determinism
 	// contract — so compare with it blanked.
